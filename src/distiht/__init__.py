@@ -21,7 +21,7 @@ from .consensus import (WeightMatrix, BoundConstants, DiffusiveConsensus,
                         run_diffusive_consensus, bound_constants, schedule_eta)
 from .diht import (Metrics, StopRule, DihtRun, convergecast_sum,
                    aggregate_lipschitz, run_diht, write_metrics_csv)
-from .cbdiht import (CbDihtRun, InitiateMsg, consensus_steps, run_cbdiht,
+from .cbdiht import (CbDihtRun, consensus_steps, run_cbdiht,
                      epsilon_series, max_consensus, default_l_tv)
 from .subgradient import (SubgradConfig, SubgradTrace, AffineProjector,
                           affine_projection, run_subgradient)

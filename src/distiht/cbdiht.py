@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .consensus import metropolis_matrix
 from .diht import Metrics, StopRule
 from .graphs import TvSchedule, validate_connectivity_window
 from .iht import IhtTrace, NumericFailure, hard_threshold
@@ -32,14 +33,6 @@ def consensus_steps(k: int, x: np.ndarray) -> int:
         raise ValueError("iteration index must be nonnegative")
     x = np.asarray(x, dtype=float)
     return max(1, int(math.ceil(0.5 * (k + float(x @ x)))))
-
-
-@dataclass
-class InitiateMsg:
-    """Instance-tagged activation payload: the sparse iterate of instance k."""
-
-    k: int
-    x: np.ndarray
 
 
 @dataclass
@@ -112,12 +105,19 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
     reference = stop.reference_vector(problem)
     ref_norm = float(np.linalg.norm(reference)) if reference is not None else None
 
+    # per period step: each link in both directions, and neighbour lists
+    periods = []
+    for links in schedule.subgraphs:
+        e = np.array(links, dtype=np.intp).reshape(-1, 2)
+        src, dst = np.concatenate([e, e[:, ::-1]]).T
+        periods.append((src, dst, [dst[src == a].tolist() for a in range(p)]))
+
     # per-agent protocol state; instance -1 means "never joined anything"
     inst = np.full(p, -1, dtype=int)
     inst[0] = 0
     estimates = [x1.copy() for _ in range(p)]
     values = np.zeros((p, n))
-    active = [set() for _ in range(p)]
+    active = np.zeros((p, p), dtype=bool)  # active[a, q]: a activated its link to q
 
     trace = IhtTrace()
     trace.iterates.append(x1.copy())
@@ -130,72 +130,68 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
 
     t_now = 0
     for outer in range(stop.max_iters):
+        # slice gradients at the current iterate, shared by agent 0, every
+        # joiner of this instance and the eps diagnostic
+        grads = [loss_gradient(sl, x1) for sl in problem.slices]
         # agent 0 opens instance `outer`: local gradient, fresh activation
-        values[0] = loss_gradient(problem.slices[0], x1)
-        active[0] = set()
+        values[0] = grads[0]
+        active[0] = False
         inst[0] = outer
         run.per_agent_last_iter[0] = outer
         s_k = int(s_fn(outer, x1))
         run.s_schedule.append(s_k)
 
         for _ in range(s_k):
-            links = schedule.edges_at(t_now)
+            src, dst, present = periods[t_now % len(periods)]
             t_now += 1
             metrics.time_steps += 1
-            present = [[] for _ in range(p)]
-            for u, v in links:
-                present[u].append(v)
-                present[v].append(u)
+            live = active[src, dst]
 
             # averaging among same-instance, mutually active, present pairs
-            nbrs = [[q for q in present[a] if q in active[a]
-                     and inst[q] == inst[a] and a in active[q]]
-                    for a in range(p)]
-            w = np.zeros((p, p))
-            for a in range(p):
-                for q in nbrs[a]:
-                    w[a, q] = 1.0 / (1.0 + max(len(nbrs[a]), len(nbrs[q])))
-            np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-            mixed = w @ values
-            for a in range(p):
-                if not nbrs[a]:
-                    mixed[a] = values[a]  # holders keep their row bit-exact
-            values = mixed
+            avg = live & active[dst, src] & (inst[src] == inst[dst])
+            if avg.any():
+                w, deg = metropolis_matrix(src[avg], dst[avg], p)
+                mixed = w @ values
+                mixed[deg == 0] = values[deg == 0]  # holders keep their row bit-exact
+                values = mixed
 
             # every joined agent ships its vector on its active present links,
             # whether or not the far end still listens to this instance
-            for a in range(p):
-                if inst[a] < 0:
-                    continue
-                sends = sum(1 for q in present[a] if q in active[a])
-                if sends:
-                    metrics.values_sent += sends * n
-                    metrics.messages_sent += sends
-                    metrics.broadcasts += n
+            sends = np.bincount(src[live], minlength=p)
+            total = int(sends.sum())
+            metrics.values_sent += total * n
+            metrics.messages_sent += total
+            metrics.broadcasts += n * int(np.count_nonzero(sends))
 
-            # INITIATE wave over present, inactive links
+            # INITIATE wave over present, inactive links in agent-index order;
+            # an agent that joins during the wave forwards in this step when
+            # its index is above the sender's
+            pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=p).tolist()
             for a in range(p):
-                if inst[a] < 0:
+                if not pending[a]:
                     continue
-                fresh = [q for q in present[a] if q not in active[a]]
+                fresh = [q for q in present[a] if not active[a, q]]
                 if not fresh:
                     continue
                 metrics.broadcasts += 2 * k
-                msg = InitiateMsg(k=int(inst[a]), x=estimates[a])
+                metrics.values_sent += 2 * k * len(fresh)
+                metrics.messages_sent += len(fresh)
+                active[a, fresh] = True
+                ka = int(inst[a])
                 for q in fresh:
-                    metrics.values_sent += 2 * k
-                    metrics.messages_sent += 1
-                    active[a].add(q)
-                    if msg.k > inst[q]:
+                    if ka > inst[q]:
                         # fresher instance: drop old state, copy the iterate,
                         # contribute the local gradient from the next step on
-                        inst[q] = msg.k
-                        estimates[q] = msg.x.copy()
-                        values[q] = loss_gradient(problem.slices[q], estimates[q])
-                        active[q] = {a}
-                        run.per_agent_last_iter[q] = msg.k
-                    elif msg.k == inst[q]:
-                        active[q].add(a)  # pure link activation
+                        inst[q] = ka
+                        estimates[q] = estimates[a]  # never written in place
+                        values[q] = (grads[q] if ka == outer else
+                                     loss_gradient(problem.slices[q], estimates[q]))
+                        active[q] = False
+                        active[q, a] = True
+                        run.per_agent_last_iter[q] = ka
+                        pending[q] = True
+                    elif ka == inst[q]:
+                        active[q, a] = True  # pure link activation
                     # an already-fresher receiver ignores the message
 
         v_hat = values[0].copy()
@@ -204,10 +200,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
         run.v_hats.append(v_hat)
         run.initiated_counts.append(int(np.sum(inst == outer)))
 
-        grad_sum = np.zeros(n)
-        for sl in problem.slices:
-            grad_sum += loss_gradient(sl, x1)
-        eps = p * v_hat - grad_sum
+        eps = p * v_hat - sum(grads, np.zeros(n))
         trace.eps_norms.append(float(np.linalg.norm(eps)))
 
         x_next = hard_threshold(x1 - v_hat / l_tv, k)
@@ -234,7 +227,9 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
                                 "initiated_count": run.initiated_counts[-1]})
 
         if reference is not None:
-            worst = max(float(np.linalg.norm(e - reference)) for e in estimates)
+            # agents of one instance share their estimate array
+            distinct = {id(e): e for e in estimates}.values()
+            worst = max(float(np.linalg.norm(e - reference)) for e in distinct)
             run.worst_errors.append(worst)
             if stop.tol > 0 and worst <= stop.tol * max(ref_norm, 1e-300):
                 run.global_converged_at = outer + 1
@@ -253,12 +248,14 @@ def epsilon_series(run: CbDihtRun) -> np.ndarray:
 
     For each outer iteration the exact stacked gradient at the recorded
     iterate is formed from the problem data and compared against p times the
-    recorded consensus average.
+    recorded consensus average.  A run with keep_iterates=False kept only its
+    last iterate, so its series is the squared in-loop record instead.
     """
+    if len(run.agent1_trace.iterates) <= len(run.v_hats):
+        return np.square(run.agent1_trace.eps_norms)
     out = []
     for k, v_hat in enumerate(run.v_hats):
-        xk = run.agent1_trace.iterates[k] if len(run.agent1_trace.iterates) > k \
-            else run.agent1_trace.iterates[-1]
+        xk = run.agent1_trace.iterates[k]
         grad = np.zeros(run.problem.n)
         for sl in run.problem.slices:
             grad += loss_gradient(sl, xk)

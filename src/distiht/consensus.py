@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,25 +29,26 @@ def check_doubly_stochastic(w: np.ndarray, tol: float = 1e-12) -> bool:
             and np.allclose(ones @ w, ones, atol=tol))
 
 
-def metropolis_weights(active_links, p: int) -> WeightMatrix:
-    """Metropolis-Hastings weights over the given undirected links.
+def metropolis_matrix(src: np.ndarray, dst: np.ndarray, p: int):
+    """Metropolis-Hastings weights over directed index arrays that list every
+    undirected link in both directions; returns (w, degrees).
 
     w_pq = 1/(1 + max(deg_p, deg_q)) on links, with the leftover mass on the
-    diagonal; rows and columns sum to one by construction and every nonzero
-    entry is at least 1/(1 + max degree).
+    diagonal; rows and columns sum to one by construction (Xiao & Boyd 2004).
     """
-    deg = np.zeros(p, dtype=int)
-    links = [(min(u, v), max(u, v)) for u, v in active_links]
-    for u, v in links:
-        deg[u] += 1
-        deg[v] += 1
+    deg = np.bincount(src, minlength=p)
     w = np.zeros((p, p))
-    for u, v in links:
-        w[u, v] = w[v, u] = 1.0 / (1.0 + max(deg[u], deg[v]))
-    for q in range(p):
-        w[q, q] = 1.0 - w[q].sum()
-    eta = 1.0 / (1.0 + max(deg.max(initial=0), 0)) if p else 1.0
-    return WeightMatrix(w=w, eta=float(eta))
+    w[src, dst] = 1.0 / (1.0 + np.maximum(deg[src], deg[dst]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w, deg
+
+
+def metropolis_weights(active_links, p: int) -> WeightMatrix:
+    """Metropolis-Hastings weights over the given undirected links; every
+    nonzero entry is at least eta = 1/(1 + max degree)."""
+    e = np.fromiter(chain.from_iterable(active_links), dtype=np.intp).reshape(-1, 2)
+    w, deg = metropolis_matrix(*np.concatenate([e, e[:, ::-1]]).T, p)
+    return WeightMatrix(w=w, eta=float(1.0 / (1.0 + deg.max(initial=0))))
 
 
 def consensus_step(values: np.ndarray, w: WeightMatrix) -> np.ndarray:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from distiht.cbdiht import (consensus_steps, default_l_tv, epsilon_series,
-                            max_consensus, run_cbdiht)
+                            max_consensus, max_consensus_l_tv, run_cbdiht)
 from distiht.diht import StopRule
 from distiht.graphs import (AssumptionViolation, Graph, TvSchedule,
                             gen_erdos_renyi, gen_tv_schedule, static_schedule)
 from distiht.iht import IhtConfig, hard_threshold, run_iht
-from distiht.model import generate_problem, loss_gradient, loss_info
+from distiht.model import (generate_problem, lipschitz_of_slice,
+                           loss_gradient, loss_info)
 
 
 def complete_graph(p):
@@ -94,6 +95,17 @@ class TestRunCbdiht:
         half = len(eps_sq) // 2
         assert eps_sq[half:].sum() < 0.25 * eps_sq.sum()
 
+    def test_eps_series_without_kept_iterates(self):
+        # the compact record keeps only the last iterate; the series must
+        # still be the one recomputed from every iterate
+        prob = desk_problem(9)
+        sched = gen_tv_schedule(gen_erdos_renyi(6, 0.5, 10), 10, 11)
+        stop = StopRule(tol=1e-5, max_iters=120)
+        full = epsilon_series(run_cbdiht(prob, sched, stop=stop))
+        compact = epsilon_series(run_cbdiht(prob, sched, stop=stop,
+                                            keep_iterates=False))
+        np.testing.assert_allclose(compact, full, rtol=1e-12, atol=0)
+
     def test_constant_s_keeps_eps_finite(self):
         prob = desk_problem(12)
         g = gen_erdos_renyi(6, 0.5, 13)
@@ -139,6 +151,14 @@ class TestRunCbdiht:
         prob = desk_problem(21)
         info = loss_info(prob)
         assert default_l_tv(prob) > info.lipschitz_global / prob.p
+
+    def test_max_consensus_l_tv(self):
+        for seed in range(6):
+            ensemble = "gaussian" if seed % 2 else "tight-frame"
+            prob = generate_problem(40, 24, 3, 2 + seed, seed=seed, ensemble=ensemble)
+            largest = max(lipschitz_of_slice(s) for s in prob.slices)
+            assert max_consensus_l_tv(prob) == 1.005 * largest
+            assert max_consensus_l_tv(prob) >= default_l_tv(prob)
 
 
 class TestValueAccounting:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distiht.consensus import (DiffusiveConsensus, bound_constants,
+from distiht.consensus import (DiffusiveConsensus, WeightMatrix, bound_constants,
                                check_doubly_stochastic, consensus_step,
                                metropolis_weights, run_diffusive_consensus,
                                schedule_eta)
@@ -12,7 +12,47 @@ from distiht.graphs import (Graph, TvSchedule, gen_erdos_renyi,
                             gen_tv_schedule, static_schedule)
 
 
+def reference_metropolis_weights(active_links, p: int) -> WeightMatrix:
+    """The original per-link loop, kept as the oracle for the vectorized weights."""
+    deg = np.zeros(p, dtype=int)
+    links = [(min(u, v), max(u, v)) for u, v in active_links]
+    for u, v in links:
+        deg[u] += 1
+        deg[v] += 1
+    w = np.zeros((p, p))
+    for u, v in links:
+        w[u, v] = w[v, u] = 1.0 / (1.0 + max(deg[u], deg[v]))
+    for q in range(p):
+        w[q, q] = 1.0 - w[q].sum()
+    eta = 1.0 / (1.0 + max(deg.max(initial=0), 0)) if p else 1.0
+    return WeightMatrix(w=w, eta=float(eta))
+
+
+def assert_weights_match_reference(links, p):
+    fast, slow = metropolis_weights(links, p), reference_metropolis_weights(links, p)
+    assert np.array_equal(fast.w, slow.w)
+    assert fast.eta == slow.eta
+
+
 class TestMetropolisWeights:
+    def test_matches_reference_on_edge_cases(self):
+        assert_weights_match_reference([], 4)
+        assert_weights_match_reference([], 1)
+        assert_weights_match_reference([(1, 0)], 2)
+        g = gen_erdos_renyi(50, 0.25, 0)  # the benchmark's paper-scale graph
+        assert_weights_match_reference(g.edges, 50)
+        assert np.array_equal(metropolis_weights(iter(g.edges), 50).w,
+                              metropolis_weights(g.edges, 50).w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 70), st.integers(0, 10 ** 6), st.floats(0.0, 1.0))
+    def test_matches_reference_on_random_links(self, p, seed, density):
+        rng = np.random.default_rng(seed)
+        pairs = [(i, j) if rng.random() < 0.5 else (j, i)
+                 for i in range(p) for j in range(i + 1, p)]
+        assert_weights_match_reference(
+            [e for e in pairs if rng.random() < density], p)
+
     def test_two_agents_single_edge(self):
         w = metropolis_weights([(0, 1)], 2)
         np.testing.assert_allclose(w.w, [[0.5, 0.5], [0.5, 0.5]])
