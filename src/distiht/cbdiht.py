@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .consensus import metropolis_matrix
-from .diht import Metrics, StopRule
+from .diht import Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
 from .iht import IhtTrace, NumericFailure, hard_threshold
 from .model import Problem, lipschitz_of_slice, loss_gradient, loss_info
@@ -60,7 +60,7 @@ def default_l_tv(problem: Problem, safety: float = 1.005) -> float:
     of it slow the outer loop and invite spurious fixed points of the
     thresholded update.
     """
-    return safety * loss_info(problem).lipschitz_global / problem.p
+    return default_step_constant(problem, safety) / problem.p
 
 
 def max_consensus_l_tv(problem: Problem, safety: float = 1.005) -> float:
@@ -92,11 +92,9 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
         l_tv = default_l_tv(problem)
     elif l_tv <= 0:
         raise ValueError("l_tv must be positive")
-    else:
-        info = loss_info(problem)
-        if l_tv <= info.lipschitz_global / p:
-            warnings.warn("l_tv at or below the stacked constant over p: "
-                          "convergence is not guaranteed", RuntimeWarning)
+    elif l_tv <= loss_info(problem).lipschitz_global / p:
+        warnings.warn("l_tv at or below the stacked constant over p: "
+                      "convergence is not guaranteed", RuntimeWarning)
     s_fn = s_fn or consensus_steps
 
     x1 = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
@@ -147,8 +145,10 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
             metrics.time_steps += 1
             live = active[src, dst]
 
-            # averaging among same-instance, mutually active, present pairs
-            avg = live & active[dst, src] & (inst[src] == inst[dst])
+            # averaging among same-instance, active, present pairs; the far
+            # end is then active too, since instances only grow and an
+            # INITIATE activates both ends of a same-instance link at once
+            avg = live & (inst[src] == inst[dst])
             if avg.any():
                 w, deg = metropolis_matrix(src[avg], dst[avg], p)
                 mixed = w @ values

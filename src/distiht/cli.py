@@ -5,17 +5,14 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import verify as verify_mod
-from .cbdiht import run_cbdiht
-from .diht import StopRule, run_diht, write_metrics_csv
-from .graphs import (gen_tv_schedule, graph_from_text, graph_to_text,
-                     schedule_to_text, static_schedule)
-from .harness import (GraphSpec, load_config, run_experiment, write_report)
-from .iht import IhtConfig, run_iht, write_trace_csv
-from .model import generate_problem, load_problem, loss_info, save_problem
-from .subgradient import SubgradConfig, run_subgradient
+from .diht import write_metrics_csv
+from .graphs import (AssumptionViolation, gen_tv_schedule, graph_from_text,
+                     graph_to_text, schedule_to_text)
+from .harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_config,
+                      run_cell, run_experiment, write_report)
+from .iht import NumericFailure, write_trace_csv
+from .model import generate_problem, load_problem, save_problem
 
 
 def _add_problem_args(sp):
@@ -65,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("run", help="run one algorithm on one instance")
-    sp.add_argument("algorithm", choices=["iht", "diht", "cbdiht", "subgrad"])
+    sp.add_argument("algorithm", choices=list(ALGORITHMS))
     _add_problem_args(sp)
     sp.add_argument("--family", choices=["ba", "er", "geo"], default="er")
     sp.add_argument("--param", type=float, default=0.25)
@@ -92,57 +89,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    problem = _get_problem(args)
-    graph_spec = GraphSpec(args.family, args.param)
-
-    if args.algorithm == "iht":
-        a, b = problem.stacked()
-        l = args.l if args.l is not None else 1.005 * loss_info(problem).lipschitz_global
-        config = IhtConfig(l=l, k=problem.k, max_iters=args.max_iters,
-                           tol=args.tol, x_init=np.zeros(problem.n))
-        trace = run_iht(lambda x: 2.0 * (a.T @ (a @ x - b)), problem.x_star, config)
-        rel = trace.errors_vs_truth[-1] / max(np.linalg.norm(problem.x_star), 1e-300)
-        print(f"iht: converged_at={trace.converged_at} final_rel_err={rel:.3e}")
-        if args.trace_out:
-            write_trace_csv(trace, args.trace_out)
-        return 0 if trace.converged_at is not None else 1
-
-    graph = graph_spec.build(problem.p, args.graph_seed)
-    if args.algorithm == "diht":
-        run = run_diht(problem, graph, l=args.l,
-                       stop=StopRule(tol=args.tol, max_iters=args.max_iters),
-                       keep_iterates=False)
-        print(f"diht: converged_at={run.trace.converged_at} "
-              f"values={run.metrics.values_sent} messages={run.metrics.messages_sent} "
-              f"time_steps={run.metrics.time_steps}")
-        if args.metrics_out:
-            write_metrics_csv(run.metrics, args.metrics_out)
-        return 0 if run.trace.converged_at is not None else 1
-
-    schedule = (gen_tv_schedule(graph, args.subgraphs, args.graph_seed + 1000)
-                if args.tv else static_schedule(graph))
-    if args.algorithm == "cbdiht":
-        run = run_cbdiht(problem, schedule, l_tv=args.l_tv,
-                         stop=StopRule(tol=args.tol, max_iters=args.max_iters),
-                         keep_iterates=False)
-        print(f"cbdiht: agent1_converged_at={run.agent1_converged_at} "
-              f"all_agents_at={run.global_converged_at} "
-              f"rounds={run.metrics.time_steps} values={run.metrics.values_sent}")
-        if args.metrics_out:
-            write_metrics_csv(run.metrics, args.metrics_out,
-                              extra_columns=("outer_iter", "s_k", "eps_norm_sq",
-                                             "initiated_count"))
-        return 0 if run.global_converged_at is not None else 1
-
-    config = SubgradConfig(step_exponent=args.step_exponent,
-                           max_iters=args.max_iters, tol=args.tol)
-    trace, metrics = run_subgradient(problem, schedule, config,
-                                     record_every=max(1, args.max_iters // 2000))
-    print(f"subgrad: converged_at={trace.converged_at} "
-          f"values={metrics.values_sent} rounds={metrics.time_steps}")
+    """One cell of an experiment whose config comes from the flags."""
+    spec = GraphSpec(args.family, args.param)
+    cfg = ExperimentConfig(
+        n=args.n, m=args.m, k=args.k, p=args.p, noise_std=args.noise_std,
+        spectral_cap=args.cap, ensemble=args.ensemble, problem_seeds=[args.seed],
+        graphs=[spec], graph_seeds=[args.graph_seed], algorithms=[args.algorithm],
+        l=args.l, l_tv=args.l_tv, step_exponent=args.step_exponent,
+        accuracies=[args.tol], max_iters=args.max_iters, time_varying=args.tv,
+        subgraph_count=args.subgraphs)
+    try:
+        result = run_cell(_get_problem(args), spec, args.graph_seed,
+                          args.algorithm, cfg)
+        if args.trace_out and result.trace is None:
+            raise ValueError(f"--trace-out: {args.algorithm} keeps no iterate trace")
+    except (ValueError, NumericFailure, AssumptionViolation) as exc:
+        print(f"{args.algorithm}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    iterations, values, messages, broadcasts, time_steps = result.spent
+    print(f"{args.algorithm}: converged_at={result.converged_at} "
+          f"iterations={iterations} values={values} messages={messages} "
+          f"broadcasts={broadcasts} time_steps={time_steps}")
     if args.metrics_out:
-        write_metrics_csv(metrics, args.metrics_out)
-    return 0 if trace.converged_at is not None else 1
+        write_metrics_csv(result.metrics, args.metrics_out,
+                          extra_columns=result.extra_columns)
+    if args.trace_out:
+        write_trace_csv(result.trace, args.trace_out)
+    return 0 if result.converged_at is not None else 1
 
 
 def cli(argv=None) -> int:
@@ -153,9 +126,7 @@ def cli(argv=None) -> int:
         return int(exc.code or 0)
 
     if args.command == "gen-problem":
-        problem = generate_problem(args.n, args.m, args.k, args.p, args.noise_std,
-                                   args.cap, args.seed, args.ensemble)
-        save_problem(problem, args.out)
+        save_problem(_get_problem(args), args.out)
         print(f"wrote {args.out}")
         return 0
 
@@ -182,7 +153,11 @@ def cli(argv=None) -> int:
         if not os.path.exists(args.config):
             print(f"config file not found: {args.config}", file=sys.stderr)
             return 2
-        cfg = load_config(args.config)
+        try:
+            cfg = load_config(args.config)
+        except ValueError as exc:
+            print(f"{args.config}: {exc}", file=sys.stderr)
+            return 2
         if args.out:
             cfg.out_dir = args.out
         report = run_experiment(cfg)
@@ -192,7 +167,7 @@ def cli(argv=None) -> int:
         for c in failures[:5]:
             print(f"cell error: {c.graph} seed {c.graph_seed} {c.algorithm}: "
                   f"{c.error}", file=sys.stderr)
-        return 0
+        return 1 if failures else 0
 
     if args.command == "verify":
         try:

@@ -204,10 +204,3 @@ def schedule_eta(schedule: TvSchedule) -> float:
     """Uniform weight floor valid for every step: 1/(1 + base max degree)."""
     return 1.0 / (1.0 + schedule.base.max_degree())
 
-
-def write_activation_csv(initiated_at, path: str) -> None:
-    """CSV of (agent, initiated_at_step); blank step when never initiated."""
-    with open(path, "w") as fh:
-        fh.write("agent,initiated_at_step\n")
-        for agent, step in enumerate(initiated_at):
-            fh.write(f"{agent},{'' if step is None else step}\n")

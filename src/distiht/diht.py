@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph, SpanningTree, bfs_spanning_tree
-from .iht import IhtTrace, NumericFailure, hard_threshold
+from .iht import IhtConfig, IhtTrace, _run
+from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
 from .model import Problem, loss_gradient, lipschitz_of_slice, loss_info
 
 
@@ -75,25 +76,10 @@ class StopRule:
         return np.asarray(self.reference, dtype=float)
 
 
-def _subtree_order(tree: SpanningTree) -> list:
-    """Vertices in post-order (children before parents)."""
-    order = []
-    stack = [(tree.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            order.append(v)
-        else:
-            stack.append((v, True))
-            for c in reversed(tree.children[v]):
-                stack.append((c, False))
-    return order
-
-
 def _tree_sum(tree: SpanningTree, vectors) -> np.ndarray:
     """Leaf-to-root aggregation: each vertex adds its children's partial sums."""
     partial = [None] * tree.p
-    for v in _subtree_order(tree):
+    for v in sorted(range(tree.p), key=tree.depth.__getitem__, reverse=True):
         acc = np.array(vectors[v], dtype=float)
         for c in tree.children[v]:
             acc += partial[c]
@@ -157,18 +143,27 @@ def aggregate_lipschitz(tree: SpanningTree, per_agent_lipschitz) -> tuple:
 class DihtRun:
     tree: SpanningTree
     agent_estimates: list
-    sums: Optional[list]
     metrics: Metrics
     trace: IhtTrace
     coherence: list  # max over agents of |x_p - x_1| after each iteration
     l: float
 
 
+def default_step_constant(problem: Problem, safety: float = 1.005) -> float:
+    """The run_diht default: safety times the stacked smoothness constant."""
+    return safety * loss_info(problem).lipschitz_global
+
+
 def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
              k_sparsity: Optional[int] = None, stop: Optional[StopRule] = None,
              x_init: Optional[np.ndarray] = None, delays: Optional[dict] = None,
-             record_sums: bool = False, keep_iterates: bool = True) -> DihtRun:
+             keep_iterates: bool = True) -> DihtRun:
     """Simulate distributed IHT rooted at agent 0 on a static graph.
+
+    The iteration is centralized IHT whose gradient is the tree sum of the
+    agents' local gradients; the traffic of every iteration is the same
+    closed form, so the counters are filled in after the run.  A run whose
+    starting point already meets the tolerance stops at 0 iterations.
 
     With l unset, the step constant defaults to 1.005 times the stacked
     gradient smoothness constant, mirroring the usual practice of running
@@ -182,94 +177,50 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
         raise ValueError("graph must be connected")
     k = problem.k if k_sparsity is None else k_sparsity
     stop = stop or StopRule()
-    info = None
     if l is None:
-        info = loss_info(problem)
-        l = 1.005 * info.lipschitz_global
+        l = default_step_constant(problem)
     elif l <= 0:
         raise ValueError("l must be positive")
-    else:
-        info = loss_info(problem)
-        if l <= info.lipschitz_global:
-            warnings.warn("l below the stacked Lipschitz constant: descent is "
-                          "not guaranteed", RuntimeWarning)
+    elif l <= loss_info(problem).lipschitz_global:
+        warnings.warn("l below the stacked Lipschitz constant: descent is "
+                      "not guaranteed", RuntimeWarning)
 
     tree = bfs_spanning_tree(graph, root=0)
+    x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
+    agent_estimates = [x0.copy() for _ in range(problem.p)]
+    coherence = []
+
+    def gradient(x):
+        # broadcast phase: every agent adopts the root iterate, then
+        # evaluates its share of the gradient; convergecast phase: child
+        # partial sums accumulate toward the root
+        for q in range(problem.p):
+            agent_estimates[q] = x.copy()
+        coherence.append(max(float(np.max(np.abs(est - x))) if est.size else 0.0
+                             for est in agent_estimates))
+        return _tree_sum(tree, [loss_gradient(problem.slices[q], agent_estimates[q])
+                                for q in range(problem.p)])
+
+    config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
+    trace = _run(gradient, None, stop.reference_vector(problem), config, None,
+                 keep_iterates=keep_iterates)
+
     metrics = Metrics()
     metrics.messages_sent += tree.build_messages  # construction, control only
-
-    n = problem.n
-    x = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
-    if np.count_nonzero(x) > k:
-        raise ValueError("x_init is not k-sparse")
-    reference = stop.reference_vector(problem)
-    ref_norm = float(np.linalg.norm(reference)) if reference is not None else None
-
-    trace = IhtTrace()
-    trace.iterates.append(x.copy())
-    if reference is not None:
-        trace.errors_vs_truth.append(float(np.linalg.norm(x - reference)))
-    sums = [] if record_sums else None
-    coherence = []
-    agent_estimates = [x.copy() for _ in range(problem.p)]
-
     nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
     down_values = (problem.p - 1) * 2 * k
-    up_values = (problem.p - 1) * n
+    up_values = (problem.p - 1) * problem.n
     iter_time = 2 * _path_delay(tree, delays)
-
-    for it in range(stop.max_iters):
-        # broadcast phase: every agent adopts the root iterate, then
-        # evaluates its share of the gradient
-        for p in range(problem.p):
-            agent_estimates[p] = x.copy()
-        z = [loss_gradient(problem.slices[p], agent_estimates[p])
-             for p in range(problem.p)]
-        # convergecast phase: child partial sums accumulate toward the root
-        total = _tree_sum(tree, z)
-        if not np.all(np.isfinite(total)):
-            raise NumericFailure(it, "gradient sum")
-        if record_sums:
-            sums.append(total)
-        x_next = hard_threshold(x - total / l, k)
-
+    errors = trace.errors_vs_truth
+    for it in range(1, len(trace.step_deltas) + 1):
         metrics.values_sent += down_values + up_values
         metrics.messages_sent += 2 * (problem.p - 1)
         metrics.broadcasts += 2 * k * nonleaf + up_values
         metrics.time_steps += iter_time
+        metrics.snapshot(it, errors[it] if errors else float("nan"))
 
-        delta_sq = float(np.linalg.norm(x - x_next) ** 2)
-        trace.step_deltas.append(delta_sq)
-        step_denom = max(1.0, float(np.linalg.norm(x)))
-        coherence.append(max(float(np.max(np.abs(est - x))) if est.size else 0.0
-                             for est in agent_estimates))
-        x = x_next
-        if keep_iterates:
-            trace.iterates.append(x.copy())
-        else:
-            trace.iterates[-1] = x.copy()
-        err = None
-        if reference is not None:
-            err = float(np.linalg.norm(x - reference))
-            trace.errors_vs_truth.append(err)
-        metrics.snapshot(it + 1, float("nan") if err is None else err)
-
-        if reference is not None and stop.tol > 0:
-            if err <= stop.tol * max(ref_norm, 1e-300):
-                trace.converged_at = it + 1
-                break
-        elif stop.tol > 0:
-            if np.sqrt(delta_sq) / step_denom <= stop.tol:
-                trace.converged_at = it + 1
-                break
-
-    return DihtRun(tree=tree, agent_estimates=agent_estimates, sums=sums,
-                   metrics=metrics, trace=trace, coherence=coherence, l=l)
-
-
-def default_step_constant(problem: Problem, safety: float = 1.005) -> float:
-    """The run_diht default: safety times the stacked smoothness constant."""
-    return safety * loss_info(problem).lipschitz_global
+    return DihtRun(tree=tree, agent_estimates=agent_estimates, metrics=metrics,
+                   trace=trace, coherence=coherence, l=l)
 
 
 def distributed_step_constant(problem: Problem, tree: SpanningTree,

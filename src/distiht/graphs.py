@@ -154,7 +154,7 @@ def gen_erdos_renyi(p: int, pr: float, seed: int, max_tries: int = 10000) -> Gra
         edges = [pairs[i] for i in range(len(pairs)) if draws[i] < pr]
         if _is_connected(p, edges):
             return Graph(p=p, edges=edges)
-    raise RuntimeError(f"no connected draw in {max_tries} tries (p={p}, pr={pr})")
+    raise AssumptionViolation(f"no connected draw in {max_tries} tries (p={p}, pr={pr})")
 
 
 def gen_geometric(p: int, d: float, seed: int, max_tries: int = 10000) -> Graph:
@@ -170,7 +170,7 @@ def gen_geometric(p: int, d: float, seed: int, max_tries: int = 10000) -> Graph:
                  if dist[u, v] <= d]
         if _is_connected(p, edges):
             return Graph(p=p, edges=edges)
-    raise RuntimeError(f"no connected draw in {max_tries} tries (p={p}, d={d})")
+    raise AssumptionViolation(f"no connected draw in {max_tries} tries (p={p}, d={d})")
 
 
 @dataclass

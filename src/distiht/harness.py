@@ -17,13 +17,18 @@ import numpy as np
 
 from . import cbdiht as cbdiht_mod
 from . import subgradient as subgrad_mod
-from .diht import Metrics, StopRule, run_diht, write_metrics_csv
-from .graphs import (Graph, TvSchedule, gen_barabasi_albert, gen_erdos_renyi,
-                     gen_geometric, gen_tv_schedule, static_schedule)
-from .iht import IhtConfig, run_iht
-from .model import Problem, generate_problem, loss_gradient, loss_info
+from .diht import (Metrics, StopRule, default_step_constant, run_diht,
+                   write_metrics_csv)
+from .graphs import (AssumptionViolation, Graph, gen_barabasi_albert,
+                     gen_erdos_renyi, gen_geometric, gen_tv_schedule,
+                     static_schedule)
+from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht
+from .model import Problem, generate_problem
+from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
 CONFIG_SCHEMA_VERSION = 1
+# a time-varying cell's schedule seed is its graph seed plus this offset
+SCHEDULE_SEED_OFFSET = 1000
 
 FAMILY_BUILDERS = {
     "ba": lambda p, param, seed: gen_barabasi_albert(p, int(param), seed),
@@ -75,7 +80,6 @@ class ExperimentConfig:
     max_iters: int = 200_000
     time_varying: bool = False
     subgraph_count: int = 10
-    schedule_seed_offset: int = 1000
     out_dir: str = "out"
     raw_text: str = ""
 
@@ -84,48 +88,60 @@ class ExperimentConfig:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
 
 
+def _csv(convert):
+    return lambda text: [convert(t) for t in text.split(",")]
+
+
+def _step_constant(text: str) -> Optional[float]:
+    return None if text.strip() == "auto" else float(text)
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {text!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+# every key a config file may set, with its parser; the schema version is
+# checked on its own
+CONFIG_KEYS = {
+    "meta": {"schema_version": None},
+    "problem": {"n": int, "m": int, "k": int, "p": int, "noise_std": float,
+                "spectral_cap": float, "ensemble": str, "seeds": _csv(int)},
+    "graphs": {"families": _csv(parse_graph_token), "seeds": _csv(int)},
+    "algorithms": {"run": _csv(str.strip), "l": _step_constant,
+                   "l_tv": _step_constant, "step_exponent": float},
+    "run": {"accuracies": _csv(float), "max_iters": int,
+            "time_varying": _boolean, "subgraph_count": int},
+    "output": {"dir": str},
+}
+# keys whose ExperimentConfig field has another name
+CONFIG_FIELDS = {("problem", "seeds"): "problem_seeds",
+                 ("graphs", "seeds"): "graph_seeds", ("graphs", "families"): "graphs",
+                 ("algorithms", "run"): "algorithms", ("output", "dir"): "out_dir"}
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse an INI experiment config.  Unknown sections, keys and algorithm
+    names raise a ValueError that names them."""
     cp = configparser.ConfigParser()
     cp.read_string(text)
     version = cp.getint("meta", "schema_version", fallback=None)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"config schema_version must be {CONFIG_SCHEMA_VERSION}")
     cfg = ExperimentConfig(raw_text=text)
-    if cp.has_section("problem"):
-        sec = cp["problem"]
-        cfg.n = sec.getint("n", cfg.n)
-        cfg.m = sec.getint("m", cfg.m)
-        cfg.k = sec.getint("k", cfg.k)
-        cfg.p = sec.getint("p", cfg.p)
-        cfg.noise_std = sec.getfloat("noise_std", cfg.noise_std)
-        cfg.spectral_cap = sec.getfloat("spectral_cap", cfg.spectral_cap)
-        cfg.ensemble = sec.get("ensemble", cfg.ensemble)
-        if "seeds" in sec:
-            cfg.problem_seeds = [int(s) for s in sec["seeds"].split(",") if s.strip()]
-    if cp.has_section("graphs"):
-        sec = cp["graphs"]
-        if "families" in sec:
-            cfg.graphs = [parse_graph_token(t) for t in sec["families"].split(",")]
-        if "seeds" in sec:
-            cfg.graph_seeds = [int(s) for s in sec["seeds"].split(",") if s.strip()]
-    if cp.has_section("algorithms"):
-        sec = cp["algorithms"]
-        if "run" in sec:
-            cfg.algorithms = [a.strip() for a in sec["run"].split(",") if a.strip()]
-        if sec.get("l", "auto").strip() != "auto":
-            cfg.l = sec.getfloat("l")
-        if sec.get("l_tv", "auto").strip() != "auto":
-            cfg.l_tv = sec.getfloat("l_tv")
-        cfg.step_exponent = sec.getfloat("step_exponent", cfg.step_exponent)
-    if cp.has_section("run"):
-        sec = cp["run"]
-        if "accuracies" in sec:
-            cfg.accuracies = [float(a) for a in sec["accuracies"].split(",")]
-        cfg.max_iters = sec.getint("max_iters", cfg.max_iters)
-        cfg.time_varying = sec.getboolean("time_varying", cfg.time_varying)
-        cfg.subgraph_count = sec.getint("subgraph_count", cfg.subgraph_count)
-    if cp.has_section("output"):
-        cfg.out_dir = cp["output"].get("dir", cfg.out_dir)
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, value in cp[section].items():
+            if key not in CONFIG_KEYS[section]:
+                raise ValueError(f"unknown key {key!r} in config section [{section}]")
+            if section != "meta":
+                setattr(cfg, CONFIG_FIELDS.get((section, key), key),
+                        CONFIG_KEYS[section][key](value))
+    unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ValueError(f"unknown algorithm {unknown[0]!r}")
     return cfg
 
 
@@ -178,121 +194,111 @@ class Report:
         return rows
 
 
-def _first_crossing(errors, ref_norm, accuracy):
-    """Index (1-based iteration) of the first error at or below the target."""
-    bound = accuracy * ref_norm
-    for i, e in enumerate(errors):
-        if e <= bound:
-            return i
-    return None
+@dataclass
+class RunResult:
+    """What every registry runner returns.  Counters are (iterations, values,
+    messages, broadcasts, time_steps): at the first crossing of each accuracy
+    reached, and when the run stopped."""
+
+    metrics: Metrics
+    crossings: dict  # accuracy -> counters at its first crossing
+    spent: tuple
+    converged_at: Optional[int]  # CB-DIHT: every agent within the tolerance
+    extra_columns: tuple = ()
+    trace: Optional[IhtTrace] = None  # the full iterate trace, iht only
 
 
-def _run_one(problem: Problem, spec: GraphSpec, graph_seed: int,
-             algorithm: str, cfg: ExperimentConfig):
-    """One (graph instance, algorithm) run; returns (cells, metrics, extras)."""
-    tightest = min(cfg.accuracies)
+def _result(problem: Problem, cfg: ExperimentConfig, metrics: Metrics, errors,
+            converged_at, extra_columns=(), trace=None) -> RunResult:
+    """Crossings of `errors`, the error after each iteration, one per metrics row."""
+    spent = (len(errors), metrics.values_sent, metrics.messages_sent,
+             metrics.broadcasts, metrics.time_steps)
     ref_norm = float(np.linalg.norm(problem.x_star))
-    graph = spec.build(cfg.p, graph_seed)
+    crossings = {}
+    for acc in cfg.accuracies:
+        if converged_at == 0:  # the start met the tightest target, so every one
+            crossings[acc] = spent
+            continue
+        hit = next((i for i, e in enumerate(errors) if e <= acc * ref_norm), None)
+        if hit is not None:
+            row = metrics.per_iteration[hit]
+            crossings[acc] = (row["iter"], row["values_cum"], row["messages_cum"],
+                              row["broadcasts_cum"], row["time_steps_cum"])
+    return RunResult(metrics, crossings, spent, converged_at, extra_columns, trace)
+
+
+def _stop(cfg: ExperimentConfig) -> StopRule:
+    return StopRule(tol=min(cfg.accuracies), max_iters=cfg.max_iters)
+
+
+def _run_iht(problem, graph, schedule, cfg) -> RunResult:
+    a, b = problem.stacked()
+    l = cfg.l if cfg.l is not None else default_step_constant(problem)
+    config = IhtConfig(l=l, k=problem.k, max_iters=cfg.max_iters,
+                       tol=min(cfg.accuracies), x_init=np.zeros(problem.n))
+    trace = run_iht(lambda x: 2.0 * (a.T @ (a @ x - b)), problem.x_star, config)
+    errors = trace.errors_vs_truth[1:]  # error after each iteration
+    metrics = Metrics()  # centralized: nothing is sent
+    for i, e in enumerate(errors):
+        metrics.snapshot(i + 1, e)
+    return _result(problem, cfg, metrics, errors, trace.converged_at, trace=trace)
+
+
+def _run_diht(problem, graph, schedule, cfg) -> RunResult:
+    if schedule is not None:
+        raise ValueError("the tree-based algorithm needs a static network")
+    run = run_diht(problem, graph, l=cfg.l, stop=_stop(cfg), keep_iterates=False)
+    return _result(problem, cfg, run.metrics, run.trace.errors_vs_truth[1:],
+                   run.trace.converged_at)
+
+
+def _run_cbdiht(problem, graph, schedule, cfg) -> RunResult:
+    run = cbdiht_mod.run_cbdiht(
+        problem, schedule if schedule is not None else static_schedule(graph),
+        l_tv=cfg.l_tv, stop=_stop(cfg), keep_iterates=False)
+    return _result(problem, cfg, run.metrics, run.worst_errors,
+                   run.global_converged_at,
+                   ("outer_iter", "s_k", "eps_norm_sq", "initiated_count"))
+
+
+def _run_subgrad(problem, graph, schedule, cfg) -> RunResult:
+    config = subgrad_mod.SubgradConfig(step_exponent=cfg.step_exponent,
+                                       max_iters=cfg.max_iters,
+                                       tol=min(cfg.accuracies))
+    trace, metrics = subgrad_mod.run_subgradient(
+        problem, schedule if schedule is not None else graph, config,
+        accuracies=cfg.accuracies, record_every=max(1, cfg.max_iters // 2000))
+    crossings = {acc: (c["iterations"], c["values"], c["messages"],
+                       c["broadcasts"], c["time_steps"])
+                 for acc, c in trace.crossings.items()}
+    spent = (len(trace.worst_errors), metrics.values_sent, metrics.messages_sent,
+             metrics.broadcasts, metrics.time_steps)
+    return RunResult(metrics, crossings, spent, trace.converged_at)
+
+
+# name -> runner(problem, graph, schedule or None, cfg) -> RunResult
+ALGORITHMS = {"iht": _run_iht, "diht": _run_diht, "cbdiht": _run_cbdiht,
+              "subgrad": _run_subgrad}
+
+
+def run_cell(problem: Problem, spec: GraphSpec, graph_seed: int, algorithm: str,
+             cfg: ExperimentConfig) -> RunResult:
+    """One (graph instance, algorithm) run of the grid."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    graph = spec.build(problem.p, graph_seed)
     schedule = None
     if cfg.time_varying:
         schedule = gen_tv_schedule(graph, cfg.subgraph_count,
-                                   graph_seed + cfg.schedule_seed_offset)
-
-    def cells_from(errors, counters_at, converged_budget):
-        out = []
-        for acc in cfg.accuracies:
-            hit = _first_crossing(errors, ref_norm, acc)
-            if hit is None:
-                counters = counters_at(None)
-                out.append(RunCell(spec.label, graph_seed, problem.seed, algorithm,
-                                   acc, False, converged_budget, *counters))
-            else:
-                counters = counters_at(hit)
-                # errors[hit] is measured after iteration hit + 1
-                out.append(RunCell(spec.label, graph_seed, problem.seed, algorithm,
-                                   acc, True, hit + 1, *counters))
-        return out
-
-    if algorithm == "iht":
-        a, b = problem.stacked()
-        info = loss_info(problem)
-        l = cfg.l if cfg.l is not None else 1.005 * info.lipschitz_global
-        config = IhtConfig(l=l, k=problem.k, max_iters=cfg.max_iters,
-                           tol=tightest, x_init=np.zeros(problem.n))
-        grad = lambda x: 2.0 * (a.T @ (a @ x - b))
-        trace = run_iht(grad, problem.x_star, config)
-        errors = trace.errors_vs_truth[1:]  # error after each iteration
-        metrics = Metrics()
-        for i, e in enumerate(errors):
-            metrics.snapshot(i + 1, e)
-        return cells_from(errors, lambda hit: (0, 0, 0, 0) if hit is None
-                          else (0, 0, 0, 0), len(errors)), metrics, ()
-
-    if algorithm == "diht":
-        if cfg.time_varying:
-            raise ValueError("the tree-based algorithm needs a static network")
-        run = run_diht(problem, graph, l=cfg.l,
-                       stop=StopRule(tol=tightest, max_iters=cfg.max_iters),
-                       keep_iterates=False)
-        errors = run.trace.errors_vs_truth[1:]
-
-        def counters(hit):
-            rows = run.metrics.per_iteration
-            row = rows[-1] if hit is None else rows[hit]
-            return (row["values_cum"], row["messages_cum"],
-                    row["broadcasts_cum"], row["time_steps_cum"])
-
-        return cells_from(errors, counters, len(errors)), run.metrics, ()
-
-    if algorithm == "cbdiht":
-        sched = schedule if schedule is not None else static_schedule(graph)
-        run = cbdiht_mod.run_cbdiht(
-            problem, sched, l_tv=cfg.l_tv,
-            stop=StopRule(tol=tightest, max_iters=cfg.max_iters),
-            keep_iterates=False)
-        errors = run.worst_errors
-
-        def counters(hit):
-            rows = run.metrics.per_iteration
-            row = rows[-1] if hit is None else rows[hit]
-            return (row["values_cum"], row["messages_cum"],
-                    row["broadcasts_cum"], row["time_steps_cum"])
-
-        extra_cols = ("outer_iter", "s_k", "eps_norm_sq", "initiated_count")
-        return cells_from(errors, counters, len(errors)), run.metrics, extra_cols
-
-    if algorithm == "subgrad":
-        net = schedule if schedule is not None else graph
-        config = subgrad_mod.SubgradConfig(step_exponent=cfg.step_exponent,
-                                           max_iters=cfg.max_iters, tol=tightest)
-        record_every = max(1, cfg.max_iters // 2000)
-        trace, metrics = subgrad_mod.run_subgradient(
-            problem, net, config, accuracies=cfg.accuracies,
-            record_every=record_every)
-        cells = []
-        for acc in cfg.accuracies:
-            hit = trace.crossings.get(acc)
-            if hit is None:
-                cells.append(RunCell(spec.label, graph_seed, problem.seed,
-                                     algorithm, acc, False,
-                                     len(trace.worst_errors),
-                                     metrics.values_sent, metrics.messages_sent,
-                                     metrics.broadcasts, metrics.time_steps))
-            else:
-                cells.append(RunCell(spec.label, graph_seed, problem.seed,
-                                     algorithm, acc, True, hit["iterations"],
-                                     hit["values"], hit["messages"],
-                                     hit["broadcasts"], hit["time_steps"]))
-        return cells, metrics, ()
-
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+                                   graph_seed + SCHEDULE_SEED_OFFSET)
+    return ALGORITHMS[algorithm](problem, graph, schedule, cfg)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Execute the full (problem seed x graph x graph seed x algorithm) grid.
 
-    A failing constituent run is captured in its cells rather than aborting
-    the experiment.
+    A run that fails on its input or its numerics is captured in its cells
+    rather than aborting the experiment; any other exception propagates.
     """
     report = Report(config_hash=cfg.config_hash,
                     seeds={"problem": list(cfg.problem_seeds),
@@ -303,18 +309,21 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         for spec in cfg.graphs:
             for gseed in cfg.graph_seeds:
                 for algo in cfg.algorithms:
-                    label = f"{spec.label}-g{gseed}-p{pseed}-{algo}"
                     try:
-                        cells, metrics, extra = _run_one(problem, spec, gseed,
-                                                         algo, cfg)
-                    except Exception as exc:  # captured per cell
+                        result = run_cell(problem, spec, gseed, algo, cfg)
+                    except (ValueError, NumericFailure, AssumptionViolation) as exc:
                         for acc in cfg.accuracies:
                             report.cells.append(RunCell(
                                 spec.label, gseed, pseed, algo, acc, False,
                                 0, 0, 0, 0, 0, error=f"{type(exc).__name__}: {exc}"))
                         continue
-                    report.cells.extend(cells)
-                    report.curves[label] = (metrics, extra)
+                    for acc in cfg.accuracies:
+                        hit = result.crossings.get(acc)
+                        report.cells.append(RunCell(
+                            spec.label, gseed, pseed, algo, acc, hit is not None,
+                            *(hit or result.spent)))
+                    report.curves[f"{spec.label}-g{gseed}-p{pseed}-{algo}"] = (
+                        result.metrics, result.extra_columns)
     return report
 
 

@@ -83,7 +83,8 @@ class IhtTrace:
         return self.iterates[-1]
 
 
-def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn) -> IhtTrace:
+def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
+         keep_iterates: bool = True) -> IhtTrace:
     if config.x_init is None:
         raise ValueError("config.x_init is required to size the run")
     x = config.x_init.copy()
@@ -91,25 +92,28 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn) -> IhtTrace:
     x_star_norm = np.linalg.norm(x_star) if x_star is not None else None
 
     def record(xk):
-        trace.iterates.append(xk)
+        if keep_iterates or not trace.iterates:
+            trace.iterates.append(xk)
+        else:
+            trace.iterates[-1] = xk
         if x_star is not None:
             trace.errors_vs_truth.append(float(np.linalg.norm(xk - x_star)))
         if loss_fn is not None:
             trace.f_values.append(float(loss_fn(xk)))
 
-    def converged(idx) -> bool:
+    def converged(x_prev) -> bool:
         if config.tol <= 0:
             return False
         if x_star is not None:
-            return trace.errors_vs_truth[idx] <= config.tol * max(x_star_norm, 1e-300)
+            return trace.errors_vs_truth[-1] <= config.tol * max(x_star_norm, 1e-300)
         # reference-free stop on the relative iterate change
-        if idx == 0:
+        if x_prev is None:
             return False
-        step = np.sqrt(trace.step_deltas[idx - 1])
-        return step / max(1.0, float(np.linalg.norm(trace.iterates[idx - 1]))) <= config.tol
+        step = np.sqrt(trace.step_deltas[-1])
+        return step / max(1.0, float(np.linalg.norm(x_prev))) <= config.tol
 
     record(x)
-    if converged(0):
+    if converged(None):
         trace.converged_at = 0
         return trace
     for k in range(config.max_iters):
@@ -125,8 +129,8 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn) -> IhtTrace:
             raise NumericFailure(k, "iterate")
         trace.step_deltas.append(float(np.linalg.norm(x - x_next) ** 2))
         record(x_next)
-        x = x_next
-        if converged(k + 1):
+        x_prev, x = x, x_next
+        if converged(x_prev):
             trace.converged_at = k + 1
             break
     return trace

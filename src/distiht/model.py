@@ -219,16 +219,22 @@ def save_problem(problem: Problem, path: str) -> None:
 
 
 def load_problem(path: str) -> Problem:
-    """Read a problem written by save_problem."""
+    """Read a problem written by save_problem, rejecting a malformed layout."""
     with np.load(path) as z:
         version = int(z["format_version"])
         if version != PROBLEM_FORMAT_VERSION:
             raise ValueError(f"unsupported problem format version {version}")
-        a, b = z["a"], z["b"]
-        offsets = list(z["offsets"]) + [int(z["m"])]
-        slices = [SensingSlice(a[offsets[i]:offsets[i + 1]],
-                               b[offsets[i]:offsets[i + 1]])
-                  for i in range(len(offsets) - 1)]
-        return Problem(n=int(z["n"]), m=int(z["m"]), k=int(z["k"]),
-                       p=int(z["p"]), x_star=z["x_star"], noise=z["noise"],
+        n, m, p = int(z["n"]), int(z["m"]), int(z["p"])
+        a, b, x_star, offsets = z["a"], z["b"], z["x_star"], z["offsets"]
+        if a.shape != (m, n) or b.shape != (m,) or x_star.shape != (n,):
+            raise ValueError(f"a {a.shape}, b {b.shape} and x_star {x_star.shape} "
+                             f"do not fit n={n}, m={m}")
+        if (offsets.shape != (p,) or p < 1 or offsets[0] != 0
+                or np.any(np.diff(offsets) < 0) or offsets[-1] > m):
+            raise ValueError(f"offsets {offsets.tolist()} are not {p} non-decreasing "
+                             f"row starts from 0 to at most m={m}")
+        bounds = offsets.tolist() + [m]
+        slices = [SensingSlice(a[bounds[i]:bounds[i + 1]], b[bounds[i]:bounds[i + 1]])
+                  for i in range(p)]
+        return Problem(n=n, m=m, k=int(z["k"]), p=p, x_star=x_star, noise=z["noise"],
                        slices=slices, seed=int(z["seed"]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distiht.cli import cli
-from distiht.harness import (ExperimentConfig, GraphSpec, load_config,
+from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_config,
                              parse_config_text, parse_graph_token,
                              run_experiment, write_report)
 
@@ -197,3 +197,100 @@ class TestCli:
         rc = cli(["run", "cbdiht", "--problem", prob_path, "--tv",
                   "--tol", "1e-2", "--max-iters", "400"])
         assert rc == 0
+
+
+class TestConfigRejects:
+    @pytest.mark.parametrize("old, new, offender", [
+        ("max_iters = 300", "max_iter = 300", "'max_iter'"),
+        ("[output]", "[outputs]", r"\[outputs\]"),
+        ("run = diht", "run = diht, ihtt", "'ihtt'"),
+    ])
+    def test_unknown_names_raise(self, old, new, offender):
+        text = DESK_CONFIG + "\n[output]\ndir = out\n"
+        with pytest.raises(ValueError, match=offender):
+            parse_config_text(text.replace(old, new))
+
+    def test_shipped_config_parses(self):
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                       "desk.ini"))
+        assert set(cfg.algorithms) == set(ALGORITHMS)
+        assert cfg.time_varying is False and cfg.l is None and cfg.max_iters == 100000
+
+
+class TestRegistry:
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(problem, graph, schedule, cfg):
+            raise TypeError("bug")
+
+        monkeypatch.setitem(ALGORITHMS, "diht", broken)
+        with pytest.raises(TypeError):
+            run_experiment(parse_config_text(DESK_CONFIG))
+
+    def test_graph_without_connected_draw_is_a_cell_error(self):
+        cfg = parse_config_text(DESK_CONFIG)
+        cfg.graphs = [GraphSpec("geo", 0.01), GraphSpec("er", 0.5)]
+        report = run_experiment(cfg)
+        assert [bool(c.error) for c in report.cells] == [True, True, False, False]
+        assert "AssumptionViolation" in report.cells[0].error
+
+    @pytest.mark.parametrize("algorithm", ["iht", "diht"])
+    def test_start_within_target_spends_zero_iterations(self, algorithm):
+        cfg = parse_config_text(DESK_CONFIG)
+        cfg.algorithms, cfg.accuracies = [algorithm], [1.0, 2.0]
+        report = run_experiment(cfg)
+        for cell in report.cells:
+            assert cell.converged and cell.iterations == 0
+            assert (cell.values, cell.broadcasts, cell.time_steps) == (0, 0, 0)
+        label = f"er0.5-g0-p0-{algorithm}"
+        assert report.curves[label][0].per_iteration == []
+
+
+SMALL = ["--n", "40", "--m", "20", "--k", "3", "--p", "4", "--tol", "1e-2"]
+
+
+class TestCliRun:
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_one_line_with_the_same_fields(self, algorithm, tmp_path, capsys):
+        metrics = tmp_path / "m.csv"
+        rc = cli(["run", algorithm, *SMALL, "--max-iters", "300",
+                  "--metrics-out", str(metrics)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        fields = [f.split("=")[0] for f in lines[0].split(": ", 1)[1].split()]
+        assert fields == ["converged_at", "iterations", "values", "messages",
+                          "broadcasts", "time_steps"]
+        assert rc == (1 if "converged_at=None" in lines[0] else 0)
+        header = metrics.read_text().splitlines()[0]
+        assert header.endswith("initiated_count") == (algorithm == "cbdiht")
+
+    def test_trace_out_for_iht(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        assert cli(["run", "iht", *SMALL, "--trace-out", str(trace)]) == 0
+        assert trace.read_text().startswith("iter,err_vs_truth")
+
+    def test_tree_algorithm_rejects_time_varying(self, capsys):
+        assert cli(["run", "diht", *SMALL, "--tv"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "static network" in err[0]
+
+    @pytest.mark.parametrize("flags", [["--l", "-1"], ["--trace-out", "t.csv"]])
+    def test_value_error_exits_2(self, flags, capsys):
+        assert cli(["run", "diht", *SMALL, *flags]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+class TestCliExperiment:
+    def test_cell_error_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(DESK_CONFIG.replace("max_iters = 300",
+                                                "max_iters = 300\ntime_varying = true")
+                            + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli(["experiment", str(cfg_path)]) == 1
+        assert "static network" in capsys.readouterr().err
+        assert (tmp_path / "out" / "runs.csv").exists()
+
+    def test_bad_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(DESK_CONFIG.replace("max_iters", "max_iter"))
+        assert cli(["experiment", str(cfg_path)]) == 2
+        assert "max_iter" in capsys.readouterr().err

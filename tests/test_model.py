@@ -190,3 +190,24 @@ def test_problem_roundtrip(tmp_path):
     for s1, s2 in zip(back.slices, prob.slices):
         np.testing.assert_array_equal(s1.a, s2.a)
         np.testing.assert_array_equal(s1.b, s2.b)
+
+
+@pytest.mark.parametrize("field, tamper", [
+    ("offsets", lambda v: v[:-1]),  # fewer slices than agents
+    ("offsets", lambda v: v + 1),  # first slice does not start at row 0
+    ("offsets", lambda v: v[[0, 2, 1, 3]]),  # decreasing
+    ("offsets", lambda v: np.append(v[:-1], 15)),  # past m
+    ("a", lambda v: v[:, :-1]),
+    ("b", lambda v: v[:-1]),
+    ("x_star", lambda v: np.append(v, 0.0)),
+], ids=["too-few-offsets", "offset-start", "offsets-decrease", "offset-past-m",
+        "a-columns", "b-rows", "x_star-length"])
+def test_load_rejects_tampered_container(tmp_path, field, tamper):
+    path = str(tmp_path / "prob.npz")
+    save_problem(generate_problem(30, 14, 3, 4, seed=11), path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays[field] = tamper(arrays[field])
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError):
+        load_problem(path)
