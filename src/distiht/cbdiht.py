@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .consensus import metropolis_matrix
+from .consensus import DiffusiveConsensus, directed_links
 from .diht import Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
 from .iht import IhtTrace, NumericFailure, hard_threshold
@@ -103,102 +103,51 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
     reference = stop.reference_vector(problem)
     ref_norm = float(np.linalg.norm(reference)) if reference is not None else None
 
-    # per period step: each link in both directions, and neighbour lists
-    periods = []
-    for links in schedule.subgraphs:
-        e = np.array(links, dtype=np.intp).reshape(-1, 2)
-        src, dst = np.concatenate([e, e[:, ::-1]]).T
-        periods.append((src, dst, [dst[src == a].tolist() for a in range(p)]))
-
-    # per-agent protocol state; instance -1 means "never joined anything"
-    inst = np.full(p, -1, dtype=int)
-    inst[0] = 0
+    periods = [directed_links(links, p) for links in schedule.subgraphs]
     estimates = [x1.copy() for _ in range(p)]
-    values = np.zeros((p, n))
-    active = np.zeros((p, p), dtype=bool)  # active[a, q]: a activated its link to q
+    machine = DiffusiveConsensus(p, 0, np.zeros(n))
 
     trace = IhtTrace()
     trace.iterates.append(x1.copy())
     if reference is not None:
         trace.errors_vs_truth.append(float(np.linalg.norm(x1 - reference)))
     metrics = Metrics()
-    run = CbDihtRun(agent1_trace=trace, per_agent_last_iter=[0] + [-1] * (p - 1),
+    run = CbDihtRun(agent1_trace=trace, per_agent_last_iter=[],
                     metrics=metrics, s_schedule=[], v_hats=[], problem=problem,
                     l_tv=l_tv, k_sparsity=k)
 
-    t_now = 0
     for outer in range(stop.max_iters):
         # slice gradients at the current iterate, shared by agent 0, every
         # joiner of this instance and the eps diagnostic
         grads = [loss_gradient(sl, x1) for sl in problem.slices]
-        # agent 0 opens instance `outer`: local gradient, fresh activation
-        values[0] = grads[0]
-        active[0] = False
-        inst[0] = outer
-        run.per_agent_last_iter[0] = outer
+        machine.open(outer, 0, grads[0])
         s_k = int(s_fn(outer, x1))
         run.s_schedule.append(s_k)
 
+        def join(q, a):
+            # q copies a's iterate and contributes its local gradient there
+            # from the next step on
+            estimates[q] = estimates[a]  # never written in place
+            if machine.inst[q] == outer:
+                return grads[q]
+            return loss_gradient(problem.slices[q], estimates[q])
+
         for _ in range(s_k):
-            src, dst, present = periods[t_now % len(periods)]
-            t_now += 1
+            sends, initiates = machine.step(
+                periods[metrics.time_steps % len(periods)], join)
             metrics.time_steps += 1
-            live = active[src, dst]
+            # a vector costs N values and N broadcasts per sender, an INITIATE 2K
+            for counts, size in ((sends, n), (initiates, 2 * k)):
+                total = int(counts.sum())
+                metrics.values_sent += size * total
+                metrics.messages_sent += total
+                metrics.broadcasts += size * int(np.count_nonzero(counts))
 
-            # averaging among same-instance, active, present pairs; the far
-            # end is then active too, since instances only grow and an
-            # INITIATE activates both ends of a same-instance link at once
-            avg = live & (inst[src] == inst[dst])
-            if avg.any():
-                w, deg = metropolis_matrix(src[avg], dst[avg], p)
-                mixed = w @ values
-                mixed[deg == 0] = values[deg == 0]  # holders keep their row bit-exact
-                values = mixed
-
-            # every joined agent ships its vector on its active present links,
-            # whether or not the far end still listens to this instance
-            sends = np.bincount(src[live], minlength=p)
-            total = int(sends.sum())
-            metrics.values_sent += total * n
-            metrics.messages_sent += total
-            metrics.broadcasts += n * int(np.count_nonzero(sends))
-
-            # INITIATE wave over present, inactive links in agent-index order;
-            # an agent that joins during the wave forwards in this step when
-            # its index is above the sender's
-            pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=p).tolist()
-            for a in range(p):
-                if not pending[a]:
-                    continue
-                fresh = [q for q in present[a] if not active[a, q]]
-                if not fresh:
-                    continue
-                metrics.broadcasts += 2 * k
-                metrics.values_sent += 2 * k * len(fresh)
-                metrics.messages_sent += len(fresh)
-                active[a, fresh] = True
-                ka = int(inst[a])
-                for q in fresh:
-                    if ka > inst[q]:
-                        # fresher instance: drop old state, copy the iterate,
-                        # contribute the local gradient from the next step on
-                        inst[q] = ka
-                        estimates[q] = estimates[a]  # never written in place
-                        values[q] = (grads[q] if ka == outer else
-                                     loss_gradient(problem.slices[q], estimates[q]))
-                        active[q] = False
-                        active[q, a] = True
-                        run.per_agent_last_iter[q] = ka
-                        pending[q] = True
-                    elif ka == inst[q]:
-                        active[q, a] = True  # pure link activation
-                    # an already-fresher receiver ignores the message
-
-        v_hat = values[0].copy()
+        v_hat = machine.values[0].copy()
         if not np.all(np.isfinite(v_hat)):
             raise NumericFailure(outer, "consensus average")
         run.v_hats.append(v_hat)
-        run.initiated_counts.append(int(np.sum(inst == outer)))
+        run.initiated_counts.append(int(np.sum(machine.inst == outer)))
 
         eps = p * v_hat - sum(grads, np.zeros(n))
         trace.eps_norms.append(float(np.linalg.norm(eps)))
@@ -239,29 +188,15 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
             if np.sqrt(trace.step_deltas[-1]) / step_denom <= stop.tol:
                 trace.converged_at = outer + 1
                 break
+    run.per_agent_last_iter = machine.inst.tolist()
     run.final_estimates = [e.copy() for e in estimates]
     return run
 
 
 def epsilon_series(run: CbDihtRun) -> np.ndarray:
-    """Squared gradient-approximation errors, recomputed from the record.
-
-    For each outer iteration the exact stacked gradient at the recorded
-    iterate is formed from the problem data and compared against p times the
-    recorded consensus average.  A run with keep_iterates=False kept only its
-    last iterate, so its series is the squared in-loop record instead.
-    """
-    if len(run.agent1_trace.iterates) <= len(run.v_hats):
-        return np.square(run.agent1_trace.eps_norms)
-    out = []
-    for k, v_hat in enumerate(run.v_hats):
-        xk = run.agent1_trace.iterates[k]
-        grad = np.zeros(run.problem.n)
-        for sl in run.problem.slices:
-            grad += loss_gradient(sl, xk)
-        eps = run.problem.p * v_hat - grad
-        out.append(float(eps @ eps))
-    return np.array(out)
+    """Squared gradient-approximation errors ||p v_hat - grad f(x_k)||^2, one
+    per outer iteration, as the run recorded them."""
+    return np.square(run.agent1_trace.eps_norms)
 
 
 def max_consensus(schedule: TvSchedule, per_agent_values, steps: int) -> np.ndarray:

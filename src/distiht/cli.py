@@ -90,6 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     """One cell of an experiment whose config comes from the flags."""
+    if args.trace_out and args.algorithm != "iht":
+        print(f"{args.algorithm}: --trace-out: only iht keeps an iterate trace",
+              file=sys.stderr)
+        return 2
     spec = GraphSpec(args.family, args.param)
     cfg = ExperimentConfig(
         n=args.n, m=args.m, k=args.k, p=args.p, noise_std=args.noise_std,
@@ -101,8 +105,6 @@ def _cmd_run(args) -> int:
     try:
         result = run_cell(_get_problem(args), spec, args.graph_seed,
                           args.algorithm, cfg)
-        if args.trace_out and result.trace is None:
-            raise ValueError(f"--trace-out: {args.algorithm} keeps no iterate trace")
     except (ValueError, NumericFailure, AssumptionViolation) as exc:
         print(f"{args.algorithm}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
 """Doubly stochastic averaging and its initiation-gated, diffusive variant.
 
-The diffusive machine starts with a single participating agent; INITIATE
+The diffusive machine opens each instance at a single agent; INITIATE
 messages spread participation along whatever links the schedule offers, and
 only links whose both endpoints have exchanged an INITIATE carry values.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,116 +59,124 @@ def consensus_step(values: np.ndarray, w: WeightMatrix) -> np.ndarray:
     return w.w @ values
 
 
-@dataclass
-class StepStats:
-    vector_sends: int = 0  # directed value transmissions this step
-    initiate_sends: int = 0  # directed INITIATE transmissions this step
-    vector_broadcasters: int = 0  # agents that sent at least one value
-    initiate_broadcasters: int = 0  # agents that sent at least one INITIATE
+class Links(NamedTuple):
+    """One link set as directed index arrays that list every undirected link
+    in both directions, plus each agent's neighbour list."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    nbrs: list
+
+
+def directed_links(links, p: int) -> Links:
+    """Build the directed arrays of one link set; done once per period step."""
+    e = np.array(links, dtype=np.intp).reshape(-1, 2)
+    src, dst = np.concatenate([e, e[:, ::-1]]).T
+    return Links(src, dst, [dst[src == a].tolist() for a in range(p)])
 
 
 class DiffusiveConsensus:
-    """Lockstep state machine for initiation-gated averaging on one instance.
+    """Lockstep state machine for initiation-gated averaging over instances.
 
-    `value_at_initiation(agent, step)` supplies the vector an agent
-    contributes when the INITIATE wave reaches it; agents hold their row
-    bit-unchanged before that.  One object simulates one instance; the
-    caller feeds it the link set of each time step.
+    Agent q holds the row `values[q]` and the number `inst[q]` of the
+    instance it joined (-1 before it joins any); `active[a, q]` says that a
+    activated its link to q.  An instance opens at one agent and spreads by
+    INITIATE messages along the links each step offers; an agent adopts any
+    fresher instance that reaches it and drops its old links.  Agents that
+    have not joined, or have no same-instance active link this step, hold
+    their row bit-unchanged.
     """
 
     def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
-                 value_at_initiation: Optional[Callable[[int, int], np.ndarray]] = None,
                  background: Optional[np.ndarray] = None):
         self.p = p
         dim = np.atleast_1d(np.asarray(initiator_value, dtype=float)).shape[0]
         self.values = np.zeros((p, dim)) if background is None \
             else np.array(background, dtype=float)
-        self.values[initiator] = np.asarray(initiator_value, dtype=float)
-        self.initiated = np.zeros(p, dtype=bool)
-        self.initiated[initiator] = True
-        self.initiated_at: list = [None] * p
-        self.initiated_at[initiator] = 0
-        self.active = [set() for _ in range(p)]
-        self.value_at_initiation = value_at_initiation
+        self.inst = np.full(p, -1, dtype=int)
+        self.active = np.zeros((p, p), dtype=bool)
+        self.initiated_at: list = [None] * p  # step from which each takes part
         self.step_count = 0
+        self.open(0, initiator, initiator_value)
 
-    def step(self, links) -> StepStats:
-        stats = StepStats()
-        pre_initiated = np.flatnonzero(self.initiated)
-        present = [[] for _ in range(self.p)]
-        for u, v in links:
-            present[u].append(v)
-            present[v].append(u)
+    def open(self, instance: int, agent: int, value: np.ndarray) -> None:
+        """Start `instance` at `agent`, which contributes `value` and
+        re-activates its links from scratch."""
+        self.values[agent] = value
+        self.active[agent] = False
+        self.inst[agent] = instance
+        self.initiated_at[agent] = self.step_count
 
-        # averaging over mutually active links present this step
-        active_nbrs = {int(q): [r for r in present[q] if r in self.active[q]]
-                       for q in pre_initiated}
-        deg = {q: len(nbrs) for q, nbrs in active_nbrs.items()}
-        new_rows = {}
-        for q in pre_initiated:
-            q = int(q)
-            nbrs = active_nbrs[q]
-            row = self.values[q].copy()
-            for r in nbrs:
-                w = 1.0 / (1.0 + max(deg[q], deg[r]))
-                row += w * (self.values[r] - self.values[q])
-            new_rows[q] = row
-            stats.vector_sends += len(nbrs)
-            if nbrs:
-                stats.vector_broadcasters += 1
-        for q, row in new_rows.items():
-            self.values[q] = row
+    def step(self, links, join: Optional[Callable[[int, int], np.ndarray]] = None):
+        """One synchronous step over `links` (a `Links` or a list of pairs).
 
-        # INITIATE wave: pre-step initiated agents activate fresh links
-        for q in pre_initiated:
-            q = int(q)
-            sent = False
-            for r in present[q]:
-                if r in self.active[q]:
-                    continue
-                stats.initiate_sends += 1
-                sent = True
-                self.active[q].add(r)
-                self.active[r].add(q)
-                if not self.initiated[r]:
-                    # delivered during this step; participates from the next
-                    self.initiated[r] = True
-                    self.initiated_at[r] = self.step_count + 1
-                    if self.value_at_initiation is not None:
-                        self.values[r] = np.asarray(
-                            self.value_at_initiation(r, self.step_count), dtype=float)
-            if sent:
-                stats.initiate_broadcasters += 1
+        Values first move over the links their sender had activated, and
+        agents average with same-instance neighbours under Metropolis
+        weights.  Then the INITIATE wave runs in agent-index order; an agent
+        that joins from a lower-indexed sender forwards in this step.  When
+        q adopts a's fresher instance, `join(q, a)`, if given, supplies q's
+        new row.  Returns each agent's value sends and INITIATE fan-out.
+        """
+        if not isinstance(links, Links):
+            links = directed_links(links, self.p)
+        src, dst, nbrs = links
+        inst, active = self.inst, self.active
+        live = active[src, dst]
 
+        # the far end of a live same-instance link is active too, since
+        # instances only grow and an INITIATE activates both ends at once
+        avg = live & (inst[src] == inst[dst])
+        if avg.any():
+            w, deg = metropolis_matrix(src[avg], dst[avg], self.p)
+            mixed = w @ self.values
+            mixed[deg == 0] = self.values[deg == 0]  # holders keep their row bit-exact
+            self.values = mixed
+        # every joined agent ships its row on its live links, whether or not
+        # the far end still listens to its instance
+        sends = np.bincount(src[live], minlength=self.p)
+
+        fanout = np.zeros(self.p, dtype=int)
+        pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=self.p).tolist()
+        for a in range(self.p):
+            if not pending[a]:
+                continue
+            fresh = [q for q in nbrs[a] if not active[a, q]]
+            if not fresh:
+                continue
+            fanout[a] = len(fresh)
+            active[a, fresh] = True
+            ka = int(inst[a])
+            for q in fresh:
+                if ka > inst[q]:
+                    inst[q] = ka
+                    active[q] = False
+                    active[q, a] = True
+                    self.initiated_at[q] = self.step_count + 1
+                    if join is not None:
+                        self.values[q] = join(q, a)
+                    pending[q] = True
+                elif ka == inst[q]:
+                    active[q, a] = True  # pure link activation
+                # an already-fresher receiver ignores the message
         self.step_count += 1
-        return stats
+        return sends, fanout
 
 
-def run_diffusive_consensus(schedule: TvSchedule, initiator_payload,
-                            per_agent_values: np.ndarray, steps: int,
-                            start_time: int = 0):
+def run_diffusive_consensus(schedule: TvSchedule, per_agent_values: np.ndarray,
+                            steps: int):
     """Run one diffusive instance for `steps` schedule steps from agent 0.
 
-    All agents' initial vectors are fixed up front; uninitiated agents hold
-    theirs untouched.  Returns (values, initiated_at, totals) where totals
-    aggregates the per-step message statistics.  `initiator_payload` is the
-    content of the INITIATE message; it is opaque here and only matters to
-    callers that price those messages.
+    All agents' initial vectors are fixed up front; agents that have not
+    joined hold theirs untouched.  Returns (values, initiated_at).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    per_agent_values = np.asarray(per_agent_values, dtype=float)
-    machine = DiffusiveConsensus(
-        p=schedule.p, initiator=0, initiator_value=per_agent_values[0],
-        background=per_agent_values)
-    totals = StepStats()
+    machine = DiffusiveConsensus(schedule.p, 0, per_agent_values[0],
+                                 background=per_agent_values)
+    periods = [directed_links(links, schedule.p) for links in schedule.subgraphs]
     for t in range(steps):
-        st = machine.step(schedule.edges_at(start_time + t))
-        totals.vector_sends += st.vector_sends
-        totals.initiate_sends += st.initiate_sends
-        totals.vector_broadcasters += st.vector_broadcasters
-        totals.initiate_broadcasters += st.initiate_broadcasters
-    return machine.values, machine.initiated_at, totals
+        machine.step(periods[t % schedule.period])
+    return machine.values, machine.initiated_at
 
 
 @dataclass

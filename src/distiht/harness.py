@@ -122,18 +122,22 @@ CONFIG_FIELDS = {("problem", "seeds"): "problem_seeds",
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse an INI experiment config.  Unknown sections, keys and algorithm
-    names raise a ValueError that names them."""
+    """Parse an INI experiment config.  Malformed text and unknown sections,
+    keys and algorithm names raise a one-line ValueError that names them."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except configparser.Error as exc:  # its messages span several lines
+        raise ValueError(" ".join(str(exc).split())) from None
     version = cp.getint("meta", "schema_version", fallback=None)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"config schema_version must be {CONFIG_SCHEMA_VERSION}")
     cfg = ExperimentConfig(raw_text=text)
-    for section in cp.sections():
+    for section, items in sections.items():
         if section not in CONFIG_KEYS:
             raise ValueError(f"unknown config section [{section}]")
-        for key, value in cp[section].items():
+        for key, value in items.items():
             if key not in CONFIG_KEYS[section]:
                 raise ValueError(f"unknown key {key!r} in config section [{section}]")
             if section != "meta":

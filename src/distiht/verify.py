@@ -136,7 +136,7 @@ def suite_consensus(out_dir=None):
         v0 = rng.standard_normal((6, 3))
         target = v0.mean(axis=0)
         consts = bound_constants(schedule_eta(schedule), 6, schedule.period)
-        vals, initiated, _ = run_diffusive_consensus(schedule, None, v0, 120)
+        vals, initiated = run_diffusive_consensus(schedule, v0, 120)
         dev = float(np.max(np.linalg.norm(vals - target, axis=1)))
         budget = consts.big_gamma * consts.gamma ** 120 * float(
             np.linalg.norm(v0, axis=1).sum())

@@ -19,6 +19,21 @@ def desk_problem(seed=0):
     return generate_problem(50, 24, 4, 6, seed=seed, ensemble="tight-frame")
 
 
+def recomputed_epsilon_series(run):
+    """The original recompute from the record, kept as the oracle for the
+    in-loop eps record: the exact stacked gradient at each kept iterate
+    against p times the recorded consensus average."""
+    out = []
+    for k, v_hat in enumerate(run.v_hats):
+        xk = run.agent1_trace.iterates[k]
+        grad = np.zeros(run.problem.n)
+        for sl in run.problem.slices:
+            grad += loss_gradient(sl, xk)
+        eps = run.problem.p * v_hat - grad
+        out.append(float(eps @ eps))
+    return np.array(out)
+
+
 class TestConsensusSteps:
     def test_clamped_at_one(self):
         assert consensus_steps(0, np.zeros(4)) == 1
@@ -105,6 +120,14 @@ class TestRunCbdiht:
         compact = epsilon_series(run_cbdiht(prob, sched, stop=stop,
                                             keep_iterates=False))
         np.testing.assert_allclose(compact, full, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("s_fn", [None, lambda k, x: 1, lambda k, x: 120])
+    def test_eps_record_matches_recompute(self, s_fn):
+        prob = desk_problem(9)
+        sched = gen_tv_schedule(gen_erdos_renyi(6, 0.5, 10), 10, 11)
+        run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=60), s_fn=s_fn)
+        np.testing.assert_allclose(epsilon_series(run), recomputed_epsilon_series(run),
+                                   rtol=1e-12, atol=0)
 
     def test_constant_s_keeps_eps_finite(self):
         prob = desk_problem(12)

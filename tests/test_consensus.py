@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from distiht.consensus import (DiffusiveConsensus, WeightMatrix, bound_constants,
                                check_doubly_stochastic, consensus_step,
-                               metropolis_weights, run_diffusive_consensus,
-                               schedule_eta)
+                               directed_links, metropolis_weights,
+                               run_diffusive_consensus, schedule_eta)
 from distiht.graphs import (Graph, TvSchedule, gen_erdos_renyi,
                             gen_tv_schedule, static_schedule)
 
@@ -106,20 +108,134 @@ class TestConsensusStep:
             consensus_step(np.zeros(3), w)
 
 
+# The original single-instance machine, kept verbatim as the oracle for the
+# multi-instance one.  It updates each row in a Python loop and lets only
+# agents initiated before a step forward the INITIATE in it.
+@dataclass
+class StepStats:
+    vector_sends: int = 0  # directed value transmissions this step
+    initiate_sends: int = 0  # directed INITIATE transmissions this step
+    vector_broadcasters: int = 0  # agents that sent at least one value
+    initiate_broadcasters: int = 0  # agents that sent at least one INITIATE
+
+
+class ReferenceDiffusiveConsensus:
+    """Lockstep state machine for initiation-gated averaging on one instance.
+
+    `value_at_initiation(agent, step)` supplies the vector an agent
+    contributes when the INITIATE wave reaches it; agents hold their row
+    bit-unchanged before that.  One object simulates one instance; the
+    caller feeds it the link set of each time step.
+    """
+
+    def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
+                 value_at_initiation: Optional[Callable[[int, int], np.ndarray]] = None,
+                 background: Optional[np.ndarray] = None):
+        self.p = p
+        dim = np.atleast_1d(np.asarray(initiator_value, dtype=float)).shape[0]
+        self.values = np.zeros((p, dim)) if background is None \
+            else np.array(background, dtype=float)
+        self.values[initiator] = np.asarray(initiator_value, dtype=float)
+        self.initiated = np.zeros(p, dtype=bool)
+        self.initiated[initiator] = True
+        self.initiated_at: list = [None] * p
+        self.initiated_at[initiator] = 0
+        self.active = [set() for _ in range(p)]
+        self.value_at_initiation = value_at_initiation
+        self.step_count = 0
+
+    def step(self, links) -> StepStats:
+        stats = StepStats()
+        pre_initiated = np.flatnonzero(self.initiated)
+        present = [[] for _ in range(self.p)]
+        for u, v in links:
+            present[u].append(v)
+            present[v].append(u)
+
+        # averaging over mutually active links present this step
+        active_nbrs = {int(q): [r for r in present[q] if r in self.active[q]]
+                       for q in pre_initiated}
+        deg = {q: len(nbrs) for q, nbrs in active_nbrs.items()}
+        new_rows = {}
+        for q in pre_initiated:
+            q = int(q)
+            nbrs = active_nbrs[q]
+            row = self.values[q].copy()
+            for r in nbrs:
+                w = 1.0 / (1.0 + max(deg[q], deg[r]))
+                row += w * (self.values[r] - self.values[q])
+            new_rows[q] = row
+            stats.vector_sends += len(nbrs)
+            if nbrs:
+                stats.vector_broadcasters += 1
+        for q, row in new_rows.items():
+            self.values[q] = row
+
+        # INITIATE wave: pre-step initiated agents activate fresh links
+        for q in pre_initiated:
+            q = int(q)
+            sent = False
+            for r in present[q]:
+                if r in self.active[q]:
+                    continue
+                stats.initiate_sends += 1
+                sent = True
+                self.active[q].add(r)
+                self.active[r].add(q)
+                if not self.initiated[r]:
+                    # delivered during this step; participates from the next
+                    self.initiated[r] = True
+                    self.initiated_at[r] = self.step_count + 1
+                    if self.value_at_initiation is not None:
+                        self.values[r] = np.asarray(
+                            self.value_at_initiation(r, self.step_count), dtype=float)
+            if sent:
+                stats.initiate_broadcasters += 1
+
+        self.step_count += 1
+        return stats
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.floats(0.2, 1.0), st.integers(1, 8),
+       st.integers(0, 10 ** 6))
+def test_diffusive_machine_matches_reference(p, density, count, seed):
+    # the reference forwards INITIATE one step later, so the new machine
+    # activates links no later, and rows agree until the link sets first differ
+    schedule = gen_tv_schedule(gen_erdos_renyi(p, density, seed), count, seed + 1)
+    periods = [directed_links(links, p) for links in schedule.subgraphs]
+    v0 = np.random.default_rng(seed).standard_normal((p, 3))
+    new = DiffusiveConsensus(p, 0, v0[0], background=v0.copy())
+    old = ReferenceDiffusiveConsensus(p, 0, v0[0], background=v0.copy())
+    same = True
+    for t in range(60):
+        same = same and all(
+            new.active[q].tolist() == [r in old.active[q] for r in range(p)]
+            for q in range(p))
+        new.step(periods[t % schedule.period])
+        old.step(schedule.edges_at(t))
+        for q in range(p):
+            assert all(new.active[q, r] for r in old.active[q])
+            if old.initiated_at[q] is not None:
+                assert new.initiated_at[q] <= old.initiated_at[q]
+        if same:
+            assert np.max(np.abs(new.values - old.values)) <= 1e-12
+
+
 class TestDiffusive:
     def test_zero_steps_is_identity(self):
         g = gen_erdos_renyi(5, 0.5, 4)
         s = gen_tv_schedule(g, 4, 5)
         rng = np.random.default_rng(6)
         v0 = rng.standard_normal((5, 2))
-        vals, initiated, _ = run_diffusive_consensus(s, None, v0, 0)
+        vals, initiated = run_diffusive_consensus(s, v0, 0)
         np.testing.assert_array_equal(vals, v0)
         assert initiated[0] == 0 and all(t is None for t in initiated[1:])
 
     def test_two_agents_reach_mean(self):
         s = static_schedule(Graph(p=2, edges=[(0, 1)]))
         v0 = np.array([[1.0], [3.0]])
-        vals, initiated, _ = run_diffusive_consensus(s, None, v0, 5)
+        vals, initiated = run_diffusive_consensus(s, v0, 5)
         # INITIATE crosses in step 0; averaging starts in step 1
         assert initiated == [0, 1]
         np.testing.assert_allclose(vals, [[2.0], [2.0]], atol=1e-12)
@@ -129,7 +245,7 @@ class TestDiffusive:
         s = static_schedule(g)
         rng = np.random.default_rng(7)
         v0 = rng.standard_normal((6, 4))
-        vals, _, _ = run_diffusive_consensus(s, None, v0, 60)
+        vals, _ = run_diffusive_consensus(s, v0, 60)
         target = v0.mean(axis=0)
         consts = bound_constants(schedule_eta(s), 6, 1)
         dev = float(np.max(np.linalg.norm(vals - target, axis=1)))
@@ -167,14 +283,14 @@ class TestDiffusive:
             g = gen_erdos_renyi(6, 0.35, 20 + seed)
             s = gen_tv_schedule(g, 8, 30 + seed)
             steps = 2 * (6 - 1) * s.period
-            _, initiated, _ = run_diffusive_consensus(
-                s, None, np.zeros((6, 1)), steps)
+            _, initiated = run_diffusive_consensus(
+                s, np.zeros((6, 1)), steps)
             assert all(t is not None for t in initiated)
 
     def test_negative_steps_rejected(self):
         s = static_schedule(Graph(p=2, edges=[(0, 1)]))
         with pytest.raises(ValueError):
-            run_diffusive_consensus(s, None, np.zeros((2, 1)), -1)
+            run_diffusive_consensus(s, np.zeros((2, 1)), -1)
 
 
 class TestBoundConstants:

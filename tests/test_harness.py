@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import distiht.cli
 from distiht.cli import cli
 from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_config,
                              parse_config_text, parse_graph_token,
@@ -273,6 +274,16 @@ class TestCliRun:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "static network" in err[0]
 
+    @pytest.mark.parametrize("algorithm", ["diht", "cbdiht", "subgrad"])
+    def test_trace_out_rejected_before_the_run(self, algorithm, monkeypatch, capsys):
+        def must_not_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(distiht.cli, "run_cell", must_not_run)
+        assert cli(["run", algorithm, *SMALL, "--trace-out", "t.csv"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--trace-out" in err[0]
+
     @pytest.mark.parametrize("flags", [["--l", "-1"], ["--trace-out", "t.csv"]])
     def test_value_error_exits_2(self, flags, capsys):
         assert cli(["run", "diht", *SMALL, *flags]) == 2
@@ -294,3 +305,14 @@ class TestCliExperiment:
         cfg_path.write_text(DESK_CONFIG.replace("max_iters", "max_iter"))
         assert cli(["experiment", str(cfg_path)]) == 2
         assert "max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, offender", [
+        ("n = 3\n" + DESK_CONFIG, "no section headers"),
+        (DESK_CONFIG.replace("n = 40", "n = 40\nn = 41"), "'n'"),
+    ])
+    def test_malformed_config_exits_2(self, text, offender, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(text)
+        assert cli(["experiment", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and offender in err[0]
