@@ -16,7 +16,10 @@ import numpy as np
 from .graphs import Graph, SpanningTree, bfs_spanning_tree
 from .iht import IhtConfig, IhtTrace, _run
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import Problem, loss_gradient, lipschitz_of_slice, loss_info
+from .model import (Problem, batched_gradients, lipschitz_of_slice, padded_slices,
+                    stacked_lipschitz)
+from .model import loss_gradient  # noqa: F401  rebound by perfbench's traced pass
+from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
 
 @dataclass
@@ -77,14 +80,16 @@ class StopRule:
 
 
 def _tree_sum(tree: SpanningTree, vectors) -> np.ndarray:
-    """Leaf-to-root aggregation: each vertex adds its children's partial sums."""
-    partial = [None] * tree.p
+    """Leaf-to-root aggregation: each vertex adds its children's partial sums.
+
+    The rows of a float (p, n) array are summed in place, deepest vertices
+    first; any other sequence of vectors is copied into such an array.
+    """
+    rows = list(np.asarray(vectors, dtype=float))
     for v in sorted(range(tree.p), key=tree.depth.__getitem__, reverse=True):
-        acc = np.array(vectors[v], dtype=float)
         for c in tree.children[v]:
-            acc += partial[c]
-        partial[v] = acc
-    return partial[tree.root]
+            rows[v] += rows[c]
+    return rows[tree.root]
 
 
 def _path_delay(tree: SpanningTree, delays) -> int:
@@ -145,13 +150,13 @@ class DihtRun:
     agent_estimates: list
     metrics: Metrics
     trace: IhtTrace
-    coherence: list  # max over agents of |x_p - x_1| after each iteration
+    coherence: list  # max over agents of |x_p - x_1| at each broadcast
     l: float
 
 
 def default_step_constant(problem: Problem, safety: float = 1.005) -> float:
     """The run_diht default: safety times the stacked smoothness constant."""
-    return safety * loss_info(problem).lipschitz_global
+    return safety * stacked_lipschitz(problem)
 
 
 def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
@@ -181,25 +186,26 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
         l = default_step_constant(problem)
     elif l <= 0:
         raise ValueError("l must be positive")
-    elif l <= loss_info(problem).lipschitz_global:
+    elif l <= stacked_lipschitz(problem):
         warnings.warn("l below the stacked Lipschitz constant: descent is "
                       "not guaranteed", RuntimeWarning)
 
     tree = bfs_spanning_tree(graph, root=0)
     x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
-    agent_estimates = [x0.copy() for _ in range(problem.p)]
+    a, b = padded_slices(problem)
+    estimates = np.tile(x0, (problem.p, 1))  # row q: agent q's copy of the iterate
     coherence = []
 
     def gradient(x):
-        # broadcast phase: every agent adopts the root iterate, then
-        # evaluates its share of the gradient; convergecast phase: child
-        # partial sums accumulate toward the root
-        for q in range(problem.p):
-            agent_estimates[q] = x.copy()
-        coherence.append(max(float(np.max(np.abs(est - x))) if est.size else 0.0
-                             for est in agent_estimates))
-        return _tree_sum(tree, [loss_gradient(problem.slices[q], agent_estimates[q])
-                                for q in range(problem.p)])
+        # broadcast phase: the iterate travels down the tree as at most k
+        # (index, value) pairs, and every agent decodes them into its row;
+        # convergecast phase: the agents' gradients at their rows are
+        # summed toward the root
+        support = np.flatnonzero(x)[:k]
+        estimates.fill(0.0)
+        estimates[:, support] = x[support]
+        coherence.append(float(np.max(np.abs(estimates - x), initial=0.0)))
+        return _tree_sum(tree, batched_gradients(a, b, estimates))
 
     config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
     trace = _run(gradient, None, stop.reference_vector(problem), config, None,
@@ -219,7 +225,7 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
         metrics.time_steps += iter_time
         metrics.snapshot(it, errors[it] if errors else float("nan"))
 
-    return DihtRun(tree=tree, agent_estimates=agent_estimates, metrics=metrics,
+    return DihtRun(tree=tree, agent_estimates=list(estimates), metrics=metrics,
                    trace=trace, coherence=coherence, l=l)
 
 

@@ -209,7 +209,7 @@ class RunResult:
     spent: tuple
     converged_at: Optional[int]  # CB-DIHT: every agent within the tolerance
     extra_columns: tuple = ()
-    trace: Optional[IhtTrace] = None  # the full iterate trace, iht only
+    trace: Optional[IhtTrace] = None  # iht only: the records, with only the last iterate
 
 
 def _result(problem: Problem, cfg: ExperimentConfig, metrics: Metrics, errors,
@@ -240,7 +240,8 @@ def _run_iht(problem, graph, schedule, cfg) -> RunResult:
     l = cfg.l if cfg.l is not None else default_step_constant(problem)
     config = IhtConfig(l=l, k=problem.k, max_iters=cfg.max_iters,
                        tol=min(cfg.accuracies), x_init=np.zeros(problem.n))
-    trace = run_iht(lambda x: 2.0 * (a.T @ (a @ x - b)), problem.x_star, config)
+    trace = run_iht(lambda x: 2.0 * (a.T @ (a @ x - b)), problem.x_star, config,
+                    keep_iterates=False)
     errors = trace.errors_vs_truth[1:]  # error after each iteration
     metrics = Metrics()  # centralized: nothing is sent
     for i, e in enumerate(errors):

@@ -138,9 +138,12 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
 
 def run_iht(grad_fn: Callable[[np.ndarray], np.ndarray],
             x_star: Optional[np.ndarray], config: IhtConfig,
-            loss_fn=None) -> IhtTrace:
-    """Exact-gradient IHT: x <- T_k(x - grad(x)/l) until tol or budget."""
-    return _run(grad_fn, None, x_star, config, loss_fn)
+            loss_fn=None, keep_iterates: bool = True) -> IhtTrace:
+    """Exact-gradient IHT: x <- T_k(x - grad(x)/l) until tol or budget.
+
+    With keep_iterates off, the trace holds only the last iterate.
+    """
+    return _run(grad_fn, None, x_star, config, loss_fn, keep_iterates)
 
 
 def run_inexact_iht(grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -233,7 +236,7 @@ def spark_bruteforce(a: np.ndarray, max_cols: int) -> SparkResult:
 
 
 def write_trace_csv(trace: IhtTrace, path: str) -> None:
-    """Dump a run as CSV with one row per iterate.
+    """Dump a run as CSV with one row per iterate, kept or not.
 
     Columns: iter, err_vs_truth, f_value, eps_norm, step_delta_sq.  Fields
     that were not recorded are left empty.  eps_norm and step_delta_sq on
@@ -244,7 +247,7 @@ def write_trace_csv(trace: IhtTrace, path: str) -> None:
 
     with open(path, "w") as fh:
         fh.write("iter,err_vs_truth,f_value,eps_norm,step_delta_sq\n")
-        for i in range(len(trace.iterates)):
+        for i in range(len(trace.step_deltas) + 1):
             fh.write(",".join([str(i), cell(trace.errors_vs_truth, i),
                                cell(trace.f_values, i), cell(trace.eps_norms, i),
                                cell(trace.step_deltas, i)]) + "\n")

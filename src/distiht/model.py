@@ -134,13 +134,41 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.sqrt(max(lam, 0.0)))
 
 
+def stacked_lipschitz(problem: Problem) -> float:
+    """Gradient Lipschitz constant 2 ||A||^2 of the stacked loss, exact."""
+    return 2.0 * spectral_norm(problem.stacked()[0]) ** 2
+
+
 def loss_info(problem: Problem) -> LossInfo:
     """Per-slice Lipschitz constants plus the (tighter) stacked constant."""
     per = [lipschitz_of_slice(s) for s in problem.slices]
-    a, _ = problem.stacked()
-    info = LossInfo(lipschitz_p=per)
-    info.lipschitz_global = 2.0 * spectral_norm(a) ** 2
-    return info
+    return LossInfo(lipschitz_p=per, lipschitz_global=stacked_lipschitz(problem))
+
+
+def padded_slices(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Every slice as one (p, m_max, n) stack of a and (p, m_max) stack of b.
+
+    Slices shorter than the longest are padded with zero rows, which add
+    nothing to a gradient.
+    """
+    m_max = max(s.m_p for s in problem.slices)
+    a = np.zeros((problem.p, m_max, problem.n))
+    b = np.zeros((problem.p, m_max))
+    for q, s in enumerate(problem.slices):
+        a[q, :s.m_p] = s.a
+        b[q, :s.m_p] = s.b
+    return a, b
+
+
+def batched_gradients(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Every slice gradient 2 a_q^T (a_q x_q - b_q) as one (p, n) array.
+
+    a and b come from padded_slices, and row q of xs is agent q's point.
+    Each agent's result agrees with loss_gradient to rounding, not bit for
+    bit: the batched products sum in a different order.
+    """
+    r = np.matmul(a, xs[:, :, None])[:, :, 0] - b
+    return 2.0 * np.matmul(r[:, None, :], a)[:, 0, :]
 
 
 def _row_counts(m: int, p: int) -> list[int]:

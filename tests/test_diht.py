@@ -128,7 +128,8 @@ class TestRunDiht:
     def test_geometric_envelope_every_agent(self):
         prob = generate_problem(128, 64, 4, 8, seed=19, ensemble="tight-frame")
         g = gen_erdos_renyi(8, 0.5, seed=20)
-        run = run_diht(prob, g, l=1.0, stop=StopRule(tol=0, max_iters=60))
+        with pytest.warns(RuntimeWarning):  # l = 1 is below the stacked constant
+            run = run_diht(prob, g, l=1.0, stop=StopRule(tol=0, max_iters=60))
         nstar = np.linalg.norm(prob.x_star)
         for k, err in enumerate(run.trace.errors_vs_truth):
             assert err <= 2.0 ** (-k) * nstar + 1e-9

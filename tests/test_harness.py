@@ -181,7 +181,7 @@ class TestCli:
         sched_path = str(tmp_path / "s.txt")
         assert cli(["gen-schedule", "--graph", graph_path, "--count", "4",
                     "--out", sched_path]) == 0
-        text = open(sched_path).read()
+        text = (tmp_path / "s.txt").read_text()
         assert "# t=3" in text
 
     def test_experiment_end_to_end(self, tmp_path, capsys):
@@ -264,10 +264,14 @@ class TestCliRun:
         header = metrics.read_text().splitlines()[0]
         assert header.endswith("initiated_count") == (algorithm == "cbdiht")
 
-    def test_trace_out_for_iht(self, tmp_path):
+    def test_trace_out_for_iht(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         assert cli(["run", "iht", *SMALL, "--trace-out", str(trace)]) == 0
-        assert trace.read_text().startswith("iter,err_vs_truth")
+        iterations = int(capsys.readouterr().out.split("iterations=")[1].split()[0])
+        lines = trace.read_text().splitlines()
+        assert lines[0].startswith("iter,err_vs_truth")
+        assert len(lines) == 1 + iterations + 1  # header, then the start and each step
+        assert lines[-1].startswith(f"{iterations},")
 
     def test_tree_algorithm_rejects_time_varying(self, capsys):
         assert cli(["run", "diht", *SMALL, "--tv"]) == 2

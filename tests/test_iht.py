@@ -292,6 +292,19 @@ def test_trace_csv(tmp_path):
     assert len(lines) == len(trace.iterates) + 1
 
 
+def test_trace_csv_does_not_need_the_iterates(tmp_path):
+    prob = generate_problem(30, 15, 3, 3, seed=18)
+    _, _, grad, loss = quadratic(prob)
+    config = IhtConfig(l=2.0, k=3, max_iters=10, tol=0, x_init=np.zeros(30))
+    kept = run_iht(grad, prob.x_star, config, loss_fn=loss)
+    dropped = run_iht(grad, prob.x_star, config, loss_fn=loss, keep_iterates=False)
+    assert len(kept.iterates) == 11 and len(dropped.iterates) == 1
+    np.testing.assert_array_equal(dropped.final, kept.final)
+    write_trace_csv(kept, str(tmp_path / "kept.csv"))
+    write_trace_csv(dropped, str(tmp_path / "dropped.csv"))
+    assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "dropped.csv").read_bytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IhtConfig(l=0.0, k=2, x_init=np.zeros(3))

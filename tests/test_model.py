@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distiht.model import (SensingSlice, generate_problem, lipschitz_of_slice,
-                           load_problem, loss_gradient, loss_info, loss_value,
-                           save_problem)
+from distiht.model import (SensingSlice, batched_gradients, generate_problem,
+                           lipschitz_of_slice, load_problem, loss_gradient, loss_info,
+                           loss_value, padded_slices, save_problem, spectral_norm,
+                           stacked_lipschitz)
 
 
 def slice_of(a, b):
@@ -149,6 +150,12 @@ class TestLossInfo:
         assert info.lipschitz_global <= info.lipschitz_sum + 1e-12
         assert all(l > 0 for l in info.lipschitz_p)
 
+    def test_stacked_constant_is_the_global_one(self):
+        prob = generate_problem(50, 20, 3, 4, seed=10)
+        a, _ = prob.stacked()
+        assert stacked_lipschitz(prob) == loss_info(prob).lipschitz_global
+        assert stacked_lipschitz(prob) == 2.0 * spectral_norm(a) ** 2
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
@@ -211,3 +218,32 @@ def test_load_rejects_tampered_container(tmp_path, field, tamper):
     np.savez(path, **arrays)
     with pytest.raises(ValueError):
         load_problem(path)
+
+
+def uneven_problem(tmp_path):
+    """A saved container whose slices hold 1, 5, 2 and 6 rows."""
+    path = str(tmp_path / "prob.npz")
+    save_problem(generate_problem(30, 14, 3, 4, noise_std=0.1, seed=12), path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["offsets"] = np.array([0, 1, 6, 8])
+    np.savez(path, **arrays)
+    return load_problem(path)
+
+
+@pytest.mark.parametrize("case", ["uniform", "uneven", "one-agent"])
+def test_batched_gradients_match_each_slice(case, tmp_path):
+    if case == "uneven":
+        prob = uneven_problem(tmp_path)
+        assert [s.m_p for s in prob.slices] == [1, 5, 2, 6]
+    else:
+        prob = generate_problem(40, 20, 3, 5 if case == "uniform" else 1,
+                                noise_std=0.1, seed=13)
+    a, b = padded_slices(prob)
+    assert a.shape == (prob.p, max(s.m_p for s in prob.slices), prob.n)
+    xs = np.random.default_rng(15).standard_normal((prob.p, prob.n))
+    got = batched_gradients(a, b, xs)
+    assert got.shape == (prob.p, prob.n)
+    for q, sl in enumerate(prob.slices):
+        np.testing.assert_allclose(got[q], loss_gradient(sl, xs[q]), rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(got[q])))
