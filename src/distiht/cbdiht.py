@@ -19,7 +19,8 @@ import numpy as np
 from .consensus import DiffusiveConsensus, directed_links
 from .diht import Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
-from .iht import IhtTrace, NumericFailure, hard_threshold
+from .iht import IhtConfig, IhtTrace, _run
+from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
 from .model import Problem, lipschitz_of_slice, loss_gradient, stacked_lipschitz
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
@@ -47,8 +48,7 @@ class CbDihtRun:
     l_tv: float
     k_sparsity: int
     agent1_converged_at: Optional[int] = None
-    global_converged_at: Optional[int] = None
-    global_converged_rounds: Optional[int] = None
+    global_converged_at: Optional[int] = None  # every agent within the tolerance
     initiated_counts: list = field(default_factory=list)
     worst_errors: list = field(default_factory=list)  # max over agents, per outer
     final_estimates: list = field(default_factory=list)
@@ -77,10 +77,13 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
                keep_iterates: bool = True, validate_schedule: bool = True) -> CbDihtRun:
     """Simulate the consensus-based algorithm on a periodic link schedule.
 
-    Every transmitted value is counted: N per vector per active link
-    direction per averaging step, 2K per INITIATE.  One schedule step is one
-    synchronous time step.  The run stops when every agent's latest-joined
-    iterate is within stop.tol of the reference, or at the outer budget.
+    The outer loop is inexact IHT: agent 0 steps along its consensus estimate
+    v_hat of the average local gradient with step constant l_tv, so the
+    gradient error is p * v_hat - grad f(x_k).  Every transmitted value is
+    counted: N per vector per active link direction per averaging step, 2K
+    per INITIATE; one schedule step is one synchronous time step.  The run
+    stops when every agent's latest-joined iterate is within stop.tol of the
+    reference (after 0 outer iterations if the start is), or at the budget.
     """
     p, n = problem.p, problem.n
     if schedule.p != p:
@@ -97,101 +100,84 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
         warnings.warn("l_tv at or below the stacked constant over p: "
                       "convergence is not guaranteed", RuntimeWarning)
     s_fn = s_fn or consensus_steps
-
-    x1 = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
-    if np.count_nonzero(x1) > k:
-        raise ValueError("x_init is not k-sparse")
+    config = IhtConfig(l=l_tv, k=k, max_iters=stop.max_iters, tol=stop.tol,
+                       x_init=np.zeros(n) if x_init is None else x_init)
     reference = stop.reference_vector(problem)
-    ref_norm = float(np.linalg.norm(reference)) if reference is not None else None
 
     periods = [directed_links(links, p) for links in schedule.subgraphs]
-    estimates = [x1.copy() for _ in range(p)]
+    # agents of one instance share their estimate array, never written in place
+    estimates = [config.x_init] * p
     machine = DiffusiveConsensus(p, 0, np.zeros(n))
+    s_schedule, v_hats, initiated_counts, eps_norms, worst_errors = [], [], [], [], []
+    step_counts = []  # per outer iteration, one row per averaging step
 
-    trace = IhtTrace()
-    trace.iterates.append(x1.copy())
-    if reference is not None:
-        trace.errors_vs_truth.append(float(np.linalg.norm(x1 - reference)))
-    metrics = Metrics()
-    run = CbDihtRun(agent1_trace=trace, per_agent_last_iter=[],
-                    metrics=metrics, s_schedule=[], v_hats=[], problem=problem,
-                    l_tv=l_tv, k_sparsity=k)
-
-    for outer in range(stop.max_iters):
-        # slice gradients at the current iterate, shared by agent 0, every
-        # joiner of this instance and the eps diagnostic
-        grads = [loss_gradient(sl, x1) for sl in problem.slices]
+    def gradient(x):
+        # agent 0 opens instance `outer` at x; the slice gradients at x are
+        # shared by agent 0, every joiner of this instance and the eps diagnostic
+        outer = len(s_schedule)
+        estimates[0] = x
+        grads = [loss_gradient(sl, x) for sl in problem.slices]
         machine.open(outer, 0, grads[0])
-        s_k = int(s_fn(outer, x1))
-        run.s_schedule.append(s_k)
+        s_k = int(s_fn(outer, x))
+        s_schedule.append(s_k)
 
         def join(q, a):
             # q copies a's iterate and contributes its local gradient there
             # from the next step on
-            estimates[q] = estimates[a]  # never written in place
+            estimates[q] = estimates[a]
             if machine.inst[q] == outer:
                 return grads[q]
             return loss_gradient(problem.slices[q], estimates[q])
 
-        for _ in range(s_k):
-            sends, initiates = machine.step(
-                periods[metrics.time_steps % len(periods)], join)
-            metrics.time_steps += 1
-            # a vector costs N values and N broadcasts per sender, an INITIATE 2K
-            for counts, size in ((sends, n), (initiates, 2 * k)):
-                total = int(counts.sum())
-                metrics.values_sent += size * total
-                metrics.messages_sent += total
-                metrics.broadcasts += size * int(np.count_nonzero(counts))
-
+        # per step: vector sends, their senders, INITIATEs, their senders
+        counts = np.zeros((s_k, 4), dtype=np.int64)
+        for row in counts:
+            links = periods[machine.step_count % len(periods)]
+            sends, initiates = machine.step(links, join)
+            row[:] = (sends.sum(), np.count_nonzero(sends),
+                      initiates.sum(), np.count_nonzero(initiates))
+        step_counts.append(counts)
         v_hat = machine.values[0].copy()
-        if not np.all(np.isfinite(v_hat)):
-            raise NumericFailure(outer, "consensus average")
-        run.v_hats.append(v_hat)
-        run.initiated_counts.append(int(np.sum(machine.inst == outer)))
+        v_hats.append(v_hat)
+        initiated_counts.append(int(np.sum(machine.inst == outer)))
+        eps_norms.append(float(np.linalg.norm(p * v_hat - sum(grads, np.zeros(n)))))
+        return v_hat
 
-        eps = p * v_hat - sum(grads, np.zeros(n))
-        trace.eps_norms.append(float(np.linalg.norm(eps)))
+    rule, bound = None, 0.0  # without a reference, agent 0 stops on its step size
+    if reference is not None:
+        bound = stop.tol * max(float(np.linalg.norm(reference)), 1e-300)
 
-        x_next = hard_threshold(x1 - v_hat / l_tv, k)
-        trace.step_deltas.append(float(np.linalg.norm(x1 - x_next) ** 2))
-        step_denom = max(1.0, float(np.linalg.norm(x1)))
-        x1 = x_next
-        estimates[0] = x1.copy()
-        if keep_iterates:
-            trace.iterates.append(x1.copy())
-        else:
-            trace.iterates[-1] = x1.copy()
-
-        err = None
-        if reference is not None:
-            err = float(np.linalg.norm(x1 - reference))
-            trace.errors_vs_truth.append(err)
-            if (run.agent1_converged_at is None and stop.tol > 0
-                    and err <= stop.tol * max(ref_norm, 1e-300)):
-                run.agent1_converged_at = outer + 1
-                trace.converged_at = outer + 1
-        metrics.snapshot(outer + 1, float("nan") if err is None else err,
-                         extra={"outer_iter": outer, "s_k": s_k,
-                                "eps_norm_sq": trace.eps_norms[-1] ** 2,
-                                "initiated_count": run.initiated_counts[-1]})
-
-        if reference is not None:
-            # agents of one instance share their estimate array
-            distinct = {id(e): e for e in estimates}.values()
+        def rule(x, x_prev):
+            # every agent within the tolerance: agent 0 holds x, the others
+            # the iterate they last joined
+            distinct = {id(e): e for e in [x] + estimates[1:]}.values()
             worst = max(float(np.linalg.norm(e - reference)) for e in distinct)
-            run.worst_errors.append(worst)
-            if stop.tol > 0 and worst <= stop.tol * max(ref_norm, 1e-300):
-                run.global_converged_at = outer + 1
-                run.global_converged_rounds = metrics.time_steps
-                break
-        elif stop.tol > 0:
-            if np.sqrt(trace.step_deltas[-1]) / step_denom <= stop.tol:
-                trace.converged_at = outer + 1
-                break
-    run.per_agent_last_iter = machine.inst.tolist()
-    run.final_estimates = [e.copy() for e in estimates]
-    return run
+            if x_prev is not None:  # one record per outer iteration
+                worst_errors.append(worst)
+            return stop.tol > 0 and worst <= bound
+
+    trace = _run(gradient, None, reference, config, None, keep_iterates, rule)
+    trace.eps_norms = eps_norms
+
+    # a vector costs N values and N broadcasts per sender, an INITIATE 2K;
+    # outer iteration k takes s_k time steps
+    sends, senders, initiates, initiators = np.reshape(
+        [c.sum(axis=0) for c in step_counts], (-1, 4)).T
+    costs = np.column_stack([n * sends + 2 * k * initiates, sends + initiates,
+                             n * senders + 2 * k * initiators, s_schedule])
+    metrics = Metrics.from_costs(
+        trace.errors_vs_truth[1:] or None, costs,
+        extra={"outer_iter": np.arange(len(s_schedule)), "s_k": s_schedule,
+               "eps_norm_sq": [e ** 2 for e in eps_norms],  # as Python squares them
+               "initiated_count": initiated_counts})
+    return CbDihtRun(
+        agent1_trace=trace, per_agent_last_iter=machine.inst.tolist(), metrics=metrics,
+        s_schedule=s_schedule, v_hats=v_hats, problem=problem, l_tv=l_tv, k_sparsity=k,
+        agent1_converged_at=next((i for i, e in enumerate(trace.errors_vs_truth)
+                                  if stop.tol > 0 and e <= bound), None),
+        global_converged_at=trace.converged_at if reference is not None else None,
+        initiated_counts=initiated_counts, worst_errors=worst_errors,
+        final_estimates=[e.copy() for e in [trace.final] + estimates[1:]])
 
 
 def epsilon_series(run: CbDihtRun) -> np.ndarray:

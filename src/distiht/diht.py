@@ -8,7 +8,7 @@ broadcasts, and synchronous time steps are counted exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -22,27 +22,58 @@ from .model import loss_gradient  # noqa: F401  rebound by perfbench's traced pa
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
 
-@dataclass
+METRICS_COLUMNS = ["iter", "err", "values_cum", "messages_cum",
+                   "broadcasts_cum", "time_steps_cum"]
+
+
+@dataclass(eq=False)
 class Metrics:
-    """Cumulative traffic and time accounting for one simulated run."""
+    """Traffic and time accounting for one simulated run: the four totals,
+    and one array per column with an entry per recorded iteration (the
+    METRICS_COLUMNS, then any extra columns).  Equality compares values."""
 
     values_sent: int = 0
     messages_sent: int = 0
     broadcasts: int = 0
     time_steps: int = 0
-    per_iteration: list = field(default_factory=list)  # cumulative snapshots
+    columns: dict = field(default_factory=dict)  # name -> 1-D array
 
-    def snapshot(self, iteration: int, err: float, extra: Optional[dict] = None):
-        row = {"iter": iteration, "err": err, "values_cum": self.values_sent,
-               "messages_cum": self.messages_sent, "broadcasts_cum": self.broadcasts,
-               "time_steps_cum": self.time_steps}
-        if extra:
-            row.update(extra)
-        self.per_iteration.append(row)
+    @classmethod
+    def from_costs(cls, errors, costs, start=(0, 0, 0, 0), extra=None) -> "Metrics":
+        """The accounting kernel: the error after each iteration (None: not
+        measured) and a (T, 4) array of what each iteration cost (values,
+        messages, broadcasts, time steps) on top of what `start` spent."""
+        costs = np.asarray(costs, dtype=np.int64).reshape(-1, 4)
+        cum = np.cumsum(np.vstack([start, costs]), axis=0)
+        t = len(costs)
+        columns = {"iter": np.arange(1, t + 1),
+                   "err": np.full(t, np.nan) if errors is None
+                   else np.asarray(errors, dtype=float)}
+        columns.update(zip(METRICS_COLUMNS[2:], cum[1:].T))
+        columns.update((name, np.asarray(v)) for name, v in (extra or {}).items())
+        return cls(*cum[-1].tolist(), columns=columns)
 
+    @property
+    def totals(self) -> tuple:
+        return (self.values_sent, self.messages_sent, self.broadcasts, self.time_steps)
 
-METRICS_COLUMNS = ["iter", "err", "values_cum", "messages_cum",
-                   "broadcasts_cum", "time_steps_cum"]
+    @property
+    def per_iteration(self) -> list:
+        """The columns as one dict of plain Python scalars per row (a copy)."""
+        rows = zip(*(c.tolist() for c in self.columns.values()))
+        return [dict(zip(self.columns, row)) for row in rows]
+
+    def thin(self, every: int) -> "Metrics":
+        """The same run with only every `every`-th row and the last kept."""
+        keep = self.columns["iter"] % every == 0
+        keep[-1:] = True
+        return replace(self, columns={name: c[keep] for name, c in self.columns.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, Metrics) and self.totals == other.totals
+                and list(self.columns) == list(other.columns)
+                and all(np.array_equal(c, other.columns[name], equal_nan=True)
+                        for name, c in self.columns.items()))
 
 
 def write_metrics_csv(metrics: Metrics, path: str, extra_columns=()) -> None:
@@ -50,11 +81,9 @@ def write_metrics_csv(metrics: Metrics, path: str, extra_columns=()) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in metrics.per_iteration:
-            cells = []
-            for c in cols:
-                v = row.get(c, "")
-                cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-            fh.write(",".join(cells) + "\n")
+            cells = (row.get(c, "") for c in cols)
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in cells) + "\n")
 
 
 @dataclass
@@ -96,18 +125,12 @@ def _path_delay(tree: SpanningTree, delays) -> int:
     """Worst root-to-vertex delay; equals the tree height under unit delays."""
     if delays is None:
         return tree.height
-    best = 0
     dist = [0] * tree.p
-    # accumulate along BFS order so parents are resolved first
-    order = sorted(range(tree.p), key=lambda v: tree.depth[v])
-    for v in order:
+    for v in sorted(range(tree.p), key=tree.depth.__getitem__):  # parents first
         u = tree.parent[v]
-        if u is None:
-            continue
-        e = (min(u, v), max(u, v))
-        dist[v] = dist[u] + int(delays.get(e, 1))
-        best = max(best, dist[v])
-    return best
+        if u is not None:
+            dist[v] = dist[u] + int(delays.get((min(u, v), max(u, v)), 1))
+    return max(dist)
 
 
 def convergecast_sum(tree: SpanningTree, per_agent_vectors) -> tuple:
@@ -117,12 +140,7 @@ def convergecast_sum(tree: SpanningTree, per_agent_vectors) -> tuple:
         raise ValueError("need exactly one vector per agent")
     n = vectors[0].shape[0]
     total = _tree_sum(tree, vectors)
-    delta = Metrics()
-    delta.values_sent = (tree.p - 1) * n
-    delta.messages_sent = tree.p - 1
-    delta.broadcasts = (tree.p - 1) * n
-    delta.time_steps = tree.height
-    return total, delta
+    return total, Metrics((tree.p - 1) * n, tree.p - 1, (tree.p - 1) * n, tree.height)
 
 
 def aggregate_lipschitz(tree: SpanningTree, per_agent_lipschitz) -> tuple:
@@ -135,13 +153,9 @@ def aggregate_lipschitz(tree: SpanningTree, per_agent_lipschitz) -> tuple:
     if len(vals) != tree.p:
         raise ValueError("need exactly one constant per agent")
     total = float(_tree_sum(tree, [np.array([v]) for v in vals])[0])
-    delta = Metrics()
-    delta.values_sent = 2 * (tree.p - 1)
-    delta.messages_sent = 2 * (tree.p - 1)
     nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
-    delta.broadcasts = nonleaf + (tree.p - 1)
-    delta.time_steps = 2 * tree.height
-    return total, delta
+    return total, Metrics(2 * (tree.p - 1), 2 * (tree.p - 1), nonleaf + (tree.p - 1),
+                          2 * tree.height)
 
 
 @dataclass
@@ -211,19 +225,13 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     trace = _run(gradient, None, stop.reference_vector(problem), config, None,
                  keep_iterates=keep_iterates)
 
-    metrics = Metrics()
-    metrics.messages_sent += tree.build_messages  # construction, control only
     nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
-    down_values = (problem.p - 1) * 2 * k
     up_values = (problem.p - 1) * problem.n
-    iter_time = 2 * _path_delay(tree, delays)
-    errors = trace.errors_vs_truth
-    for it in range(1, len(trace.step_deltas) + 1):
-        metrics.values_sent += down_values + up_values
-        metrics.messages_sent += 2 * (problem.p - 1)
-        metrics.broadcasts += 2 * k * nonleaf + up_values
-        metrics.time_steps += iter_time
-        metrics.snapshot(it, errors[it] if errors else float("nan"))
+    cost = ((problem.p - 1) * 2 * k + up_values, 2 * (problem.p - 1),
+            2 * k * nonleaf + up_values, 2 * _path_delay(tree, delays))
+    metrics = Metrics.from_costs(trace.errors_vs_truth[1:] or None,
+                                 [cost] * len(trace.step_deltas),
+                                 start=(0, tree.build_messages, 0, 0))  # the tree build
 
     return DihtRun(tree=tree, agent_estimates=list(estimates), metrics=metrics,
                    trace=trace, coherence=coherence, l=l)

@@ -17,13 +17,13 @@ import numpy as np
 
 from . import cbdiht as cbdiht_mod
 from . import subgradient as subgrad_mod
-from .diht import (Metrics, StopRule, default_step_constant, run_diht,
-                   write_metrics_csv)
+from .diht import (METRICS_COLUMNS, Metrics, StopRule, default_step_constant,
+                   run_diht, write_metrics_csv)
 from .graphs import (AssumptionViolation, Graph, gen_barabasi_albert,
                      gen_erdos_renyi, gen_geometric, gen_tv_schedule,
                      static_schedule)
 from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht
-from .model import Problem, generate_problem
+from .model import Problem, check_problem_args, generate_problem
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
 CONFIG_SCHEMA_VERSION = 1
@@ -68,7 +68,7 @@ class ExperimentConfig:
     p: int = 10
     noise_std: float = 0.0
     spectral_cap: float = 0.99
-    ensemble: str = "gaussian"
+    ensemble: str = "tight-frame"
     problem_seeds: list = field(default_factory=lambda: [0])
     graphs: list = field(default_factory=lambda: [GraphSpec("er", 0.25)])
     graph_seeds: list = field(default_factory=lambda: [0])
@@ -122,8 +122,9 @@ CONFIG_FIELDS = {("problem", "seeds"): "problem_seeds",
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse an INI experiment config.  Malformed text and unknown sections,
-    keys and algorithm names raise a one-line ValueError that names them."""
+    """Parse an INI experiment config.  Malformed text, unknown sections,
+    keys and algorithm names, and a [problem] that cannot be built raise a
+    one-line ValueError that names them."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -146,6 +147,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}")
+    check_problem_args(cfg.n, cfg.m, cfg.k, cfg.p, cfg.spectral_cap, cfg.ensemble)
     return cfg
 
 
@@ -183,18 +185,15 @@ class Report:
             groups.setdefault((c.graph, c.algorithm, c.accuracy), []).append(c)
         rows = []
         for (graph, algo, acc), cells in sorted(groups.items()):
+            row = {"graph": graph, "algorithm": algo, "accuracy": acc,
+                   "values": float("nan"), "time_steps": float("nan"),
+                   "converged_fraction": 0.0}
             ok = [c for c in cells if not c.error]
-            if not ok:
-                rows.append({"graph": graph, "algorithm": algo, "accuracy": acc,
-                             "values": float("nan"), "time_steps": float("nan"),
-                             "converged_fraction": 0.0})
-                continue
-            rows.append({
-                "graph": graph, "algorithm": algo, "accuracy": acc,
-                "values": float(np.mean([c.values for c in ok])),
-                "time_steps": float(np.mean([c.time_steps for c in ok])),
-                "converged_fraction": sum(c.converged for c in ok) / len(ok),
-            })
+            if ok:
+                row.update(values=float(np.mean([c.values for c in ok])),
+                           time_steps=float(np.mean([c.time_steps for c in ok])),
+                           converged_fraction=sum(c.converged for c in ok) / len(ok))
+            rows.append(row)
         return rows
 
 
@@ -215,19 +214,17 @@ class RunResult:
 def _result(problem: Problem, cfg: ExperimentConfig, metrics: Metrics, errors,
             converged_at, extra_columns=(), trace=None) -> RunResult:
     """Crossings of `errors`, the error after each iteration, one per metrics row."""
-    spent = (len(errors), metrics.values_sent, metrics.messages_sent,
-             metrics.broadcasts, metrics.time_steps)
-    ref_norm = float(np.linalg.norm(problem.x_star))
-    crossings = {}
-    for acc in cfg.accuracies:
-        if converged_at == 0:  # the start met the tightest target, so every one
-            crossings[acc] = spent
-            continue
-        hit = next((i for i, e in enumerate(errors) if e <= acc * ref_norm), None)
-        if hit is not None:
-            row = metrics.per_iteration[hit]
-            crossings[acc] = (row["iter"], row["values_cum"], row["messages_cum"],
-                              row["broadcasts_cum"], row["time_steps_cum"])
+    spent = (len(errors), *metrics.totals)
+    if converged_at == 0:  # the start met the tightest target, so every one
+        crossings = dict.fromkeys(cfg.accuracies, spent)
+    else:
+        # an error first reaches a target where its running minimum does
+        best = np.minimum.accumulate(np.nan_to_num(errors, nan=np.inf))
+        targets = np.asarray(cfg.accuracies) * float(np.linalg.norm(problem.x_star))
+        hits = np.searchsorted(-best, -targets)
+        counters = [metrics.columns[c] for c in METRICS_COLUMNS if c != "err"]
+        crossings = {acc: tuple(int(col[hit]) for col in counters)
+                     for acc, hit in zip(cfg.accuracies, hits) if hit < len(best)}
     return RunResult(metrics, crossings, spent, converged_at, extra_columns, trace)
 
 
@@ -243,9 +240,7 @@ def _run_iht(problem, graph, schedule, cfg) -> RunResult:
     trace = run_iht(lambda x: 2.0 * (a.T @ (a @ x - b)), problem.x_star, config,
                     keep_iterates=False)
     errors = trace.errors_vs_truth[1:]  # error after each iteration
-    metrics = Metrics()  # centralized: nothing is sent
-    for i, e in enumerate(errors):
-        metrics.snapshot(i + 1, e)
+    metrics = Metrics.from_costs(errors, np.zeros((len(errors), 4)))  # nothing is sent
     return _result(problem, cfg, metrics, errors, trace.converged_at, trace=trace)
 
 
@@ -271,14 +266,11 @@ def _run_subgrad(problem, graph, schedule, cfg) -> RunResult:
                                        max_iters=cfg.max_iters,
                                        tol=min(cfg.accuracies))
     trace, metrics = subgrad_mod.run_subgradient(
-        problem, schedule if schedule is not None else graph, config,
-        accuracies=cfg.accuracies, record_every=max(1, cfg.max_iters // 2000))
-    crossings = {acc: (c["iterations"], c["values"], c["messages"],
-                       c["broadcasts"], c["time_steps"])
-                 for acc, c in trace.crossings.items()}
-    spent = (len(trace.worst_errors), metrics.values_sent, metrics.messages_sent,
-             metrics.broadcasts, metrics.time_steps)
-    return RunResult(metrics, crossings, spent, trace.converged_at)
+        problem, schedule if schedule is not None else graph, config)
+    result = _result(problem, cfg, metrics, trace.worst_errors, trace.converged_at)
+    # a long budget writes a curve of 2,000 to 4,000 rows, ending at the stop
+    result.metrics = metrics.thin(max(1, cfg.max_iters // 2000))
+    return result
 
 
 # name -> runner(problem, graph, schedule or None, cfg) -> RunResult
@@ -382,17 +374,13 @@ def write_report(report: Report, out_dir: str) -> list:
     with open(path, "w") as fh:
         header = ["graph"] + [f"{a}@{acc:g}" for a, acc in combos]
         fh.write(",".join(header) + "\n")
+        by_key = {(r["graph"], r["algorithm"], r["accuracy"]): r for r in rows}
         for g in graphs:
             cells = [g]
             for a, acc in combos:
-                match = [r for r in rows if r["graph"] == g
-                         and r["algorithm"] == a and r["accuracy"] == acc]
-                if not match:
-                    cells.append("")
-                else:
-                    r = match[0]
-                    prefix = "" if r["converged_fraction"] == 1.0 else ">"
-                    cells.append(f"{prefix}{r['values']:.6g}")
+                r = by_key.get((g, a, acc))
+                prefix = "" if r is None or r["converged_fraction"] == 1.0 else ">"
+                cells.append("" if r is None else f"{prefix}{r['values']:.6g}")
             fh.write(",".join(cells) + "\n")
     written.append(path)
 

@@ -83,13 +83,37 @@ class IhtTrace:
         return self.iterates[-1]
 
 
+def truth_stop(reference: np.ndarray, tol: float):
+    """Stop once the iterate is within tol of the reference, relative to its norm."""
+    bound = tol * max(float(np.linalg.norm(reference)), 1e-300)
+    return lambda x, x_prev: float(np.linalg.norm(x - reference)) <= bound
+
+
+def self_stop(tol: float):
+    """Stop once a step, taken as the root of its square as step_deltas holds
+    it, is within tol of the previous iterate's norm (at least 1)."""
+    return lambda x, x_prev: x_prev is not None and (
+        np.sqrt(float(np.linalg.norm(x_prev - x) ** 2))
+        / max(1.0, float(np.linalg.norm(x_prev))) <= tol)
+
+
+def stop_rule(reference: Optional[np.ndarray], tol: float):
+    """truth_stop with a reference, else self_stop; never when tol <= 0."""
+    if tol <= 0:
+        return lambda x, x_prev: False
+    return self_stop(tol) if reference is None else truth_stop(reference, tol)
+
+
 def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
-         keep_iterates: bool = True) -> IhtTrace:
+         keep_iterates: bool = True, stop=None) -> IhtTrace:
+    """IHT's loop x <- T_k(x - g/l), g = grad_fn(x) (+ injector(k)), until
+    stop(x, x_prev) holds (asked at the start with x_prev None, then after
+    every step; by default stop_rule(x_star, config.tol)) or the budget ends."""
     if config.x_init is None:
         raise ValueError("config.x_init is required to size the run")
+    stop = stop or stop_rule(x_star, config.tol)
     x = config.x_init.copy()
     trace = IhtTrace()
-    x_star_norm = np.linalg.norm(x_star) if x_star is not None else None
 
     def record(xk):
         if keep_iterates or not trace.iterates:
@@ -101,19 +125,8 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
         if loss_fn is not None:
             trace.f_values.append(float(loss_fn(xk)))
 
-    def converged(x_prev) -> bool:
-        if config.tol <= 0:
-            return False
-        if x_star is not None:
-            return trace.errors_vs_truth[-1] <= config.tol * max(x_star_norm, 1e-300)
-        # reference-free stop on the relative iterate change
-        if x_prev is None:
-            return False
-        step = np.sqrt(trace.step_deltas[-1])
-        return step / max(1.0, float(np.linalg.norm(x_prev))) <= config.tol
-
     record(x)
-    if converged(None):
+    if stop(x, None):
         trace.converged_at = 0
         return trace
     for k in range(config.max_iters):
@@ -130,7 +143,7 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
         trace.step_deltas.append(float(np.linalg.norm(x - x_next) ** 2))
         record(x_next)
         x_prev, x = x, x_next
-        if converged(x_prev):
+        if stop(x, x_prev):
             trace.converged_at = k + 1
             break
     return trace
@@ -177,14 +190,9 @@ def is_l_stationary(grad_fn, x: np.ndarray, l: float, k: int,
     g = np.asarray(grad_fn(x), dtype=float)
     mags = np.sort(np.abs(x))[::-1]
     m_k = float(mags[k - 1]) if k >= 1 else 0.0
-    violations = []
-    for i in range(x.size):
-        if x[i] != 0.0:
-            bound = tol
-        else:
-            bound = l * m_k + tol
-        if abs(g[i]) > bound:
-            violations.append((i, float(abs(g[i])), bound))
+    bounds = np.where(x != 0.0, tol, l * m_k + tol)
+    violations = [(int(i), float(abs(g[i])), float(bounds[i]))
+                  for i in np.flatnonzero(np.abs(g) > bounds)]
     return StationarityReport(ok=not violations, m_k=m_k, violations=violations)
 
 

@@ -177,6 +177,21 @@ def _row_counts(m: int, p: int) -> list[int]:
     return [base] * (p - extra) + [base + 1] * extra
 
 
+def check_problem_args(n: int, m: int, k: int, p: int, spectral_cap: float,
+                       ensemble: str) -> None:
+    """Raise ValueError unless generate_problem can build this instance."""
+    if k < 0 or k > n:
+        raise ValueError(f"sparsity k = {k} must lie in [0, n = {n}]")
+    if m < 1 or p < 1 or p > m:
+        raise ValueError(f"need at least one measurement row per agent, m = {m}, p = {p}")
+    if spectral_cap <= 0:
+        raise ValueError("spectral_cap must be positive")
+    if ensemble not in ("gaussian", "tight-frame"):
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    if ensemble == "tight-frame" and m > n:
+        raise ValueError(f"tight-frame ensemble needs m <= n (m = {m}, n = {n})")
+
+
 def generate_problem(n: int, m: int, k: int, p: int, noise_std: float = 0.0,
                      spectral_cap: float = 0.99, seed: int = 0,
                      ensemble: str = "gaussian") -> Problem:
@@ -194,24 +209,14 @@ def generate_problem(n: int, m: int, k: int, p: int, noise_std: float = 0.0,
         which flattens the nonzero spectrum and is the well-conditioned
         choice for near-isometry-dependent recovery tests.
     """
-    if k > n:
-        raise ValueError("sparsity k exceeds the signal dimension")
-    if m < 1 or p < 1 or p > m:
-        raise ValueError("need at least one measurement row per agent")
-    if spectral_cap <= 0:
-        raise ValueError("spectral_cap must be positive")
-
+    check_problem_args(n, m, k, p, spectral_cap, ensemble)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     if ensemble == "tight-frame":
-        if m > n:
-            raise ValueError("tight-frame ensemble needs m <= n")
         a = np.linalg.qr(a.T)[0].T  # orthonormal rows
         a = spectral_cap * a
-    elif ensemble == "gaussian":
-        a = a * (spectral_cap / spectral_norm(a))
     else:
-        raise ValueError(f"unknown ensemble {ensemble!r}")
+        a = a * (spectral_cap / spectral_norm(a))
 
     x_star = np.zeros(n)
     support = rng.choice(n, size=k, replace=False)

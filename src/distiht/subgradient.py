@@ -61,21 +61,19 @@ class SubgradTrace:
     worst_errors: list = field(default_factory=list)  # max over agents, per iter
     converged_at: Optional[int] = None
     estimates: Optional[np.ndarray] = None  # final (p, n) stack
-    crossings: dict = field(default_factory=dict)  # accuracy -> counters
 
 
 def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule],
                     config: Optional[SubgradConfig] = None,
-                    reference: Optional[np.ndarray] = None,
-                    accuracies=(), record_every: int = 1) -> tuple:
+                    reference: Optional[np.ndarray] = None) -> tuple:
     """Run the baseline; returns (SubgradTrace, Metrics).
 
     Convergence is declared when every agent's estimate is within tol of the
     reference (the ground truth unless overridden), relative to its norm.
     Every iteration each agent ships its full estimate to all neighbors
-    present that step, which dominates the value count.  For long budgets,
-    per-iteration metric rows can be thinned with record_every while the
-    first crossing of each requested accuracy is still captured exactly.
+    present that step, which dominates the value count.  The traffic of an
+    iteration depends only on its step of the period, so the counters are
+    filled in after the run from one row per period step.
     """
     config = config or SubgradConfig()
     schedule = (static_schedule(graph_or_schedule)
@@ -95,19 +93,20 @@ def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule
         proj_stack = np.stack([pr._aT_gram_inv for pr in projectors])
     x = np.zeros((p, n))
     trace = SubgradTrace()
-    metrics = Metrics()
 
-    weights_cache = {}
+    weights = {}  # period step -> Metropolis weights
+    costs = np.zeros((schedule.period, 4), dtype=np.int64)  # per period step
     for t in range(config.max_iters):
-        links = schedule.edges_at(t)
         key = t % schedule.period
-        if key not in weights_cache:
-            touched = {v for e in links for v in e}
-            weights_cache[key] = (metropolis_weights(links, p), 2 * len(links),
-                                  len(touched))
-        w, deg_sum, sender_count = weights_cache[key]
+        if key not in weights:
+            links = schedule.edges_at(t)
+            weights[key] = metropolis_weights(links, p).w
+            # an estimate crosses every link both ways: N values and one
+            # message per direction, N broadcasts per agent with a link
+            senders = len({v for e in links for v in e})
+            costs[key] = (2 * len(links) * n, 2 * len(links), senders * n, 1)
 
-        u = w.w @ x
+        u = weights[key] @ x
         alpha = (t + 1.0) ** (-config.step_exponent)
         y = u - alpha * np.sign(x)
         if uniform:
@@ -117,27 +116,13 @@ def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule
             for q in range(p):
                 x[q] = projectors[q](y[q])
 
-        metrics.values_sent += deg_sum * n
-        metrics.messages_sent += deg_sum
-        metrics.broadcasts += sender_count * n
-        metrics.time_steps += 1
-
         diffs = x - ref
         worst = float(np.sqrt((diffs * diffs).sum(axis=1).max()))
         trace.worst_errors.append(worst)
-        for acc in accuracies:
-            if acc not in trace.crossings and worst <= acc * ref_norm:
-                trace.crossings[acc] = {
-                    "iterations": t + 1, "values": metrics.values_sent,
-                    "messages": metrics.messages_sent,
-                    "broadcasts": metrics.broadcasts,
-                    "time_steps": metrics.time_steps}
-        done = worst <= config.tol * ref_norm
-        if done or (t + 1) % record_every == 0 or t + 1 == config.max_iters:
-            metrics.snapshot(t + 1, worst)
-        if done:
+        if worst <= config.tol * ref_norm:
             trace.converged_at = t + 1
             break
 
     trace.estimates = x
-    return trace, metrics
+    steps = np.arange(len(trace.worst_errors)) % schedule.period
+    return trace, Metrics.from_costs(trace.worst_errors, costs[steps])

@@ -245,8 +245,7 @@ def test_criterion_9_bandwidth_trend_vs_subgradient():
         schedule = gen_tv_schedule(graph, 10, seed=4)
         cb = run_cbdiht(prob, schedule, stop=StopRule(tol=1e-2, max_iters=500))
         sub_cfg = SubgradConfig(step_exponent=0.8, max_iters=300_000, tol=1e-2)
-        sub, sub_metrics = run_subgradient(prob, schedule, sub_cfg,
-                                           record_every=10_000)
+        sub, sub_metrics = run_subgradient(prob, schedule, sub_cfg)
         converged = (cb.global_converged_at is not None
                      and sub.converged_at is not None)
         ratio_rounds = sub_metrics.time_steps / max(cb.metrics.time_steps, 1)

@@ -6,7 +6,7 @@ from distiht.cbdiht import (consensus_steps, default_l_tv, epsilon_series,
 from distiht.diht import StopRule
 from distiht.graphs import (AssumptionViolation, Graph, TvSchedule,
                             gen_erdos_renyi, gen_tv_schedule, static_schedule)
-from distiht.iht import IhtConfig, hard_threshold, run_iht
+from distiht.iht import IhtConfig, NumericFailure, hard_threshold, run_iht
 from distiht.model import (generate_problem, lipschitz_of_slice,
                            loss_gradient, loss_info)
 
@@ -169,6 +169,29 @@ class TestRunCbdiht:
         with pytest.warns(RuntimeWarning):
             run_cbdiht(prob, sched, l_tv=1e-9,
                        stop=StopRule(tol=0, max_iters=1))
+
+    def test_start_within_tolerance_stops_at_zero_iterations(self):
+        prob = desk_problem(22)
+        sched = gen_tv_schedule(gen_erdos_renyi(6, 0.6, 3), 4, seed=4)
+        run = run_cbdiht(prob, sched, stop=StopRule(tol=1e-2, max_iters=50),
+                         x_init=prob.x_star)
+        assert run.global_converged_at == 0 == run.agent1_trace.converged_at
+        assert run.agent1_converged_at == 0
+        assert run.s_schedule == [] and run.v_hats == [] and run.worst_errors == []
+        assert run.metrics.totals == (0, 0, 0, 0) and run.metrics.per_iteration == []
+        assert all(np.array_equal(e, prob.x_star) for e in run.final_estimates)
+
+    def test_zero_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            run_cbdiht(desk_problem(23), static_schedule(complete_graph(6)),
+                       stop=StopRule(max_iters=0))
+
+    def test_non_finite_consensus_average_names_the_gradient(self):
+        prob = desk_problem(24)
+        prob.slices[0].b[0] = np.nan
+        with pytest.raises(NumericFailure, match="non-finite gradient at iteration 0"):
+            run_cbdiht(prob, static_schedule(complete_graph(6)),
+                       stop=StopRule(max_iters=5))
 
     def test_default_l_tv_satisfies_theorem_bound(self):
         prob = desk_problem(21)

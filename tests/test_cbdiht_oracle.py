@@ -6,17 +6,36 @@ and counts sends agent by agent.  Both must agree exactly on every counter,
 schedule, record and estimate.
 """
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from distiht.cbdiht import CbDihtRun, consensus_steps, default_l_tv, run_cbdiht
-from distiht.diht import Metrics, StopRule
+from distiht.diht import StopRule
 from distiht.graphs import Graph, TvSchedule, validate_connectivity_window
 from distiht.iht import IhtTrace, NumericFailure, hard_threshold
 from distiht.model import Problem, generate_problem, loss_gradient, loss_info
+
+
+@dataclass
+class Metrics:
+    """Cumulative traffic and time accounting for one simulated run."""
+
+    values_sent: int = 0
+    messages_sent: int = 0
+    broadcasts: int = 0
+    time_steps: int = 0
+    per_iteration: list = field(default_factory=list)  # cumulative snapshots
+
+    def snapshot(self, iteration: int, err: float, extra: Optional[dict] = None):
+        row = {"iter": iteration, "err": err, "values_cum": self.values_sent,
+               "messages_cum": self.messages_sent, "broadcasts_cum": self.broadcasts,
+               "time_steps_cum": self.time_steps}
+        if extra:
+            row.update(extra)
+        self.per_iteration.append(row)
 
 
 @dataclass
@@ -252,3 +271,22 @@ def test_matches_reference_with_stale_instances():
     fast = run_cbdiht(prob, sched, **kwargs)
     assert_runs_equal(fast, reference_run_cbdiht(prob, sched, **kwargs))
     assert min(fast.per_agent_last_iter) < fast.per_agent_last_iter[0] - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(2, 6), seed=st.integers(0, 10 ** 6),
+       count=st.integers(1, 4), steps=st.sampled_from([None, 1, 3]),
+       tol=st.sampled_from([0.0, 1e-3]), max_iters=st.integers(1, 10))
+def test_metrics_rows_match_reference_loop(p, seed, count, steps, tol, max_iters):
+    # the curve files are written from these rows
+    prob = generate_problem(40, 4 * p, 3, p, seed=seed, ensemble="tight-frame")
+    sched = random_schedule(p, seed, count, 0.5)
+    s_fn = None if steps is None else (lambda k, x: steps)
+    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters), s_fn=s_fn,
+                  validate_schedule=False, keep_iterates=False)
+    fast = run_cbdiht(prob, sched, **kwargs)
+    slow = reference_run_cbdiht(prob, sched, **kwargs)
+    assert fast.metrics.per_iteration == slow.metrics.per_iteration
+    assert fast.agent1_trace.step_deltas == slow.agent1_trace.step_deltas
+    assert fast.agent1_trace.errors_vs_truth == slow.agent1_trace.errors_vs_truth
+    assert np.array_equal(fast.agent1_trace.final, slow.agent1_trace.final)

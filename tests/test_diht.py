@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from distiht.diht import (StopRule, aggregate_lipschitz, convergecast_sum,
+from distiht.diht import (Metrics, StopRule, aggregate_lipschitz, convergecast_sum,
                           distributed_step_constant, run_diht,
                           write_metrics_csv)
 from distiht.graphs import (Graph, bfs_spanning_tree, gen_barabasi_albert,
@@ -175,3 +177,39 @@ def test_metrics_csv(tmp_path):
     assert len(lines) == 6
     last = lines[-1].split(",")
     assert int(last[2]) == run.metrics.values_sent
+
+
+class TestMetrics:
+    COSTS = [(3, 1, 2, 1), (3, 1, 2, 1)]
+
+    def build(self, errors=(0.5, 0.25), costs=COSTS, start=(0, 4, 0, 0)):
+        return Metrics.from_costs(errors, costs, start=start,
+                                  extra={"s_k": [1, 2], "eps_norm_sq": [0.1, 0.2]})
+
+    def test_equality_compares_values(self):
+        a = self.build()
+        assert a == self.build(errors=np.array([0.5, 0.25]), costs=np.array(self.COSTS))
+        assert a != self.build(errors=(0.5, 0.26))
+        assert a != self.build(start=(0, 0, 0, 0))
+        assert a != Metrics.from_costs((0.5, 0.25), self.COSTS, start=(0, 4, 0, 0))
+        assert self.build(errors=None) == self.build(errors=None)  # NaN errors
+        assert Metrics() == Metrics() and Metrics() != object()
+
+    def test_rows_hold_plain_python_scalars(self):
+        m = self.build()
+        rows = m.per_iteration
+        assert rows[1] == {"iter": 2, "err": 0.25, "values_cum": 6, "messages_cum": 6,
+                           "broadcasts_cum": 4, "time_steps_cum": 2, "s_k": 2,
+                           "eps_norm_sq": 0.2}
+        assert all(type(v) in (int, float) for row in rows for v in row.values())
+        assert json.loads(json.dumps(rows)) == rows
+        assert m.totals == (6, 6, 4, 2) and all(type(v) is int for v in m.totals)
+        rows[0]["iter"] = 99  # a copy: the columns stay as they were
+        assert m.per_iteration[0]["iter"] == 1
+
+    def test_thin_keeps_every_nth_row_and_the_last(self):
+        m = Metrics.from_costs(np.linspace(1.0, 0.0, 7), np.ones((7, 4)))
+        thin = m.thin(3)
+        assert [r["iter"] for r in thin.per_iteration] == [3, 6, 7]
+        assert thin.totals == m.totals == (7, 7, 7, 7)
+        assert m.thin(1) == m

@@ -14,17 +14,36 @@ constant, the stop index, every counter and the coherence agree exactly,
 and the tree sums agree bit for bit.
 """
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from distiht.diht import Metrics, StopRule, _path_delay, _tree_sum, run_diht
+from distiht.diht import StopRule, _path_delay, _tree_sum, run_diht
 from distiht.graphs import (Graph, SpanningTree, bfs_spanning_tree,
                             gen_barabasi_albert, gen_erdos_renyi, gen_geometric)
 from distiht.iht import IhtTrace, NumericFailure, hard_threshold
 from distiht.model import Problem, generate_problem, loss_gradient, loss_info
+
+
+@dataclass
+class Metrics:
+    """Cumulative traffic and time accounting for one simulated run."""
+
+    values_sent: int = 0
+    messages_sent: int = 0
+    broadcasts: int = 0
+    time_steps: int = 0
+    per_iteration: list = field(default_factory=list)  # cumulative snapshots
+
+    def snapshot(self, iteration: int, err: float, extra: Optional[dict] = None):
+        row = {"iter": iteration, "err": err, "values_cum": self.values_sent,
+               "messages_cum": self.messages_sent, "broadcasts_cum": self.broadcasts,
+               "time_steps_cum": self.time_steps}
+        if extra:
+            row.update(extra)
+        self.per_iteration.append(row)
 
 
 def _subtree_order(tree: SpanningTree) -> list:

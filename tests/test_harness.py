@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,7 +236,7 @@ class TestRegistry:
         assert [bool(c.error) for c in report.cells] == [True, True, False, False]
         assert "AssumptionViolation" in report.cells[0].error
 
-    @pytest.mark.parametrize("algorithm", ["iht", "diht"])
+    @pytest.mark.parametrize("algorithm", ["iht", "diht", "cbdiht"])
     def test_start_within_target_spends_zero_iterations(self, algorithm):
         cfg = parse_config_text(DESK_CONFIG)
         cfg.algorithms, cfg.accuracies = [algorithm], [1.0, 2.0]
@@ -320,3 +322,30 @@ class TestCliExperiment:
         assert cli(["experiment", str(cfg_path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and offender in err[0]
+
+    @pytest.mark.parametrize("change, offender", [
+        (("ensemble = tight-frame", "ensemble = foo"), "unknown ensemble 'foo'"),
+        (("k = 3", "k = 500"), "k = 500"),
+        (("p = 5", "p = 30"), "p = 30"),
+        (("n = 40", "n = 10"), "m <= n"),
+    ], ids=["ensemble", "k-above-n", "p-above-m", "tight-frame-m-above-n"])
+    def test_unbuildable_problem_exits_2(self, change, offender, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(DESK_CONFIG.replace(*change)
+                            + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli(["experiment", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and offender in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_unbuildable_problem_prints_no_traceback(self, tmp_path):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(DESK_CONFIG.replace("k = 3", "k = 500"))
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from distiht.cli import main; main()",
+             "experiment", str(cfg_path)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in proc.stderr and "k = 500" in proc.stderr
