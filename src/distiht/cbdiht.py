@@ -122,12 +122,10 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
         s_schedule.append(s_k)
 
         def join(q, a):
-            # q copies a's iterate and contributes its local gradient there
-            # from the next step on
+            # q copies a's iterate and from the next step on contributes its
+            # gradient at x (an older instance's rows never reach agent 0)
             estimates[q] = estimates[a]
-            if machine.inst[q] == outer:
-                return grads[q]
-            return loss_gradient(problem.slices[q], estimates[q])
+            return grads[q]
 
         # per step: vector sends, their senders, INITIATEs, their senders
         counts = np.zeros((s_k, 4), dtype=np.int64)

@@ -206,7 +206,7 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
 
     tree = bfs_spanning_tree(graph, root=0)
     x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
-    a, b = padded_slices(problem)
+    a, b = padded_slices(problem.slices)
     estimates = np.tile(x0, (problem.p, 1))  # row q: agent q's copy of the iterate
     coherence = []
 

@@ -256,9 +256,11 @@ def _run_cbdiht(problem, graph, schedule, cfg) -> RunResult:
     run = cbdiht_mod.run_cbdiht(
         problem, schedule if schedule is not None else static_schedule(graph),
         l_tv=cfg.l_tv, stop=_stop(cfg), keep_iterates=False)
+    # err is agent 0's error; the crossings are the worst agent's
+    run.metrics.columns["worst_err"] = np.asarray(run.worst_errors, dtype=float)
     return _result(problem, cfg, run.metrics, run.worst_errors,
                    run.global_converged_at,
-                   ("outer_iter", "s_k", "eps_norm_sq", "initiated_count"))
+                   ("worst_err", "outer_iter", "s_k", "eps_norm_sq", "initiated_count"))
 
 
 def _run_subgrad(problem, graph, schedule, cfg) -> RunResult:

@@ -145,16 +145,16 @@ def loss_info(problem: Problem) -> LossInfo:
     return LossInfo(lipschitz_p=per, lipschitz_global=stacked_lipschitz(problem))
 
 
-def padded_slices(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Every slice as one (p, m_max, n) stack of a and (p, m_max) stack of b.
+def padded_slices(slices: list[SensingSlice]) -> tuple[np.ndarray, np.ndarray]:
+    """The p slices as one (p, m_max, n) stack of a and (p, m_max) stack of b.
 
     Slices shorter than the longest are padded with zero rows, which add
     nothing to a gradient.
     """
-    m_max = max(s.m_p for s in problem.slices)
-    a = np.zeros((problem.p, m_max, problem.n))
-    b = np.zeros((problem.p, m_max))
-    for q, s in enumerate(problem.slices):
+    m_max = max(s.m_p for s in slices)
+    a = np.zeros((len(slices), m_max, slices[0].n))
+    b = np.zeros((len(slices), m_max))
+    for q, s in enumerate(slices):
         a[q, :s.m_p] = s.a
         b[q, :s.m_p] = s.b
     return a, b

@@ -15,7 +15,7 @@ import numpy as np
 from .consensus import metropolis_weights
 from .diht import Metrics
 from .graphs import Graph, TvSchedule, static_schedule
-from .model import Problem, SensingSlice
+from .model import Problem, SensingSlice, batched_gradients, loss_gradient, padded_slices
 
 
 @dataclass
@@ -35,7 +35,12 @@ class SubgradConfig:
 
 
 class AffineProjector:
-    """Projection onto {x : a x = b} with the small Gram factored once."""
+    """Projection onto {x : a x = b}, with a^T = Q R factored once.
+
+    The set is also {x : Q^T x = c} for c = R^-T b.  That orthonormal form
+    is held as a slice, and the projection x - Q (Q^T x - c) is x less half
+    the gradient of its loss.
+    """
 
     def __init__(self, sl: SensingSlice, agent: Optional[int] = None):
         gram = sl.a @ sl.a.T
@@ -43,12 +48,11 @@ class AffineProjector:
         if eigs[0] <= 0 or eigs[-1] / eigs[0] > 1e12:
             raise np.linalg.LinAlgError(
                 f"rank-deficient measurement rows at agent {agent}")
-        self._aT_gram_inv = sl.a.T @ np.linalg.inv(gram)
-        self._a = sl.a
-        self._b = sl.b
+        q, r = np.linalg.qr(sl.a.T)
+        self.orthonormal = SensingSlice(q.T, np.linalg.solve(r.T, sl.b))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return x - self._aT_gram_inv @ (self._a @ x - self._b)
+        return x - 0.5 * loss_gradient(self.orthonormal, x)
 
 
 def affine_projection(sl: SensingSlice, x: np.ndarray) -> np.ndarray:
@@ -84,37 +88,22 @@ def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule
     ref_norm = max(float(np.linalg.norm(ref)), 1e-300)
 
     p, n = problem.p, problem.n
-    projectors = [AffineProjector(problem.slices[q], agent=q) for q in range(p)]
-    # uniform slice shapes admit one batched projection per iteration
-    uniform = len({sl.m_p for sl in problem.slices}) == 1
-    if uniform:
-        a_stack = np.stack([sl.a for sl in problem.slices])
-        b_stack = np.stack([sl.b for sl in problem.slices])
-        proj_stack = np.stack([pr._aT_gram_inv for pr in projectors])
+    # every agent projects in one batch, through its slice's orthonormal form
+    q_stack, c_stack = padded_slices([AffineProjector(sl, agent=q).orthonormal
+                                      for q, sl in enumerate(problem.slices)])
+    weights = [metropolis_weights(links, p).w for links in schedule.subgraphs]
+    # per period step: an estimate crosses every link both ways, N values and
+    # one message per direction, N broadcasts per agent with a link
+    costs = np.array([(2 * len(links) * n, 2 * len(links),
+                       len({v for e in links for v in e}) * n, 1)
+                      for links in schedule.subgraphs], dtype=np.int64)
     x = np.zeros((p, n))
     trace = SubgradTrace()
 
-    weights = {}  # period step -> Metropolis weights
-    costs = np.zeros((schedule.period, 4), dtype=np.int64)  # per period step
     for t in range(config.max_iters):
-        key = t % schedule.period
-        if key not in weights:
-            links = schedule.edges_at(t)
-            weights[key] = metropolis_weights(links, p).w
-            # an estimate crosses every link both ways: N values and one
-            # message per direction, N broadcasts per agent with a link
-            senders = len({v for e in links for v in e})
-            costs[key] = (2 * len(links) * n, 2 * len(links), senders * n, 1)
-
-        u = weights[key] @ x
         alpha = (t + 1.0) ** (-config.step_exponent)
-        y = u - alpha * np.sign(x)
-        if uniform:
-            resid = np.einsum("pmn,pn->pm", a_stack, y) - b_stack
-            x = y - np.einsum("pnm,pm->pn", proj_stack, resid)
-        else:
-            for q in range(p):
-                x[q] = projectors[q](y[q])
+        y = weights[t % schedule.period] @ x - alpha * np.sign(x)
+        x = y - 0.5 * batched_gradients(q_stack, c_stack, y)
 
         diffs = x - ref
         worst = float(np.sqrt((diffs * diffs).sum(axis=1).max()))

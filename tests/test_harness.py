@@ -10,6 +10,7 @@ from distiht.cli import cli
 from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_config,
                              parse_config_text, parse_graph_token,
                              run_experiment, write_report)
+from distiht.model import generate_problem
 
 DESK_CONFIG = """
 [meta]
@@ -95,6 +96,21 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert all(c.error for c in report.cells)
         assert not any(c.converged for c in report.cells)
+
+    def test_cbdiht_crossings_read_back_from_the_curve(self):
+        cfg = parse_config_text(DESK_CONFIG)
+        cfg.algorithms, cfg.time_varying, cfg.subgraph_count = ["cbdiht"], True, 3
+        cfg.graph_seeds = [0, 1]
+        report = run_experiment(cfg)
+        norm = np.linalg.norm(generate_problem(cfg.n, cfg.m, cfg.k, cfg.p, cfg.noise_std,
+                                               cfg.spectral_cap, 0, cfg.ensemble).x_star)
+        converged = [c for c in report.cells if c.converged]
+        assert len(converged) == len(report.cells) == 4
+        for c in converged:
+            curve = report.curves[f"er0.5-g{c.graph_seed}-p0-cbdiht"][0].columns
+            first = np.flatnonzero(curve["worst_err"] <= c.accuracy * norm)[0]
+            assert curve["iter"][first] == c.iterations
+            assert curve["values_cum"][first] == c.values
 
     def test_budget_cells_report_spent_counts(self):
         cfg = parse_config_text(DESK_CONFIG)

@@ -239,7 +239,7 @@ def test_batched_gradients_match_each_slice(case, tmp_path):
     else:
         prob = generate_problem(40, 20, 3, 5 if case == "uniform" else 1,
                                 noise_std=0.1, seed=13)
-    a, b = padded_slices(prob)
+    a, b = padded_slices(prob.slices)
     assert a.shape == (prob.p, max(s.m_p for s in prob.slices), prob.n)
     xs = np.random.default_rng(15).standard_normal((prob.p, prob.n))
     got = batched_gradients(a, b, xs)

@@ -84,13 +84,15 @@ class TestRunSubgradient:
         np.testing.assert_array_equal(trace.estimates, np.zeros((2, 12)))
 
     def test_feasibility_after_every_checkpoint(self):
-        prob = generate_problem(40, 20, 3, 5, seed=4, ensemble="tight-frame")
         g = gen_erdos_renyi(5, 0.6, seed=5)
-        for iters in (1, 2, 7, 33, 150):
-            trace, _ = run_subgradient(prob, g,
-                                       SubgradConfig(max_iters=iters, tol=0.0))
-            for q, sl in enumerate(prob.slices):
-                assert np.linalg.norm(sl.a @ trace.estimates[q] - sl.b) <= 1e-8
+        for m, rows in ((20, [4] * 5), (22, [4, 4, 4, 5, 5])):
+            prob = generate_problem(40, m, 3, 5, seed=4, ensemble="tight-frame")
+            assert [sl.m_p for sl in prob.slices] == rows
+            for iters in (1, 2, 7, 33, 150):
+                trace, _ = run_subgradient(prob, g,
+                                           SubgradConfig(max_iters=iters, tol=0.0))
+                for q, sl in enumerate(prob.slices):
+                    assert np.linalg.norm(sl.a @ trace.estimates[q] - sl.b) <= 1e-8
 
     def test_averaging_is_nonexpansive_in_max_norm(self):
         from distiht.consensus import metropolis_weights
