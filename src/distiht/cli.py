@@ -2,17 +2,16 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import verify as verify_mod
 from .diht import write_metrics_csv
 from .graphs import (AssumptionViolation, gen_tv_schedule, graph_from_text,
                      graph_to_text, schedule_to_text)
-from .harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_config,
-                      run_cell, run_experiment, write_report)
+from .harness import (ALGORITHMS, FAMILY_BUILDERS, ExperimentConfig, GraphSpec,
+                      load_config, run_cell, run_experiment, write_report)
 from .iht import NumericFailure, write_trace_csv
-from .model import generate_problem, load_problem, save_problem
+from .model import ENSEMBLES, generate_problem, load_problem, save_problem
 
 
 def _add_problem_args(sp):
@@ -25,8 +24,7 @@ def _add_problem_args(sp):
     sp.add_argument("--cap", type=float, default=0.99, help="spectral norm of A")
     # the CLI demos default to the flat-spectrum ensemble, which recovers
     # reliably at demo sizes; pass gaussian for the rescaled i.i.d. one
-    sp.add_argument("--ensemble", choices=["gaussian", "tight-frame"],
-                    default="tight-frame")
+    sp.add_argument("--ensemble", choices=ENSEMBLES, default="tight-frame")
     sp.add_argument("--seed", type=int, default=0)
 
 
@@ -47,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output .npz path")
 
     sp = sub.add_parser("gen-graph", help="generate and save a connected graph")
-    sp.add_argument("--family", choices=["ba", "er", "geo"], required=True)
+    sp.add_argument("--family", choices=list(FAMILY_BUILDERS), required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--param", type=float, required=True,
                     help="attachment count, edge probability, or radius")
@@ -64,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="run one algorithm on one instance")
     sp.add_argument("algorithm", choices=list(ALGORITHMS))
     _add_problem_args(sp)
-    sp.add_argument("--family", choices=["ba", "er", "geo"], default="er")
+    sp.add_argument("--family", choices=list(FAMILY_BUILDERS), default="er")
     sp.add_argument("--param", type=float, default=0.25)
     sp.add_argument("--graph-seed", type=int, default=0)
     sp.add_argument("--tv", action="store_true", help="run on a 10-subgraph schedule")
@@ -91,9 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     """One cell of an experiment whose config comes from the flags."""
     if args.trace_out and args.algorithm != "iht":
-        print(f"{args.algorithm}: --trace-out: only iht keeps an iterate trace",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--trace-out: {args.algorithm} keeps no iterate trace, "
+                         "only iht does")
     spec = GraphSpec(args.family, args.param)
     cfg = ExperimentConfig(
         n=args.n, m=args.m, k=args.k, p=args.p, noise_std=args.noise_std,
@@ -102,12 +99,7 @@ def _cmd_run(args) -> int:
         l=args.l, l_tv=args.l_tv, step_exponent=args.step_exponent,
         accuracies=[args.tol], max_iters=args.max_iters, time_varying=args.tv,
         subgraph_count=args.subgraphs)
-    try:
-        result = run_cell(_get_problem(args), spec, args.graph_seed,
-                          args.algorithm, cfg)
-    except (ValueError, NumericFailure, AssumptionViolation) as exc:
-        print(f"{args.algorithm}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    result = run_cell(_get_problem(args), spec, args.graph_seed, args.algorithm, cfg)
     iterations, values, messages, broadcasts, time_steps = result.spent
     print(f"{args.algorithm}: converged_at={result.converged_at} "
           f"iterations={iterations} values={values} messages={messages} "
@@ -120,13 +112,7 @@ def _cmd_run(args) -> int:
     return 0 if result.converged_at is not None else 1
 
 
-def cli(argv=None) -> int:
-    ap = _build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
+def _dispatch(args) -> int:
     if args.command == "gen-problem":
         save_problem(_get_problem(args), args.out)
         print(f"wrote {args.out}")
@@ -152,14 +138,7 @@ def cli(argv=None) -> int:
         return _cmd_run(args)
 
     if args.command == "experiment":
-        if not os.path.exists(args.config):
-            print(f"config file not found: {args.config}", file=sys.stderr)
-            return 2
-        try:
-            cfg = load_config(args.config)
-        except ValueError as exc:
-            print(f"{args.config}: {exc}", file=sys.stderr)
-            return 2
+        cfg = load_config(args.config)
         if args.out:
             cfg.out_dir = args.out
         report = run_experiment(cfg)
@@ -172,14 +151,27 @@ def cli(argv=None) -> int:
         return 1 if failures else 0
 
     if args.command == "verify":
-        try:
-            ok = verify_mod.run_suites(args.suite, args.out)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        return 0 if ok else 1
+        return 0 if verify_mod.run_suites(args.suite, args.out) else 1
 
     raise AssertionError("unreachable")
+
+
+def cli(argv=None) -> int:
+    """Run one subcommand.  Input that it rejects (a bad value, a missing or
+    malformed file, a network without the assumed connectivity, a run gone
+    non-finite) ends it with one line on stderr and exit code 2."""
+    ap = _build_parser()
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return _dispatch(args)
+    except (ValueError, OSError, NumericFailure, AssumptionViolation) as exc:
+        reason = (f"file not found: {exc.filename}" if isinstance(exc, FileNotFoundError)
+                  else f"{type(exc).__name__}: {exc}")
+        print(f"{args.command}: {reason}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

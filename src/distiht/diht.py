@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph, SpanningTree, bfs_spanning_tree
-from .iht import IhtConfig, IhtTrace, _run
+from .iht import IhtConfig, IhtTrace, _run, write_csv
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
 from .model import (Problem, batched_gradients, lipschitz_of_slice, padded_slices,
                     stacked_lipschitz)
@@ -78,12 +78,7 @@ class Metrics:
 
 def write_metrics_csv(metrics: Metrics, path: str, extra_columns=()) -> None:
     cols = METRICS_COLUMNS + list(extra_columns)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in metrics.per_iteration:
-            cells = (row.get(c, "") for c in cols)
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in cells) + "\n")
+    write_csv(path, cols, ([row.get(c) for c in cols] for row in metrics.per_iteration))
 
 
 @dataclass

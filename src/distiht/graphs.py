@@ -256,22 +256,35 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> Graph:
+def _edge_blocks(text: str, timed: bool) -> tuple:
+    """The '# p=' count and the edges of edge-list text: one block per '# t='
+    header when timed, else one block.  Other '#' lines are comments.  A line
+    that is neither a header nor a 'u v' pair raises a ValueError naming it."""
     p: Optional[int] = None
-    edges = []
-    for line in text.splitlines():
+    blocks: list = [] if timed else [[]]
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, val = line[1:].strip().partition("=")
-            if key.strip() == "p":
-                p = int(val)
-            continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
+        try:
+            if line.startswith("#"):
+                key, _, val = line[1:].partition("=")
+                if key.strip() == "p":
+                    p = int(val)
+                elif key.strip() == "t" and timed:
+                    blocks.append([])
+            elif line:
+                u, v = line.split()
+                if not blocks:
+                    raise ValueError("an edge before the first '# t=' header")
+                blocks[-1].append((int(u), int(v)))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {line!r}: {exc}") from None
     if p is None:
         raise ValueError("missing '# p=' header")
+    return p, blocks
+
+
+def graph_from_text(text: str) -> Graph:
+    p, (edges,) = _edge_blocks(text, timed=False)
     return Graph(p=p, edges=edges)
 
 
@@ -285,27 +298,8 @@ def schedule_to_text(s: TvSchedule) -> str:
 
 
 def schedule_from_text(text: str) -> TvSchedule:
-    p: Optional[int] = None
-    subgraphs: list = []
-    current: Optional[list] = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, val = line[1:].strip().partition("=")
-            key = key.strip()
-            if key == "p":
-                p = int(val)
-            elif key == "t":
-                current = []
-                subgraphs.append(current)
-            continue
-        u, v = line.split()
-        current.append((int(u), int(v)))
-    if p is None or not subgraphs:
-        raise ValueError("missing '# p=' header or '# t=' blocks")
-    union = set()
-    for s in subgraphs:
-        union.update((min(u, v), max(u, v)) for u, v in s)
-    return TvSchedule(base=Graph(p=p, edges=sorted(union)), subgraphs=subgraphs)
+    p, subgraphs = _edge_blocks(text, timed=True)
+    if not subgraphs:
+        raise ValueError("missing '# t=' blocks")
+    base = Graph(p=p, edges=[e for sub in subgraphs for e in sub])  # their union
+    return TvSchedule(base=base, subgraphs=subgraphs)

@@ -22,7 +22,7 @@ from .diht import (METRICS_COLUMNS, Metrics, StopRule, default_step_constant,
 from .graphs import (AssumptionViolation, Graph, gen_barabasi_albert,
                      gen_erdos_renyi, gen_geometric, gen_tv_schedule,
                      static_schedule)
-from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht
+from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht, write_csv
 from .model import Problem, check_problem_args, generate_problem
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
@@ -333,58 +333,34 @@ AGGREGATE_CSV_COLUMNS = ["graph", "algorithm", "accuracy", "values",
                          "time_steps", "converged_fraction"]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def write_report(report: Report, out_dir: str) -> list:
     """Write runs.csv, aggregate.csv, table.csv, per-run curves, provenance.
 
     Returns the list of files written.  Cells that hit the budget keep the
     counts actually spent, so their rows read as lower bounds.
     """
-    os.makedirs(out_dir, exist_ok=True)
     curves_dir = os.path.join(out_dir, "curves")
     os.makedirs(curves_dir, exist_ok=True)
-    written = []
-
-    path = os.path.join(out_dir, "runs.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(RUN_CSV_COLUMNS) + "\n")
-        for c in report.cells:
-            fh.write(",".join(_fmt(getattr(c, col)) for col in RUN_CSV_COLUMNS)
-                     + "\n")
-    written.append(path)
-
-    path = os.path.join(out_dir, "aggregate.csv")
     rows = report.aggregate_rows()
-    with open(path, "w") as fh:
-        fh.write(",".join(AGGREGATE_CSV_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(r[col]) for col in AGGREGATE_CSV_COLUMNS) + "\n")
-    written.append(path)
-
     # wide table: one row per graph family, one column per algorithm/accuracy,
     # a ">" marking budget-limited (lower bound) counts
-    path = os.path.join(out_dir, "table.csv")
     combos = sorted({(r["algorithm"], r["accuracy"]) for r in rows})
-    graphs = sorted({r["graph"] for r in rows})
-    with open(path, "w") as fh:
-        header = ["graph"] + [f"{a}@{acc:g}" for a, acc in combos]
-        fh.write(",".join(header) + "\n")
-        by_key = {(r["graph"], r["algorithm"], r["accuracy"]): r for r in rows}
-        for g in graphs:
-            cells = [g]
-            for a, acc in combos:
-                r = by_key.get((g, a, acc))
-                prefix = "" if r is None or r["converged_fraction"] == 1.0 else ">"
-                cells.append("" if r is None else f"{prefix}{r['values']:.6g}")
-            fh.write(",".join(cells) + "\n")
-    written.append(path)
+    table = {(r["graph"], r["algorithm"], r["accuracy"]):
+             f"{'' if r['converged_fraction'] == 1.0 else '>'}{r['values']:.6g}"
+             for r in rows}
+
+    written = []
+    for name, header, body in [
+            ("runs.csv", RUN_CSV_COLUMNS,
+             ([getattr(c, col) for col in RUN_CSV_COLUMNS] for c in report.cells)),
+            ("aggregate.csv", AGGREGATE_CSV_COLUMNS,
+             ([r[col] for col in AGGREGATE_CSV_COLUMNS] for r in rows)),
+            ("table.csv", ["graph"] + [f"{a}@{acc:g}" for a, acc in combos],
+             ([g] + [table.get((g, a, acc)) for a, acc in combos]
+              for g in sorted({r["graph"] for r in rows})))]:
+        path = os.path.join(out_dir, name)
+        write_csv(path, header, body)
+        written.append(path)
 
     for label in sorted(report.curves):
         metrics, extra = report.curves[label]

@@ -5,6 +5,7 @@ check, and a brute-force spark oracle for validating test instances.
 """
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional
@@ -243,6 +244,22 @@ def spark_bruteforce(a: np.ndarray, max_cols: int) -> SparkResult:
     return SparkResult(value=max_cols + 1, exact=False)
 
 
+def write_csv(path: str, header, rows) -> None:
+    """Write a header and rows as CSV: floats as .17g, booleans as 0/1, None as
+    an empty field; a field holding a comma, quote or newline is quoted."""
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return int(v)
+        return f"{v:.17g}" if isinstance(v, float) else v
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell(v) for v in row] for row in rows)
+
+
 def write_trace_csv(trace: IhtTrace, path: str) -> None:
     """Dump a run as CSV with one row per iterate, kept or not.
 
@@ -250,12 +267,8 @@ def write_trace_csv(trace: IhtTrace, path: str) -> None:
     that were not recorded are left empty.  eps_norm and step_delta_sq on
     row i describe the step from iterate i to i+1.
     """
-    def cell(seq, i):
-        return f"{seq[i]:.17g}" if i < len(seq) else ""
-
-    with open(path, "w") as fh:
-        fh.write("iter,err_vs_truth,f_value,eps_norm,step_delta_sq\n")
-        for i in range(len(trace.step_deltas) + 1):
-            fh.write(",".join([str(i), cell(trace.errors_vs_truth, i),
-                               cell(trace.f_values, i), cell(trace.eps_norms, i),
-                               cell(trace.step_deltas, i)]) + "\n")
+    columns = (trace.errors_vs_truth, trace.f_values, trace.eps_norms,
+               trace.step_deltas)
+    write_csv(path, ["iter", "err_vs_truth", "f_value", "eps_norm", "step_delta_sq"],
+              ([i] + [seq[i] if i < len(seq) else None for seq in columns]
+               for i in range(len(trace.step_deltas) + 1)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROBLEM_FORMAT_VERSION = 1
+ENSEMBLES = ("gaussian", "tight-frame")
 
 
 @dataclass
@@ -93,37 +94,12 @@ def loss_gradient(sl: SensingSlice, x: np.ndarray) -> np.ndarray:
     return 2.0 * (sl.a.T @ (sl.a @ x - sl.b))
 
 
-def _power_iteration_sq(a: np.ndarray, tol: float = 1e-10, max_iters: int = 200) -> float:
-    """Largest eigenvalue of a^T a by power iteration with a fixed-seed start.
-
-    Iterates on the implicit Gram so only matvecs with a are needed.  The
-    per-agent slices have few rows, so the eigengap is large and 200
-    iterations are ample there.
-    """
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.shape[1])
-    nv = np.linalg.norm(v)
-    v /= nv
-    lam = 0.0
-    for _ in range(max_iters):
-        w = a.T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        lam_new = float(v @ w)
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
-def lipschitz_of_slice(sl: SensingSlice, tol: float = 1e-10) -> float:
-    """Gradient Lipschitz constant 2 lambda_max(a^T a) of one slice loss."""
+def lipschitz_of_slice(sl: SensingSlice) -> float:
+    """Gradient Lipschitz constant 2 lambda_max(a^T a) of one slice loss, exact."""
     if not np.any(sl.a):
         warnings.warn("zero sensing matrix: Lipschitz constant is 0", RuntimeWarning)
         return 0.0
-    return 2.0 * _power_iteration_sq(sl.a, tol=tol)
+    return 2.0 * spectral_norm(sl.a) ** 2
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -186,7 +162,7 @@ def check_problem_args(n: int, m: int, k: int, p: int, spectral_cap: float,
         raise ValueError(f"need at least one measurement row per agent, m = {m}, p = {p}")
     if spectral_cap <= 0:
         raise ValueError("spectral_cap must be positive")
-    if ensemble not in ("gaussian", "tight-frame"):
+    if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     if ensemble == "tight-frame" and m > n:
         raise ValueError(f"tight-frame ensemble needs m <= n (m = {m}, n = {n})")

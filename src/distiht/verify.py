@@ -18,20 +18,15 @@ from .consensus import (bound_constants, check_doubly_stochastic,
                         schedule_eta)
 from .diht import StopRule, run_diht
 from .graphs import gen_erdos_renyi, gen_tv_schedule, validate_connectivity_window
-from .iht import IhtConfig, hard_threshold, run_iht
+from .iht import IhtConfig, hard_threshold, run_iht, write_csv
 from .model import generate_problem, loss_gradient, loss_value
 from .subgradient import SubgradConfig, run_subgradient
 
 
 def _write_csv(out_dir, name, header, rows):
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        write_csv(os.path.join(out_dir, name), header, rows)
 
 
 def suite_thresholding(out_dir=None):

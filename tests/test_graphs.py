@@ -201,3 +201,17 @@ def test_graph_rejects_self_loops_and_range():
         Graph(p=3, edges=[(1, 1)])
     with pytest.raises(ValueError):
         Graph(p=3, edges=[(0, 5)])
+
+
+def test_schedule_edge_before_first_block_rejected():
+    with pytest.raises(ValueError, match="line 2.*before the first '# t='"):
+        schedule_from_text("# p=3\n0 1\n# t=0\n1 2\n")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (graph_from_text, "# p=3\n\n0 1\n1 2 3\n"),
+    (schedule_from_text, "# p=3\n# t=0\n0 1\n1 2 3\n"),
+])
+def test_three_token_line_names_its_number(parse, text):
+    with pytest.raises(ValueError, match="line 4: '1 2 3'"):
+        parse(text)

@@ -365,3 +365,42 @@ class TestCliExperiment:
         assert proc.returncode == 2
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "Traceback" not in proc.stderr and "k = 500" in proc.stderr
+
+
+class TestCliRejects:
+    @pytest.mark.parametrize("argv", [
+        ["gen-problem", "--n", "5", "--m", "10", "--out", "{tmp}/p.npz"],
+        ["gen-graph", "--family", "er", "--p", "8", "--param", "0",
+         "--out", "{tmp}/g.txt"],
+        ["gen-schedule", "--graph", "{tmp}/good.txt", "--count", "0",
+         "--out", "{tmp}/s.txt"],
+        ["gen-schedule", "--graph", "{tmp}/missing.txt", "--out", "{tmp}/s.txt"],
+        ["gen-schedule", "--graph", "{tmp}/bad.txt", "--out", "{tmp}/s.txt"],
+        ["run", "diht", "--problem", "{tmp}/missing.npz"],
+    ], ids=["tight-frame-m-above-n", "zero-param", "zero-count", "missing-graph",
+            "three-token-line", "missing-problem"])
+    def test_rejected_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        (tmp_path / "good.txt").write_text("# p=3\n0 1\n1 2\n")
+        (tmp_path / "bad.txt").write_text("# p=3\n0 1\n1 2 3\n")
+        assert cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "Traceback" not in captured.err
+        assert err[0].startswith(f"{argv[0]}: ")
+        assert not captured.out
+
+    def test_three_token_line_is_named(self, tmp_path, capsys):
+        (tmp_path / "bad.txt").write_text("# p=3\n0 1\n1 2 3\n")
+        assert cli(["gen-schedule", "--graph", str(tmp_path / "bad.txt"),
+                    "--out", str(tmp_path / "s.txt")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_missing_problem_prints_no_traceback(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from distiht.cli import main; main()",
+             "run", "diht", "--problem", str(tmp_path / "missing.npz")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in proc.stderr and "missing.npz" in proc.stderr

@@ -86,6 +86,12 @@ class TestLipschitz:
         with pytest.warns(RuntimeWarning):
             assert lipschitz_of_slice(slice_of(np.zeros((2, 2)), [0, 0])) == 0.0
 
+    def test_near_degenerate_slice_is_exact(self):
+        # two nearly equal singular values, where a power iteration stalls
+        a = np.zeros((2, 6))
+        a[0, 0], a[1, 1] = 1.0, 0.999
+        assert lipschitz_of_slice(slice_of(a, [0, 0])) == pytest.approx(2.0, rel=1e-12)
+
     def test_random_slices_vs_eigendecomposition(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
