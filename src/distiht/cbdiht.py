@@ -70,8 +70,7 @@ def max_consensus_l_tv(problem: Problem, safety: float = 1.005) -> float:
     return safety * max(lipschitz_of_slice(s) for s in problem.slices)
 
 
-def run_cbdiht(problem: Problem, schedule: TvSchedule,
-               l_tv: Optional[float] = None, k_sparsity: Optional[int] = None,
+def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = None,
                stop: Optional[StopRule] = None, x_init: Optional[np.ndarray] = None,
                s_fn: Optional[Callable[[int, np.ndarray], int]] = None,
                keep_iterates: bool = True, validate_schedule: bool = True) -> CbDihtRun:
@@ -85,12 +84,11 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
     stops when every agent's latest-joined iterate is within stop.tol of the
     reference (after 0 outer iterations if the start is), or at the budget.
     """
-    p, n = problem.p, problem.n
+    p, n, k = problem.p, problem.n, problem.k
     if schedule.p != p:
         raise ValueError("schedule and problem disagree on the agent count")
     if validate_schedule:
         validate_connectivity_window(schedule)  # raises AssumptionViolation
-    k = problem.k if k_sparsity is None else k_sparsity
     stop = stop or StopRule(max_iters=1000)
     if l_tv is None:
         l_tv = default_l_tv(problem)
@@ -109,7 +107,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
     estimates = [config.x_init] * p
     machine = DiffusiveConsensus(p, 0, np.zeros(n))
     s_schedule, v_hats, initiated_counts, eps_norms, worst_errors = [], [], [], [], []
-    step_counts = []  # per outer iteration, one row per averaging step
+    costs = []  # per outer iteration: values, messages, broadcasts, time steps
 
     def gradient(x):
         # agent 0 opens instance `outer` at x; the slice gradients at x are
@@ -127,14 +125,16 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
             estimates[q] = estimates[a]
             return grads[q]
 
-        # per step: vector sends, their senders, INITIATEs, their senders
-        counts = np.zeros((s_k, 4), dtype=np.int64)
-        for row in counts:
+        cost = np.array([0, 0, 0, s_k], dtype=np.int64)  # a step is a time step
+        for _ in range(s_k):
             links = periods[machine.step_count % len(periods)]
             sends, initiates = machine.step(links, join)
-            row[:] = (sends.sum(), np.count_nonzero(sends),
-                      initiates.sum(), np.count_nonzero(initiates))
-        step_counts.append(counts)
+            senders, initiators = np.count_nonzero(sends), np.count_nonzero(initiates)
+            sends, initiates = sends.sum(), initiates.sum()
+            # a vector costs N values and N broadcasts per sender, an INITIATE 2K
+            cost[:3] += (n * sends + 2 * k * initiates, sends + initiates,
+                         n * senders + 2 * k * initiators)
+        costs.append(cost)
         v_hat = machine.values[0].copy()
         v_hats.append(v_hat)
         initiated_counts.append(int(np.sum(machine.inst == outer)))
@@ -157,12 +157,6 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule,
     trace = _run(gradient, None, reference, config, None, keep_iterates, rule)
     trace.eps_norms = eps_norms
 
-    # a vector costs N values and N broadcasts per sender, an INITIATE 2K;
-    # outer iteration k takes s_k time steps
-    sends, senders, initiates, initiators = np.reshape(
-        [c.sum(axis=0) for c in step_counts], (-1, 4)).T
-    costs = np.column_stack([n * sends + 2 * k * initiates, sends + initiates,
-                             n * senders + 2 * k * initiators, s_schedule])
     metrics = Metrics.from_costs(
         trace.errors_vs_truth[1:] or None, costs,
         extra={"outer_iter": np.arange(len(s_schedule)), "s_k": s_schedule,

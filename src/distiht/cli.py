@@ -9,22 +9,21 @@ from .diht import write_metrics_csv
 from .graphs import (AssumptionViolation, gen_tv_schedule, graph_from_text,
                      graph_to_text, schedule_to_text)
 from .harness import (ALGORITHMS, FAMILY_BUILDERS, ExperimentConfig, GraphSpec,
-                      load_config, run_cell, run_experiment, write_report)
+                      check_config, load_config, run_cell, run_experiment, write_report)
 from .iht import NumericFailure, write_trace_csv
 from .model import ENSEMBLES, generate_problem, load_problem, save_problem
 
 
-def _add_problem_args(sp):
+def _add_problem_args(sp, defaults: ExperimentConfig):
     sp.add_argument("--problem", help="load a saved problem instead of generating")
-    sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--m", type=int, default=50)
-    sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--p", type=int, default=10)
-    sp.add_argument("--noise-std", type=float, default=0.0)
-    sp.add_argument("--cap", type=float, default=0.99, help="spectral norm of A")
-    # the CLI demos default to the flat-spectrum ensemble, which recovers
-    # reliably at demo sizes; pass gaussian for the rescaled i.i.d. one
-    sp.add_argument("--ensemble", choices=ENSEMBLES, default="tight-frame")
+    sp.add_argument("--n", type=int, default=defaults.n)
+    sp.add_argument("--m", type=int, default=defaults.m)
+    sp.add_argument("--k", type=int, default=defaults.k)
+    sp.add_argument("--p", type=int, default=defaults.p)
+    sp.add_argument("--noise-std", type=float, default=defaults.noise_std)
+    sp.add_argument("--cap", type=float, default=defaults.spectral_cap,
+                    help="spectral norm of A")
+    sp.add_argument("--ensemble", choices=ENSEMBLES, default=defaults.ensemble)
     sp.add_argument("--seed", type=int, default=0)
 
 
@@ -36,12 +35,13 @@ def _get_problem(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = ExperimentConfig()  # a flag that sets a config field defaults to it
     ap = argparse.ArgumentParser(prog="distiht",
                                  description="distributed sparse recovery simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen-problem", help="generate and save an instance")
-    _add_problem_args(sp)
+    _add_problem_args(sp, defaults)
     sp.add_argument("--out", required=True, help="output .npz path")
 
     sp = sub.add_parser("gen-graph", help="generate and save a connected graph")
@@ -61,17 +61,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="run one algorithm on one instance")
     sp.add_argument("algorithm", choices=list(ALGORITHMS))
-    _add_problem_args(sp)
-    sp.add_argument("--family", choices=list(FAMILY_BUILDERS), default="er")
-    sp.add_argument("--param", type=float, default=0.25)
+    _add_problem_args(sp, defaults)
+    sp.add_argument("--family", choices=list(FAMILY_BUILDERS),
+                    default=defaults.graphs[0].family)
+    sp.add_argument("--param", type=float, default=defaults.graphs[0].param)
     sp.add_argument("--graph-seed", type=int, default=0)
     sp.add_argument("--tv", action="store_true", help="run on a 10-subgraph schedule")
-    sp.add_argument("--subgraphs", type=int, default=10)
+    sp.add_argument("--subgraphs", type=int, default=defaults.subgraph_count)
     sp.add_argument("--l", type=float, default=None)
     sp.add_argument("--l-tv", type=float, default=None)
-    sp.add_argument("--step-exponent", type=float, default=0.7)
+    sp.add_argument("--step-exponent", type=float, default=defaults.step_exponent)
     sp.add_argument("--tol", type=float, default=1e-2)
-    sp.add_argument("--max-iters", type=int, default=200_000)
+    sp.add_argument("--max-iters", type=int, default=defaults.max_iters)
     sp.add_argument("--metrics-out", help="write the per-iteration metrics CSV")
     sp.add_argument("--trace-out", help="write the iterate trace CSV (iht only)")
 
@@ -91,15 +92,17 @@ def _cmd_run(args) -> int:
     if args.trace_out and args.algorithm != "iht":
         raise ValueError(f"--trace-out: {args.algorithm} keeps no iterate trace, "
                          "only iht does")
+    problem = _get_problem(args)
     spec = GraphSpec(args.family, args.param)
-    cfg = ExperimentConfig(
-        n=args.n, m=args.m, k=args.k, p=args.p, noise_std=args.noise_std,
+    cfg = ExperimentConfig(  # a loaded problem sets the sizes
+        n=problem.n, m=problem.m, k=problem.k, p=problem.p, noise_std=args.noise_std,
         spectral_cap=args.cap, ensemble=args.ensemble, problem_seeds=[args.seed],
         graphs=[spec], graph_seeds=[args.graph_seed], algorithms=[args.algorithm],
         l=args.l, l_tv=args.l_tv, step_exponent=args.step_exponent,
         accuracies=[args.tol], max_iters=args.max_iters, time_varying=args.tv,
         subgraph_count=args.subgraphs)
-    result = run_cell(_get_problem(args), spec, args.graph_seed, args.algorithm, cfg)
+    check_config(cfg)
+    result = run_cell(problem, spec, args.graph_seed, args.algorithm, cfg)
     iterations, values, messages, broadcasts, time_steps = result.spent
     print(f"{args.algorithm}: converged_at={result.converged_at} "
           f"iterations={iterations} values={values} messages={messages} "

@@ -169,9 +169,8 @@ def default_step_constant(problem: Problem, safety: float = 1.005) -> float:
 
 
 def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
-             k_sparsity: Optional[int] = None, stop: Optional[StopRule] = None,
-             x_init: Optional[np.ndarray] = None, delays: Optional[dict] = None,
-             keep_iterates: bool = True) -> DihtRun:
+             stop: Optional[StopRule] = None, x_init: Optional[np.ndarray] = None,
+             delays: Optional[dict] = None, keep_iterates: bool = True) -> DihtRun:
     """Simulate distributed IHT rooted at agent 0 on a static graph.
 
     The iteration is centralized IHT whose gradient is the tree sum of the
@@ -189,7 +188,7 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
         raise ValueError("graph and problem disagree on the agent count")
     if not graph.is_connected():
         raise ValueError("graph must be connected")
-    k = problem.k if k_sparsity is None else k_sparsity
+    k = problem.k
     stop = stop or StopRule()
     if l is None:
         l = default_step_constant(problem)

@@ -34,22 +34,25 @@ def _adjacency(p: int, edges) -> list:
     return [sorted(a) for a in adj]
 
 
+def _bfs(adjacency: list, root: int) -> tuple:
+    """Breadth-first search over ascending neighbor lists: the visit order,
+    each vertex's parent (None at the root and where unreached) and its
+    depth (-1 where unreached)."""
+    parent: list = [None] * len(adjacency)
+    depth = [-1] * len(adjacency)
+    depth[root] = 0
+    order = [root]
+    for u in order:  # grows while it is read
+        for v in adjacency[u]:
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                order.append(v)
+    return order, parent, depth
+
+
 def _is_connected(p: int, edges) -> bool:
-    if p <= 1:
-        return True
-    adj = _adjacency(p, edges)
-    seen = [False] * p
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == p
+    return p <= 1 or len(_bfs(_adjacency(p, edges), 0)[0]) == p
 
 
 @dataclass
@@ -98,35 +101,30 @@ class SpanningTree:
 
 def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     """Breadth-first tree rooted at `root`, exploring neighbors in ascending order."""
-    parent: list = [None] * g.p
-    depth = [-1] * g.p
-    depth[root] = 0
-    order = [root]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in g.adjacency[u]:
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                order.append(v)
-    for v in range(g.p):
-        if depth[v] < 0:
-            raise ProtocolError(f"vertex {v} unreachable from root {root}")
+    order, parent, depth = _bfs(g.adjacency, root)
+    if len(order) < g.p:
+        raise ProtocolError(f"vertex {depth.index(-1)} unreachable from root {root}")
     children = [[] for _ in range(g.p)]
-    for v in range(g.p):
-        if parent[v] is not None:
-            children[parent[v]].append(v)
-    children = [sorted(c) for c in children]
+    for v in order[1:]:  # each vertex's children are found in ascending order
+        children[parent[v]].append(v)
     return SpanningTree(root=root, parent=parent, children=children, depth=depth,
                         build_messages=2 * g.num_edges - (g.p - 1))
 
 
+def check_graph_args(family: str, p: int, param: float) -> None:
+    """Raise ValueError unless the generator of `family` takes `param` on p
+    vertices: "ba" an integer in [1, p), "er" one in (0, 1], "geo" one above 0."""
+    if family == "ba" and not (float(param).is_integer() and 1 <= param < p):
+        raise ValueError(f"ba attachment {param:g} must be an integer in [1, p = {p})")
+    if family == "er" and not 0 < param <= 1:
+        raise ValueError(f"er probability {param:g} must lie in (0, 1]")
+    if family == "geo" and not param > 0:
+        raise ValueError(f"geo radius {param:g} must be positive")
+
+
 def gen_barabasi_albert(p: int, attach_m: int, seed: int) -> Graph:
     """Preferential attachment: each new vertex links to attach_m existing ones."""
-    if not (1 <= attach_m < p):
-        raise ValueError("need p > attach_m >= 1")
+    check_graph_args("ba", p, attach_m)
     rng = np.random.default_rng(seed)
     targets = list(range(attach_m))
     repeated: list = []
@@ -145,8 +143,7 @@ def gen_barabasi_albert(p: int, attach_m: int, seed: int) -> Graph:
 
 def gen_erdos_renyi(p: int, pr: float, seed: int, max_tries: int = 10000) -> Graph:
     """Each pair linked independently with probability pr, resampled until connected."""
-    if not (0 < pr <= 1):
-        raise ValueError("pr must lie in (0, 1]")
+    check_graph_args("er", p, pr)
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
     for _ in range(max_tries):
@@ -159,8 +156,7 @@ def gen_erdos_renyi(p: int, pr: float, seed: int, max_tries: int = 10000) -> Gra
 
 def gen_geometric(p: int, d: float, seed: int, max_tries: int = 10000) -> Graph:
     """Uniform points in the unit square, linked when within distance d."""
-    if d <= 0:
-        raise ValueError("d must be positive")
+    check_graph_args("geo", p, d)
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         pts = rng.random((p, 2))
@@ -181,6 +177,8 @@ class TvSchedule:
     subgraphs: list  # one sorted edge list per step of the period
 
     def __post_init__(self):
+        if not self.subgraphs:
+            raise ValueError("a schedule needs at least one subgraph")
         self.subgraphs = [_normalize_edges(s) for s in self.subgraphs]
         union = set()
         for s in self.subgraphs:
@@ -205,6 +203,12 @@ def static_schedule(g: Graph) -> TvSchedule:
     return TvSchedule(base=g, subgraphs=[list(g.edges)])
 
 
+def check_subgraph_count(count: int) -> None:
+    """Raise ValueError unless gen_tv_schedule can draw `count` subgraphs."""
+    if count < 1:
+        raise ValueError(f"subgraph count {count} must be at least 1")
+
+
 def gen_tv_schedule(g: Graph, count: int, seed: int,
                     retain_prob: float = 0.5) -> TvSchedule:
     """Draw `count` random subgraphs of g and repair the union property.
@@ -213,8 +217,7 @@ def gen_tv_schedule(g: Graph, count: int, seed: int,
     retain_prob; an edge that lands in no subgraph is inserted into one
     chosen uniformly so the union is exactly the base graph.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    check_subgraph_count(count)
     if not (0 < retain_prob < 1):
         raise ValueError("retain_prob must lie in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -230,23 +233,21 @@ def gen_tv_schedule(g: Graph, count: int, seed: int,
 def validate_connectivity_window(s: TvSchedule) -> int:
     """Smallest window length whose every union of consecutive subgraphs connects.
 
-    Scans all cyclic windows over one period; the union property guarantees
-    the answer is at most the period.
+    A window's union only grows with its length, so this is the largest, over
+    the cyclic starts, of the first length whose union connects.  The union
+    of a whole period is the base graph, so every start finds one.
     """
     if not s.base.is_connected():
         raise AssumptionViolation("base graph is disconnected")
-    for w in range(1, s.period + 1):
-        ok = True
-        for start in range(s.period):
-            union = set()
-            for off in range(w):
-                union.update(s.subgraphs[(start + off) % s.period])
-            if not _is_connected(s.p, union):
-                ok = False
+    window = 1
+    for start in range(s.period):
+        union = set()
+        for length in range(1, s.period + 1):
+            union.update(s.subgraphs[(start + length - 1) % s.period])
+            if _is_connected(s.p, union):
+                window = max(window, length)
                 break
-        if ok:
-            return w
-    raise AssumptionViolation("no window of one period connects")  # unreachable
+    return window
 
 
 def graph_to_text(g: Graph) -> str:
@@ -299,7 +300,5 @@ def schedule_to_text(s: TvSchedule) -> str:
 
 def schedule_from_text(text: str) -> TvSchedule:
     p, subgraphs = _edge_blocks(text, timed=True)
-    if not subgraphs:
-        raise ValueError("missing '# t=' blocks")
     base = Graph(p=p, edges=[e for sub in subgraphs for e in sub])  # their union
     return TvSchedule(base=base, subgraphs=subgraphs)

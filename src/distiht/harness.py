@@ -19,9 +19,9 @@ from . import cbdiht as cbdiht_mod
 from . import subgradient as subgrad_mod
 from .diht import (METRICS_COLUMNS, Metrics, StopRule, default_step_constant,
                    run_diht, write_metrics_csv)
-from .graphs import (AssumptionViolation, Graph, gen_barabasi_albert,
-                     gen_erdos_renyi, gen_geometric, gen_tv_schedule,
-                     static_schedule)
+from .graphs import (AssumptionViolation, Graph, check_graph_args, check_subgraph_count,
+                     gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
+                     gen_tv_schedule, static_schedule)
 from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht, write_csv
 from .model import Problem, check_problem_args, generate_problem
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
@@ -46,9 +46,14 @@ class GraphSpec:
     def label(self) -> str:
         return f"{self.family}{self.param:g}"
 
-    def build(self, p: int, seed: int) -> Graph:
+    def check(self, p: int) -> None:
+        """Raise ValueError unless build can draw this family on p vertices."""
         if self.family not in FAMILY_BUILDERS:
             raise ValueError(f"unknown graph family {self.family!r}")
+        check_graph_args(self.family, p, self.param)
+
+    def build(self, p: int, seed: int) -> Graph:
+        self.check(p)
         return FAMILY_BUILDERS[self.family](p, self.param, seed)
 
 
@@ -68,7 +73,7 @@ class ExperimentConfig:
     p: int = 10
     noise_std: float = 0.0
     spectral_cap: float = 0.99
-    ensemble: str = "tight-frame"
+    ensemble: str = "tight-frame"  # flat spectrum: recovers reliably at desk sizes
     problem_seeds: list = field(default_factory=lambda: [0])
     graphs: list = field(default_factory=lambda: [GraphSpec("er", 0.25)])
     graph_seeds: list = field(default_factory=lambda: [0])
@@ -121,10 +126,31 @@ CONFIG_FIELDS = {("problem", "seeds"): "problem_seeds",
                  ("algorithms", "run"): "algorithms", ("output", "dir"): "out_dir"}
 
 
+def check_config(cfg: ExperimentConfig) -> None:
+    """Raise a one-line ValueError naming a value the grid cannot run or report:
+    an unknown algorithm or graph, a repeated grid entry, an accuracy at or
+    below 0, or a budget, subgraph count or step exponent the runs reject."""
+    unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ValueError(f"unknown algorithm {unknown[0]!r}")
+    for spec in cfg.graphs:
+        spec.check(cfg.p)
+    for what, values in [("graphs", [spec.label for spec in cfg.graphs]),
+                         ("problem seeds", cfg.problem_seeds),
+                         ("graph seeds", cfg.graph_seeds), ("algorithms", cfg.algorithms),
+                         ("accuracies", cfg.accuracies)]:
+        if len(set(values)) < len(values):
+            raise ValueError(f"repeated {what}: {values}")
+    if not all(acc > 0 for acc in cfg.accuracies):
+        raise ValueError(f"accuracies {cfg.accuracies} must be positive")
+    subgrad_mod.SubgradConfig(step_exponent=cfg.step_exponent, max_iters=cfg.max_iters)
+    check_subgraph_count(cfg.subgraph_count)
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse an INI experiment config.  Malformed text, unknown sections,
-    keys and algorithm names, and a [problem] that cannot be built raise a
-    one-line ValueError that names them."""
+    """Parse an INI experiment config.  Malformed text, unknown sections and
+    keys, a [problem] that cannot be built and whatever check_config rejects
+    raise a one-line ValueError that names them."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -144,10 +170,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             if section != "meta":
                 setattr(cfg, CONFIG_FIELDS.get((section, key), key),
                         CONFIG_KEYS[section][key](value))
-    unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise ValueError(f"unknown algorithm {unknown[0]!r}")
     check_problem_args(cfg.n, cfg.m, cfg.k, cfg.p, cfg.spectral_cap, cfg.ensemble)
+    check_config(cfg)
     return cfg
 
 

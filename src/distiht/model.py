@@ -8,6 +8,7 @@ of the slice losses.
 from __future__ import annotations
 
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +154,13 @@ def _row_counts(m: int, p: int) -> list[int]:
     return [base] * (p - extra) + [base + 1] * extra
 
 
+def _split(a: np.ndarray, b: np.ndarray, offsets) -> list[SensingSlice]:
+    """The slices of the stacked (a, b), slice i starting at row offsets[i];
+    each slice is a view of a and b."""
+    bounds = list(offsets) + [len(b)]
+    return [SensingSlice(a[lo:hi], b[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def check_problem_args(n: int, m: int, k: int, p: int, spectral_cap: float,
                        ensemble: str) -> None:
     """Raise ValueError unless generate_problem can build this instance."""
@@ -201,13 +209,9 @@ def generate_problem(n: int, m: int, k: int, p: int, noise_std: float = 0.0,
     noise = noise_std * rng.standard_normal(m)
     b = a @ x_star + noise
 
-    slices = []
-    off = 0
-    for rows in _row_counts(m, p):
-        slices.append(SensingSlice(a[off:off + rows], b[off:off + rows]))
-        off += rows
+    offsets = np.cumsum([0] + _row_counts(m, p))[:-1]
     return Problem(n=n, m=m, k=k, p=p, x_star=x_star, noise=noise,
-                   slices=slices, seed=seed)
+                   slices=_split(a, b, offsets), seed=seed)
 
 
 def save_problem(problem: Problem, path: str) -> None:
@@ -228,22 +232,24 @@ def save_problem(problem: Problem, path: str) -> None:
 
 
 def load_problem(path: str) -> Problem:
-    """Read a problem written by save_problem, rejecting a malformed layout."""
-    with np.load(path) as z:
-        version = int(z["format_version"])
-        if version != PROBLEM_FORMAT_VERSION:
-            raise ValueError(f"unsupported problem format version {version}")
-        n, m, p = int(z["n"]), int(z["m"]), int(z["p"])
-        a, b, x_star, offsets = z["a"], z["b"], z["x_star"], z["offsets"]
-        if a.shape != (m, n) or b.shape != (m,) or x_star.shape != (n,):
-            raise ValueError(f"a {a.shape}, b {b.shape} and x_star {x_star.shape} "
-                             f"do not fit n={n}, m={m}")
-        if (offsets.shape != (p,) or p < 1 or offsets[0] != 0
-                or np.any(np.diff(offsets) < 0) or offsets[-1] > m):
-            raise ValueError(f"offsets {offsets.tolist()} are not {p} non-decreasing "
-                             f"row starts from 0 to at most m={m}")
-        bounds = offsets.tolist() + [m]
-        slices = [SensingSlice(a[bounds[i]:bounds[i + 1]], b[bounds[i]:bounds[i + 1]])
-                  for i in range(p)]
-        return Problem(n=n, m=m, k=int(z["k"]), p=p, x_star=x_star, noise=z["noise"],
-                       slices=slices, seed=int(z["seed"]))
+    """Read a problem written by save_problem, rejecting a malformed layout or
+    a file that is not a complete archive."""
+    try:
+        with open(path, "rb") as fh, np.load(fh) as z:  # an .npy array cannot be entered
+            version, n, m, k, p, seed = (int(z[key]) for key in
+                                         ("format_version", "n", "m", "k", "p", "seed"))
+            a, b, x_star, noise, offsets = (z[key] for key in
+                                            ("a", "b", "x_star", "noise", "offsets"))
+    except (KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not a complete problem archive: {exc}") from None
+    if version != PROBLEM_FORMAT_VERSION:
+        raise ValueError(f"unsupported problem format version {version}")
+    if a.shape != (m, n) or b.shape != (m,) or x_star.shape != (n,):
+        raise ValueError(f"a {a.shape}, b {b.shape} and x_star {x_star.shape} "
+                         f"do not fit n={n}, m={m}")
+    if (offsets.shape != (p,) or p < 1 or offsets[0] != 0
+            or np.any(np.diff(offsets) < 0) or offsets[-1] > m):
+        raise ValueError(f"offsets {offsets.tolist()} are not {p} non-decreasing "
+                         f"row starts from 0 to at most m={m}")
+    return Problem(n=n, m=m, k=k, p=p, x_star=x_star, noise=noise,
+                   slices=_split(a, b, offsets), seed=seed)

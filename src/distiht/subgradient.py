@@ -29,9 +29,9 @@ class SubgradConfig:
     def __post_init__(self):
         # square-summable but not summable requires an exponent in (0.5, 1]
         if not (0.5 < self.step_exponent <= 1.0):
-            raise ValueError("step_exponent must lie in (0.5, 1]")
+            raise ValueError(f"step_exponent {self.step_exponent:g} must lie in (0.5, 1]")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ValueError(f"max_iters {self.max_iters} must be at least 1")
 
 
 class AffineProjector:

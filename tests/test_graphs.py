@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from distiht.graphs import (AssumptionViolation, Graph, ProtocolError,
-                            TvSchedule, bfs_spanning_tree, gen_barabasi_albert,
-                            gen_erdos_renyi, gen_geometric, gen_tv_schedule,
-                            graph_from_text, graph_to_text, schedule_from_text,
-                            schedule_to_text, static_schedule,
+from distiht.graphs import (AssumptionViolation, Graph, ProtocolError, SpanningTree,
+                            TvSchedule, _adjacency, _is_connected, bfs_spanning_tree,
+                            gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
+                            gen_tv_schedule, graph_from_text, graph_to_text,
+                            schedule_from_text, schedule_to_text, static_schedule,
                             validate_connectivity_window)
 
 
@@ -182,6 +183,14 @@ class TestConnectivityWindow:
             validate_connectivity_window(s)
 
 
+def test_schedule_without_subgraphs_rejected():
+    # a period-0 schedule has no window and no step to take
+    for make in (lambda: TvSchedule(base=Graph(p=1, edges=[]), subgraphs=[]),
+                 lambda: schedule_from_text("# p=1\n")):
+        with pytest.raises(ValueError, match="at least one subgraph"):
+            make()
+
+
 def test_graph_text_roundtrip():
     g = gen_erdos_renyi(7, 0.5, seed=16)
     back = graph_from_text(graph_to_text(g))
@@ -215,3 +224,145 @@ def test_schedule_edge_before_first_block_rejected():
 def test_three_token_line_names_its_number(parse, text):
     with pytest.raises(ValueError, match="line 4: '1 2 3'"):
         parse(text)
+
+
+# The depth-first connectivity test, the breadth-first tree and the
+# window scan that one breadth-first kernel replaced, kept verbatim (but for
+# their names) as oracles.
+
+def reference_is_connected(p: int, edges) -> bool:
+    if p <= 1:
+        return True
+    adj = _adjacency(p, edges)
+    seen = [False] * p
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                count += 1
+                stack.append(v)
+    return count == p
+
+
+def reference_bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
+    """Breadth-first tree rooted at `root`, exploring neighbors in ascending order."""
+    parent: list = [None] * g.p
+    depth = [-1] * g.p
+    depth[root] = 0
+    order = [root]
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v in g.adjacency[u]:
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                order.append(v)
+    for v in range(g.p):
+        if depth[v] < 0:
+            raise ProtocolError(f"vertex {v} unreachable from root {root}")
+    children = [[] for _ in range(g.p)]
+    for v in range(g.p):
+        if parent[v] is not None:
+            children[parent[v]].append(v)
+    children = [sorted(c) for c in children]
+    return SpanningTree(root=root, parent=parent, children=children, depth=depth,
+                        build_messages=2 * g.num_edges - (g.p - 1))
+
+
+def reference_validate_connectivity_window(s: TvSchedule) -> int:
+    """Smallest window length whose every union of consecutive subgraphs connects.
+
+    Scans all cyclic windows over one period; the union property guarantees
+    the answer is at most the period.
+    """
+    if not s.base.is_connected():
+        raise AssumptionViolation("base graph is disconnected")
+    for w in range(1, s.period + 1):
+        ok = True
+        for start in range(s.period):
+            union = set()
+            for off in range(w):
+                union.update(s.subgraphs[(start + off) % s.period])
+            if not reference_is_connected(s.p, union):
+                ok = False
+                break
+        if ok:
+            return w
+    raise AssumptionViolation("no window of one period connects")  # unreachable
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ProtocolError, AssumptionViolation) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def edge_lists(draw, max_p=30):
+    """(p, edges): random pairs, plus a random spanning tree when `connected`
+    is drawn, so both connected and disconnected graphs come up."""
+    p = draw(st.integers(1, max_p))
+    pairs = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=2 * p)) if p > 1 else []
+    if draw(st.booleans()):
+        edges += [(draw(st.integers(0, v - 1)), v) for v in range(1, p)]
+    return p, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(), st.sampled_from(["sorted", "shuffled", "set"]), st.randoms())
+def test_connectivity_matches_depth_first_oracle(case, form, rnd):
+    p, edges = case
+    if form == "sorted":
+        edges = sorted(edges)
+    elif form == "shuffled":
+        rnd.shuffle(edges)
+    else:
+        edges = set(edges)
+    assert _is_connected(p, edges) == reference_is_connected(p, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(), st.data())
+def test_spanning_tree_matches_reference(case, data):
+    p, edges = case
+    g = Graph(p=p, edges=edges)
+    root = data.draw(st.integers(0, p - 1))
+    got = outcome(bfs_spanning_tree, g, root)
+    want = outcome(reference_bfs_spanning_tree, g, root)
+    if isinstance(want, SpanningTree):
+        assert (got.root, got.parent, got.children, got.depth, got.build_messages) == (
+            want.root, want.parent, want.children, want.depth, want.build_messages)
+    else:
+        assert got == want
+
+
+@st.composite
+def schedules(draw):
+    """A schedule of period 1-8 over a random graph: each base edge lands in a
+    random nonempty set of steps.  Some bases are disconnected."""
+    p, edges = draw(edge_lists(max_p=12))
+    base = Graph(p=p, edges=edges)
+    period = draw(st.integers(1, 8))
+    subgraphs: list = [[] for _ in range(period)]
+    for e in base.edges:
+        steps = draw(st.sets(st.integers(0, period - 1), min_size=1))
+        for t in steps:
+            subgraphs[t].append(e)
+    return TvSchedule(base=base, subgraphs=subgraphs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedules())
+def test_window_matches_scan_of_every_length(schedule):
+    assert (outcome(validate_connectivity_window, schedule)
+            == outcome(reference_validate_connectivity_window, schedule))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import distiht.cli
+import distiht.harness
 from distiht.cli import cli
 from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_config,
                              parse_config_text, parse_graph_token,
@@ -404,3 +405,95 @@ class TestCliRejects:
         assert proc.returncode == 2
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "Traceback" not in proc.stderr and "missing.npz" in proc.stderr
+
+
+def must_not_run(*args):
+    raise AssertionError("a cell ran")
+
+
+class TestConfigChecked:
+    @pytest.mark.parametrize("old, new, offender", [
+        ("er:0.5", "foo:1", "unknown graph family 'foo'"),
+        ("er:0.5", "ba:2.5", "ba attachment 2.5"),
+        ("er:0.5", "ba:5", "ba attachment 5"),
+        ("er:0.5", "er:1.5", "er probability 1.5"),
+        ("er:0.5", "geo:0", "geo radius 0"),
+        ("er:0.5", "er:0.25, er:0.250", "repeated graphs: ['er0.25', 'er0.25']"),
+        ("seeds = 0\n\n[graphs]", "seeds = 0, 0\n\n[graphs]", "repeated problem seeds"),
+        ("seeds = 0\n\n[algorithms]", "seeds = 0, 0\n\n[algorithms]",
+         "repeated graph seeds"),
+        ("run = diht", "run = diht, iht, diht", "repeated algorithms"),
+        ("1e-1, 1e-2", "1e-1, 0.1", "repeated accuracies"),
+        ("1e-1, 1e-2", "-1", "accuracies [-1.0] must be positive"),
+        ("max_iters = 300", "max_iters = 0", "max_iters 0"),
+        ("max_iters = 300", "max_iters = 300\nsubgraph_count = 0", "subgraph count 0"),
+        ("run = diht", "run = diht\nstep_exponent = 0.5", "step_exponent 0.5"),
+    ], ids=["unknown-family", "ba-fraction", "ba-at-p", "er-above-1", "geo-zero",
+            "graph-label", "problem-seed", "graph-seed", "algorithm", "accuracy",
+            "negative-accuracy", "zero-budget", "zero-subgraphs", "step-exponent"])
+    def test_rejected_before_any_cell_runs(self, old, new, offender, tmp_path,
+                                           monkeypatch, capsys):
+        assert old in DESK_CONFIG
+        monkeypatch.setattr(distiht.harness, "run_cell", must_not_run)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(DESK_CONFIG.replace(old, new)
+                            + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli(["experiment", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and offender in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, offender", [
+        (["--family", "ba", "--param", "2.5"], "ba attachment 2.5"),
+        (["--tol", "-1"], "must be positive"),
+        (["--subgraphs", "0"], "subgraph count 0"),
+    ])
+    def test_run_rejects_before_the_cell(self, flags, offender, monkeypatch, capsys):
+        monkeypatch.setattr(distiht.cli, "run_cell", must_not_run)
+        assert cli(["run", "diht", *SMALL, *flags]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and offender in err[0]
+
+    def test_gen_graph_rejects_a_fractional_attachment(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert cli(["gen-graph", "--family", "ba", "--p", "8", "--param", "2.5",
+                    "--out", str(out)]) == 2
+        assert "ba attachment 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_defaults_are_the_config_defaults(self, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        seen = []
+
+        def capture(problem, spec, graph_seed, algorithm, cfg):
+            seen.append(cfg)
+            raise Captured  # cli() lets it through
+
+        monkeypatch.setattr(distiht.cli, "run_cell", capture)
+        with pytest.raises(Captured):
+            cli(["run", "diht"])
+        got, want = seen[0], ExperimentConfig()
+        for name in ["n", "m", "k", "p", "noise_std", "spectral_cap", "ensemble",
+                     "graphs", "subgraph_count", "step_exponent", "max_iters"]:
+            assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("content", [None, b"PK\x03\x04garbage"],
+                         ids=["missing-arrays", "truncated"])
+def test_incomplete_problem_file_exits_2(content, tmp_path):
+    path = tmp_path / "p.npz"
+    if content is None:
+        np.savez(path, a=1)
+    else:
+        path.write_bytes(content)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from distiht.cli import main; main()",
+         "run", "diht", "--problem", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert "not a complete problem archive" in proc.stderr

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distiht.model import (SensingSlice, batched_gradients, generate_problem,
+from distiht.model import (SensingSlice, _split, batched_gradients, generate_problem,
                            lipschitz_of_slice, load_problem, loss_gradient, loss_info,
                            loss_value, padded_slices, save_problem, spectral_norm,
                            stacked_lipschitz)
@@ -253,3 +253,53 @@ def test_batched_gradients_match_each_slice(case, tmp_path):
     for q, sl in enumerate(prob.slices):
         np.testing.assert_allclose(got[q], loss_gradient(sl, xs[q]), rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(got[q])))
+
+
+def split_as_generated(a, b, row_counts):
+    """The slice loop generate_problem ran before _split."""
+    slices = []
+    off = 0
+    for rows in row_counts:
+        slices.append(SensingSlice(a[off:off + rows], b[off:off + rows]))
+        off += rows
+    return slices
+
+
+def split_as_loaded(a, b, offsets, m, p):
+    """The slice loop load_problem ran before _split."""
+    bounds = offsets.tolist() + [m]
+    return [SensingSlice(a[bounds[i]:bounds[i + 1]], b[bounds[i]:bounds[i + 1]])
+            for i in range(p)]
+
+
+@pytest.mark.parametrize("row_counts", [[4] * 5, [1, 5, 2, 6]], ids=["even", "uneven"])
+def test_split_matches_both_replaced_loops(row_counts):
+    m, p = sum(row_counts), len(row_counts)
+    rng = np.random.default_rng(16)
+    a, b = rng.standard_normal((m, 7)), rng.standard_normal(m)
+    offsets = np.cumsum([0] + row_counts)[:-1]
+    got = _split(a, b, offsets)
+    for want in (split_as_generated(a, b, row_counts),
+                 split_as_loaded(a, b, offsets, m, p)):
+        assert len(got) == len(want) == p
+        for s1, s2 in zip(got, want):
+            np.testing.assert_array_equal(s1.a, s2.a)
+            np.testing.assert_array_equal(s1.b, s2.b)
+    assert all(np.shares_memory(s.a, a) and np.shares_memory(s.b, b) for s in got)
+
+
+def write_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.arange(3))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: np.savez(path, a=1),  # a zip archive without the problem's arrays
+    lambda path: path.write_bytes(b"PK\x03\x04garbage"),  # a truncated zip
+    write_npy,  # one array, not an archive
+], ids=["missing-arrays", "truncated", "npy-array"])
+def test_load_rejects_an_incomplete_archive(tmp_path, write):
+    path = tmp_path / "prob.npz"
+    write(path)
+    with pytest.raises(ValueError, match="not a complete problem archive"):
+        load_problem(str(path))
