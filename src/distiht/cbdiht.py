@@ -21,7 +21,9 @@ from .diht import Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
 from .iht import IhtConfig, IhtTrace, _run
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import Problem, lipschitz_of_slice, loss_gradient, stacked_lipschitz
+from .model import (Problem, batched_gradients, lipschitz_of_slice, padded_slices,
+                    stacked_lipschitz)
+from .model import loss_gradient  # noqa: F401  rebound by perfbench's traced pass
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
 
@@ -46,7 +48,6 @@ class CbDihtRun:
     v_hats: list
     problem: Problem
     l_tv: float
-    k_sparsity: int
     agent1_converged_at: Optional[int] = None
     global_converged_at: Optional[int] = None  # every agent within the tolerance
     initiated_counts: list = field(default_factory=list)
@@ -103,42 +104,40 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     reference = stop.reference_vector(problem)
 
     periods = [directed_links(links, p) for links in schedule.subgraphs]
-    # agents of one instance share their estimate array, never written in place
-    estimates = [config.x_init] * p
+    a, b = padded_slices(problem.slices)
+    # the iterate each live instance carries; agents that never joined hold x_init
+    iterates = {-1: config.x_init}
     machine = DiffusiveConsensus(p, 0, np.zeros(n))
     s_schedule, v_hats, initiated_counts, eps_norms, worst_errors = [], [], [], [], []
     costs = []  # per outer iteration: values, messages, broadcasts, time steps
 
     def gradient(x):
-        # agent 0 opens instance `outer` at x; the slice gradients at x are
-        # shared by agent 0, every joiner of this instance and the eps diagnostic
+        # agent 0 opens instance `outer` at x over the slice gradients at x:
+        # a joiner contributes its own from the next step on, and agent 0's
+        # row is a mix of them (an older instance's rows never reach it)
         outer = len(s_schedule)
-        estimates[0] = x
-        grads = [loss_gradient(sl, x) for sl in problem.slices]
-        machine.open(outer, 0, grads[0])
+        grads = batched_gradients(a, b, np.broadcast_to(x, (p, n)))
+        machine.open(outer, 0, grads)
+        iterates[outer] = x
         s_k = int(s_fn(outer, x))
         s_schedule.append(s_k)
-
-        def join(q, a):
-            # q copies a's iterate and from the next step on contributes its
-            # gradient at x (an older instance's rows never reach agent 0)
-            estimates[q] = estimates[a]
-            return grads[q]
 
         cost = np.array([0, 0, 0, s_k], dtype=np.int64)  # a step is a time step
         for _ in range(s_k):
             links = periods[machine.step_count % len(periods)]
-            sends, initiates = machine.step(links, join)
+            sends, initiates = machine.step(links)
             senders, initiators = np.count_nonzero(sends), np.count_nonzero(initiates)
             sends, initiates = sends.sum(), initiates.sum()
             # a vector costs N values and N broadcasts per sender, an INITIATE 2K
             cost[:3] += (n * sends + 2 * k * initiates, sends + initiates,
                          n * senders + 2 * k * initiators)
         costs.append(cost)
-        v_hat = machine.values[0].copy()
+        for i in iterates.keys() - set(machine.inst.tolist()):
+            del iterates[i]  # no agent holds instance i any more
+        v_hat = machine.coef[0] @ grads
         v_hats.append(v_hat)
         initiated_counts.append(int(np.sum(machine.inst == outer)))
-        eps_norms.append(float(np.linalg.norm(p * v_hat - sum(grads, np.zeros(n)))))
+        eps_norms.append(float(np.linalg.norm(p * v_hat - grads.sum(axis=0))))
         return v_hat
 
     rule, bound = None, 0.0  # without a reference, agent 0 stops on its step size
@@ -147,9 +146,9 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
 
         def rule(x, x_prev):
             # every agent within the tolerance: agent 0 holds x, the others
-            # the iterate they last joined
-            distinct = {id(e): e for e in [x] + estimates[1:]}.values()
-            worst = max(float(np.linalg.norm(e - reference)) for e in distinct)
+            # the iterate of the instance they last joined
+            held = [x] + [iterates[i] for i in set(machine.inst[1:].tolist())]
+            worst = max(float(np.linalg.norm(e - reference)) for e in held)
             if x_prev is not None:  # one record per outer iteration
                 worst_errors.append(worst)
             return stop.tol > 0 and worst <= bound
@@ -164,12 +163,13 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
                "initiated_count": initiated_counts})
     return CbDihtRun(
         agent1_trace=trace, per_agent_last_iter=machine.inst.tolist(), metrics=metrics,
-        s_schedule=s_schedule, v_hats=v_hats, problem=problem, l_tv=l_tv, k_sparsity=k,
+        s_schedule=s_schedule, v_hats=v_hats, problem=problem, l_tv=l_tv,
         agent1_converged_at=next((i for i, e in enumerate(trace.errors_vs_truth)
                                   if stop.tol > 0 and e <= bound), None),
         global_converged_at=trace.converged_at if reference is not None else None,
         initiated_counts=initiated_counts, worst_errors=worst_errors,
-        final_estimates=[e.copy() for e in [trace.final] + estimates[1:]])
+        final_estimates=[trace.final.copy()]
+        + [iterates[i].copy() for i in machine.inst[1:].tolist()])
 
 
 def epsilon_series(run: CbDihtRun) -> np.ndarray:

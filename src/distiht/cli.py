@@ -14,20 +14,34 @@ from .iht import NumericFailure, write_trace_csv
 from .model import ENSEMBLES, generate_problem, load_problem, save_problem
 
 
-def _add_problem_args(sp, defaults: ExperimentConfig):
+def _add_problem_args(sp):
+    # the generator flags default to None, so that one given alongside
+    # --problem shows; _get_problem fills in ExperimentConfig's defaults
     sp.add_argument("--problem", help="load a saved problem instead of generating")
-    sp.add_argument("--n", type=int, default=defaults.n)
-    sp.add_argument("--m", type=int, default=defaults.m)
-    sp.add_argument("--k", type=int, default=defaults.k)
-    sp.add_argument("--p", type=int, default=defaults.p)
-    sp.add_argument("--noise-std", type=float, default=defaults.noise_std)
-    sp.add_argument("--cap", type=float, default=defaults.spectral_cap,
-                    help="spectral norm of A")
-    sp.add_argument("--ensemble", choices=ENSEMBLES, default=defaults.ensemble)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--m", type=int)
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--p", type=int)
+    sp.add_argument("--noise-std", type=float)
+    sp.add_argument("--cap", type=float, help="spectral norm of A")
+    sp.add_argument("--ensemble", choices=ENSEMBLES)
+    sp.add_argument("--seed", type=int)
 
 
 def _get_problem(args):
+    """Load --problem, or generate from the generator flags; a generator flag
+    given with --problem is rejected rather than ignored."""
+    d = ExperimentConfig()
+    defaults = {"n": d.n, "m": d.m, "k": d.k, "p": d.p, "noise_std": d.noise_std,
+                "cap": d.spectral_cap, "ensemble": d.ensemble, "seed": 0}
+    given = [name for name in defaults if getattr(args, name) is not None]
+    if args.problem and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ValueError(f"--problem cannot be combined with the generator "
+                         f"flags {flags}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     if args.problem:
         return load_problem(args.problem)
     return generate_problem(args.n, args.m, args.k, args.p, args.noise_std,
@@ -41,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen-problem", help="generate and save an instance")
-    _add_problem_args(sp, defaults)
+    _add_problem_args(sp)
     sp.add_argument("--out", required=True, help="output .npz path")
 
     sp = sub.add_parser("gen-graph", help="generate and save a connected graph")
@@ -61,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="run one algorithm on one instance")
     sp.add_argument("algorithm", choices=list(ALGORITHMS))
-    _add_problem_args(sp, defaults)
+    _add_problem_args(sp)
     sp.add_argument("--family", choices=list(FAMILY_BUILDERS),
                     default=defaults.graphs[0].family)
     sp.add_argument("--param", type=float, default=defaults.graphs[0].param)

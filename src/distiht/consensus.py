@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -78,44 +78,81 @@ def directed_links(links, p: int) -> Links:
 class DiffusiveConsensus:
     """Lockstep state machine for initiation-gated averaging over instances.
 
-    Agent q holds the row `values[q]` and the number `inst[q]` of the
-    instance it joined (-1 before it joins any); `active[a, q]` says that a
-    activated its link to q.  An instance opens at one agent and spreads by
-    INITIATE messages along the links each step offers; an agent adopts any
-    fresher instance that reaches it and drops its old links.  Agents that
-    have not joined, or have no same-instance active link this step, hold
-    their row bit-unchanged.
+    Averaging is linear, so the machine tracks mixing coefficients, not
+    vectors.  Each live instance i has one immutable `(p, dim)` array
+    `bases[i]`, row q being what agent q contributes once it joins; agent q
+    holds the coefficient row `coef[q]`, and its value is
+    `coef[q] @ bases[inst[q]]` (`values` derives them all).  `inst[q]` is
+    the instance q joined (-1 before it joins any, whose basis is the
+    background); `active[a, q]` says that a activated its link to q.  An
+    instance opens at one agent and spreads by INITIATE messages along the
+    links each step offers; an agent adopts any fresher instance that
+    reaches it, starting from coefficient row e_q, and drops its old links.
+    Agents that have not joined, or have no same-instance active link this
+    step, hold their coefficient row bit-unchanged.  Instance numbers only
+    grow; the constructor's instance 0 may be reopened before any step.
     """
 
     def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
                  background: Optional[np.ndarray] = None):
         self.p = p
-        dim = np.atleast_1d(np.asarray(initiator_value, dtype=float)).shape[0]
-        self.values = np.zeros((p, dim)) if background is None \
+        self.dim = np.atleast_1d(np.asarray(initiator_value, dtype=float)).shape[0]
+        background = np.zeros((p, self.dim)) if background is None \
             else np.array(background, dtype=float)
+        self.coef = np.eye(p)
         self.inst = np.full(p, -1, dtype=int)
         self.active = np.zeros((p, p), dtype=bool)
         self.initiated_at: list = [None] * p  # step from which each takes part
         self.step_count = 0
-        self.open(0, initiator, initiator_value)
+        background.flags.writeable = False
+        self.bases = {-1: background}
+        first = background.copy()
+        first[initiator] = initiator_value
+        self.open(0, initiator, first)
 
-    def open(self, instance: int, agent: int, value: np.ndarray) -> None:
-        """Start `instance` at `agent`, which contributes `value` and
-        re-activates its links from scratch."""
-        self.values[agent] = value
+    @property
+    def values(self) -> np.ndarray:
+        """Every agent's row `coef[q] @ bases[inst[q]]`, as a new array."""
+        out = np.empty((self.p, self.dim))
+        for i, basis in self.bases.items():
+            rows = self.inst == i
+            out[rows] = self.coef[rows] @ basis
+        return out
+
+    def open(self, instance: int, agent: int, contributions: np.ndarray) -> None:
+        """Start `instance` at `agent` over the `(p, dim)` `contributions`
+        (row q is what agent q brings when it joins); the agent contributes
+        its own row and re-activates its links from scratch.  The machine
+        keeps a read-only view, so the caller must not write to the array
+        while the instance lives."""
+        basis = np.asarray(contributions, dtype=float).view()
+        if basis.shape != (self.p, self.dim):
+            raise ValueError(f"contributions have shape {basis.shape}, "
+                             f"expected ({self.p}, {self.dim})")
+        basis.flags.writeable = False
+        self.bases[instance] = basis
+        self.coef[agent] = 0.0
+        self.coef[agent, agent] = 1.0
         self.active[agent] = False
         self.inst[agent] = instance
         self.initiated_at[agent] = self.step_count
+        self._prune()
 
-    def step(self, links, join: Optional[Callable[[int, int], np.ndarray]] = None):
+    def _prune(self) -> None:
+        # a basis lives as long as some agent holds its instance
+        live = set(self.inst.tolist())
+        for i in [i for i in self.bases if i not in live]:
+            del self.bases[i]
+
+    def step(self, links):
         """One synchronous step over `links` (a `Links` or a list of pairs).
 
         Values first move over the links their sender had activated, and
         agents average with same-instance neighbours under Metropolis
-        weights.  Then the INITIATE wave runs in agent-index order; an agent
-        that joins from a lower-indexed sender forwards in this step.  When
-        q adopts a's fresher instance, `join(q, a)`, if given, supplies q's
-        new row.  Returns each agent's value sends and INITIATE fan-out.
+        weights, which mix the coefficient rows.  Then the INITIATE wave runs
+        in agent-index order; an agent that joins from a lower-indexed sender
+        forwards in this step.  Returns each agent's value sends and
+        INITIATE fan-out.
         """
         if not isinstance(links, Links):
             links = directed_links(links, self.p)
@@ -128,14 +165,15 @@ class DiffusiveConsensus:
         avg = live & (inst[src] == inst[dst])
         if avg.any():
             w, deg = metropolis_matrix(src[avg], dst[avg], self.p)
-            mixed = w @ self.values
-            mixed[deg == 0] = self.values[deg == 0]  # holders keep their row bit-exact
-            self.values = mixed
+            mixed = w @ self.coef
+            mixed[deg == 0] = self.coef[deg == 0]  # holders keep their row bit-exact
+            self.coef = mixed
         # every joined agent ships its row on its live links, whether or not
         # the far end still listens to its instance
         sends = np.bincount(src[live], minlength=self.p)
 
         fanout = np.zeros(self.p, dtype=int)
+        joined = []
         pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=self.p).tolist()
         for a in range(self.p):
             if not pending[a]:
@@ -152,12 +190,16 @@ class DiffusiveConsensus:
                     active[q] = False
                     active[q, a] = True
                     self.initiated_at[q] = self.step_count + 1
-                    if join is not None:
-                        self.values[q] = join(q, a)
+                    joined.append(q)
                     pending[q] = True
                 elif ka == inst[q]:
                     active[q, a] = True  # pure link activation
                 # an already-fresher receiver ignores the message
+        if joined:
+            # a joiner contributes its own row of its new instance's basis
+            self.coef[joined] = 0.0
+            self.coef[joined, joined] = 1.0
+            self._prune()
         self.step_count += 1
         return sends, fanout
 

@@ -126,8 +126,16 @@ class TestRunCbdiht:
         prob = desk_problem(9)
         sched = gen_tv_schedule(gen_erdos_renyi(6, 0.5, 10), 10, 11)
         run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=60), s_fn=s_fn)
-        np.testing.assert_allclose(epsilon_series(run), recomputed_epsilon_series(run),
-                                   rtol=1e-12, atol=0)
+        # eps is a difference of nearly equal terms, and near the optimum so is
+        # every slice gradient 2 a^T a x - 2 a^T b: it agrees within 1e-12 of
+        # their size, p ||v_hat|| + sum_q (||2 a_q^T a_q x_k|| + ||2 a_q^T b_q||)
+        scales = [6 * np.linalg.norm(v_hat) + sum(
+            np.linalg.norm(2 * sl.a.T @ (sl.a @ xk)) + np.linalg.norm(2 * sl.a.T @ sl.b)
+            for sl in prob.slices)
+            for v_hat, xk in zip(run.v_hats, run.agent1_trace.iterates)]
+        drift = np.abs(np.sqrt(epsilon_series(run))
+                       - np.sqrt(recomputed_epsilon_series(run)))
+        assert np.all(drift <= 1e-12 * np.array(scales))
 
     def test_constant_s_keeps_eps_finite(self):
         prob = desk_problem(12)

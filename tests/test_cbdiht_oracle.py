@@ -1,9 +1,15 @@
 """Differential oracle for run_cbdiht: the original per-agent loop, kept verbatim.
 
-The library runs the averaging step on per-period edge arrays; this loop
-rebuilds neighbour lists from sets, fills the weight matrix entry by entry
-and counts sends agent by agent.  Both must agree exactly on every counter,
-schedule, record and estimate.
+The library runs the averaging step on per-period edge arrays, mixes p x p
+coefficient rows instead of N-vectors and takes the slice gradients in one
+batch; this loop rebuilds neighbour lists from sets, fills the weight matrix
+entry by entry, averages the vectors themselves and counts sends agent by
+agent.  Both agree exactly on every counter, schedule, instance count, join
+and stop index.  The consensus averages, iterates, estimates and errors are
+summed in a different order, so they agree to float64 drift (1e-12 of each
+series' largest magnitude).  The gradient error eps = p v_hat - grad f(x_k)
+is a difference of nearly equal terms, so it agrees within 1e-12 of the
+scale of those terms, p ||v_hat|| + sum_q ||grad f_q(x_k)||.
 """
 import warnings
 from dataclasses import dataclass, field
@@ -98,7 +104,7 @@ def reference_run_cbdiht(problem: Problem, schedule: TvSchedule,
     metrics = Metrics()
     run = CbDihtRun(agent1_trace=trace, per_agent_last_iter=[0] + [-1] * (p - 1),
                     metrics=metrics, s_schedule=[], v_hats=[], problem=problem,
-                    l_tv=l_tv, k_sparsity=k)
+                    l_tv=l_tv)
 
     t_now = 0
     for outer in range(stop.max_iters):
@@ -231,19 +237,48 @@ def random_schedule(p, seed, count, retain):
     return TvSchedule(base=Graph(p=p, edges=base), subgraphs=subgraphs)
 
 
+RTOL = 1e-12
+
+
+def assert_close(fast, slow):
+    """Equal up to float64 drift: within RTOL of the series' largest magnitude."""
+    fast, slow = np.asarray(fast, dtype=float), np.asarray(slow, dtype=float)
+    assert fast.shape == slow.shape
+    scale = float(np.max(np.abs(slow), initial=0.0))
+    np.testing.assert_allclose(fast, slow, rtol=RTOL, atol=RTOL * scale)
+
+
+def eps_scales(run):
+    """p ||v_hat_k|| + sum_q ||grad f_q(x_k)|| per outer iteration, from a run
+    that kept its iterates: the size of the terms eps is the difference of."""
+    p, iterates = run.problem.p, run.agent1_trace.iterates
+    assert len(iterates) > len(run.v_hats)
+    return np.array([p * np.linalg.norm(v_hat) + sum(
+        np.linalg.norm(loss_gradient(sl, xk)) for sl in run.problem.slices)
+        for v_hat, xk in zip(run.v_hats, iterates)])
+
+
+def assert_eps_close(fast, slow, scales):
+    fast, slow = np.asarray(fast, dtype=float), np.asarray(slow, dtype=float)
+    assert fast.shape == slow.shape == scales.shape
+    assert np.all(np.abs(fast - slow) <= RTOL * scales)
+
+
 def assert_runs_equal(fast, slow):
     for name in ("values_sent", "messages_sent", "broadcasts", "time_steps"):
         assert getattr(fast.metrics, name) == getattr(slow.metrics, name), name
     assert fast.s_schedule == slow.s_schedule
     assert fast.initiated_counts == slow.initiated_counts
     assert fast.per_agent_last_iter == slow.per_agent_last_iter
-    assert fast.worst_errors == slow.worst_errors
-    assert fast.agent1_trace.eps_norms == slow.agent1_trace.eps_norms
     assert (fast.global_converged_at, fast.agent1_converged_at) == \
         (slow.global_converged_at, slow.agent1_converged_at)
+    assert_close(fast.worst_errors, slow.worst_errors)
+    assert_eps_close(fast.agent1_trace.eps_norms, slow.agent1_trace.eps_norms,
+                     eps_scales(slow))
     for name in ("v_hats", "final_estimates"):
         a, b = getattr(fast, name), getattr(slow, name)
-        assert len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b)), name
+        assert len(a) == len(b), name
+        assert_close(np.reshape(a, (len(a), -1)), np.reshape(b, (len(b), -1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,7 +321,19 @@ def test_metrics_rows_match_reference_loop(p, seed, count, steps, tol, max_iters
                   validate_schedule=False, keep_iterates=False)
     fast = run_cbdiht(prob, sched, **kwargs)
     slow = reference_run_cbdiht(prob, sched, **kwargs)
-    assert fast.metrics.per_iteration == slow.metrics.per_iteration
-    assert fast.agent1_trace.step_deltas == slow.agent1_trace.step_deltas
-    assert fast.agent1_trace.errors_vs_truth == slow.agent1_trace.errors_vs_truth
-    assert np.array_equal(fast.agent1_trace.final, slow.agent1_trace.final)
+    # the same reference run with every iterate kept sizes the eps bound
+    scales = eps_scales(reference_run_cbdiht(prob, sched,
+                                             **{**kwargs, "keep_iterates": True}))
+    rows, want = fast.metrics.per_iteration, slow.metrics.per_iteration
+    assert len(rows) == len(want) and all(r.keys() == w.keys() for r, w in zip(rows, want))
+    for col in want[0].keys() if want else ():
+        got, exp = [r[col] for r in rows], [w[col] for w in want]
+        if col == "err":
+            assert_close(got, exp)
+        elif col == "eps_norm_sq":
+            assert_eps_close(np.sqrt(got), np.sqrt(exp), scales)
+        else:
+            assert got == exp, col
+    assert_close(fast.agent1_trace.step_deltas, slow.agent1_trace.step_deltas)
+    assert_close(fast.agent1_trace.errors_vs_truth, slow.agent1_trace.errors_vs_truth)
+    assert_close(fast.agent1_trace.final, slow.agent1_trace.final)

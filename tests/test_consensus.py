@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distiht.consensus import (DiffusiveConsensus, WeightMatrix, bound_constants,
-                               check_doubly_stochastic, consensus_step,
-                               directed_links, metropolis_weights,
-                               run_diffusive_consensus, schedule_eta)
+from distiht.consensus import (DiffusiveConsensus, Links, WeightMatrix,
+                               bound_constants, check_doubly_stochastic,
+                               consensus_step, directed_links, metropolis_matrix,
+                               metropolis_weights, run_diffusive_consensus,
+                               schedule_eta)
 from distiht.graphs import (Graph, TvSchedule, gen_erdos_renyi,
                             gen_tv_schedule, static_schedule)
 
@@ -220,6 +221,131 @@ def test_diffusive_machine_matches_reference(p, density, count, seed):
                 assert new.initiated_at[q] <= old.initiated_at[q]
         if same:
             assert np.max(np.abs(new.values - old.values)) <= 1e-12
+
+
+# The dense machine that the coefficient machine replaced, kept verbatim as
+# its oracle: it mixes the (p, dim) value array itself at every step, and a
+# `join(q, a)` callback supplies the row of an agent that adopts a fresher
+# instance.
+class DenseDiffusiveConsensus:
+    """Lockstep state machine for initiation-gated averaging over instances.
+
+    Agent q holds the row `values[q]` and the number `inst[q]` of the
+    instance it joined (-1 before it joins any); `active[a, q]` says that a
+    activated its link to q.  An instance opens at one agent and spreads by
+    INITIATE messages along the links each step offers; an agent adopts any
+    fresher instance that reaches it and drops its old links.  Agents that
+    have not joined, or have no same-instance active link this step, hold
+    their row bit-unchanged.
+    """
+
+    def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
+                 background: Optional[np.ndarray] = None):
+        self.p = p
+        dim = np.atleast_1d(np.asarray(initiator_value, dtype=float)).shape[0]
+        self.values = np.zeros((p, dim)) if background is None \
+            else np.array(background, dtype=float)
+        self.inst = np.full(p, -1, dtype=int)
+        self.active = np.zeros((p, p), dtype=bool)
+        self.initiated_at: list = [None] * p  # step from which each takes part
+        self.step_count = 0
+        self.open(0, initiator, initiator_value)
+
+    def open(self, instance: int, agent: int, value: np.ndarray) -> None:
+        """Start `instance` at `agent`, which contributes `value` and
+        re-activates its links from scratch."""
+        self.values[agent] = value
+        self.active[agent] = False
+        self.inst[agent] = instance
+        self.initiated_at[agent] = self.step_count
+
+    def step(self, links, join: Optional[Callable[[int, int], np.ndarray]] = None):
+        """One synchronous step over `links` (a `Links` or a list of pairs).
+
+        Values first move over the links their sender had activated, and
+        agents average with same-instance neighbours under Metropolis
+        weights.  Then the INITIATE wave runs in agent-index order; an agent
+        that joins from a lower-indexed sender forwards in this step.  When
+        q adopts a's fresher instance, `join(q, a)`, if given, supplies q's
+        new row.  Returns each agent's value sends and INITIATE fan-out.
+        """
+        if not isinstance(links, Links):
+            links = directed_links(links, self.p)
+        src, dst, nbrs = links
+        inst, active = self.inst, self.active
+        live = active[src, dst]
+
+        # the far end of a live same-instance link is active too, since
+        # instances only grow and an INITIATE activates both ends at once
+        avg = live & (inst[src] == inst[dst])
+        if avg.any():
+            w, deg = metropolis_matrix(src[avg], dst[avg], self.p)
+            mixed = w @ self.values
+            mixed[deg == 0] = self.values[deg == 0]  # holders keep their row bit-exact
+            self.values = mixed
+        # every joined agent ships its row on its live links, whether or not
+        # the far end still listens to its instance
+        sends = np.bincount(src[live], minlength=self.p)
+
+        fanout = np.zeros(self.p, dtype=int)
+        pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=self.p).tolist()
+        for a in range(self.p):
+            if not pending[a]:
+                continue
+            fresh = [q for q in nbrs[a] if not active[a, q]]
+            if not fresh:
+                continue
+            fanout[a] = len(fresh)
+            active[a, fresh] = True
+            ka = int(inst[a])
+            for q in fresh:
+                if ka > inst[q]:
+                    inst[q] = ka
+                    active[q] = False
+                    active[q, a] = True
+                    self.initiated_at[q] = self.step_count + 1
+                    if join is not None:
+                        self.values[q] = join(q, a)
+                    pending[q] = True
+                elif ka == inst[q]:
+                    active[q, a] = True  # pure link activation
+                # an already-fresher receiver ignores the message
+        self.step_count += 1
+        return sends, fanout
+
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 9), st.floats(0.2, 1.0), st.integers(1, 8),
+       st.integers(0, 10 ** 6), st.integers(1, 4), st.floats(0.0, 0.5))
+def test_coefficient_machine_matches_dense(p, density, count, seed, dim, reopen):
+    # agent 0 reopens with fresh random contributions now and then, so stale
+    # instances live on at far agents while fresher ones spread
+    schedule = gen_tv_schedule(gen_erdos_renyi(p, density, seed), count, seed + 1)
+    periods = [directed_links(links, p) for links in schedule.subgraphs]
+    rng = np.random.default_rng(seed)
+    bases = {0: rng.standard_normal((p, dim)) * 10.0 ** rng.uniform(-3, 3)}
+    new = DiffusiveConsensus(p, 0, bases[0][0], background=bases[0])
+    old = DenseDiffusiveConsensus(p, 0, bases[0][0], background=bases[0].copy())
+    for t in range(60):
+        if rng.random() < reopen:
+            fresh = len(bases)
+            bases[fresh] = rng.standard_normal((p, dim)) * 10.0 ** rng.uniform(-3, 3)
+            new.open(fresh, 0, bases[fresh])
+            old.open(fresh, 0, bases[fresh][0])
+        got = new.step(periods[t % schedule.period])
+        want = old.step(periods[t % schedule.period],
+                        lambda q, a: bases[int(old.inst[a])][q])
+        assert all(np.array_equal(u, v) for u, v in zip(got, want))
+        assert np.array_equal(new.inst, old.inst)
+        assert np.array_equal(new.active, old.active)
+        assert new.initiated_at == old.initiated_at
+        assert len(new.bases) <= len(set(new.inst.tolist())) + 1
+        values = new.values
+        for i in set(new.inst.tolist()):  # the background is instance 0's basis
+            rows, scale = new.inst == i, float(np.max(np.abs(bases[max(i, 0)])))
+            np.testing.assert_allclose(values[rows], old.values[rows],
+                                       rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestDiffusive:

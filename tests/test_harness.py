@@ -390,6 +390,23 @@ class TestCliRejects:
         assert err[0].startswith(f"{argv[0]}: ")
         assert not captured.out
 
+    @pytest.mark.parametrize("flags", [
+        ["--p", "99"], ["--n", "7"], ["--m", "9"], ["--k", "1"], ["--noise-std", "0.1"],
+        ["--cap", "0.5"], ["--ensemble", "gaussian"], ["--seed", "0"],
+        ["--p", "99", "--n", "7", "--ensemble", "gaussian"]])
+    def test_generator_flags_rejected_with_a_saved_problem(self, flags, tmp_path,
+                                                           monkeypatch, capsys):
+        path = str(tmp_path / "p.npz")
+        assert cli(["gen-problem", *SMALL[:8], "--out", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(distiht.cli, "run_cell", must_not_run)
+        assert cli(["run", "diht", "--problem", path, *flags]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and not captured.out
+        assert err[0].startswith("run: ValueError: --problem cannot be combined")
+        assert all(f in err[0] for f in flags if f.startswith("--"))
+
     def test_three_token_line_is_named(self, tmp_path, capsys):
         (tmp_path / "bad.txt").write_text("# p=3\n0 1\n1 2 3\n")
         assert cli(["gen-schedule", "--graph", str(tmp_path / "bad.txt"),
