@@ -16,10 +16,8 @@ import numpy as np
 from .graphs import Graph, SpanningTree, bfs_spanning_tree
 from .iht import IhtConfig, IhtTrace, _run, write_csv
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import (Problem, batched_gradients, lipschitz_of_slice, padded_slices,
-                    stacked_lipschitz)
-from .model import loss_gradient  # noqa: F401  rebound by perfbench's traced pass
-from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
+from .model import Problem, lipschitz_of_slice, padded_slices, stacked_lipschitz
+from .model import loss_gradient, loss_info  # noqa: F401  rebound by perfbench
 
 
 METRICS_COLUMNS = ["iter", "err", "values_cum", "messages_cum",
@@ -201,19 +199,14 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     tree = bfs_spanning_tree(graph, root=0)
     x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
     a, b = padded_slices(problem.slices)
-    estimates = np.tile(x0, (problem.p, 1))  # row q: agent q's copy of the iterate
-    coherence = []
+    sent = [x0, np.flatnonzero(x0)]  # the last x broadcast and its nonzeros
+    coherence = []  # per broadcast, the largest |x_i| that no agent's copy holds
 
-    def gradient(x):
-        # broadcast phase: the iterate travels down the tree as at most k
-        # (index, value) pairs, and every agent decodes them into its row;
-        # convergecast phase: the agents' gradients at their rows are
-        # summed toward the root
-        support = np.flatnonzero(x)[:k]
-        estimates.fill(0.0)
-        estimates[:, support] = x[support]
-        coherence.append(float(np.max(np.abs(estimates - x), initial=0.0)))
-        return _tree_sum(tree, batched_gradients(a, b, estimates))
+    def gradient(x):  # every agent decodes the same pairs: x at its first k nonzeros
+        sent[:] = x, np.flatnonzero(x)
+        coherence.append(float(np.max(np.abs(x[sent[1][k:]]), initial=0.0)))
+        r = a[:, :, sent[1][:k]] @ x[sent[1][:k]] - b
+        return _tree_sum(tree, np.matmul((2.0 * r)[:, None, :], a)[:, 0, :])
 
     config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
     trace = _run(gradient, None, stop.reference_vector(problem), config, None,
@@ -227,6 +220,8 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
                                  [cost] * len(trace.step_deltas),
                                  start=(0, tree.build_messages, 0, 0))  # the tree build
 
+    estimates = np.zeros((problem.p, problem.n))  # row q: agent q's decoded copy
+    estimates[:, sent[1][:k]] = sent[0][sent[1][:k]]
     return DihtRun(tree=tree, agent_estimates=list(estimates), metrics=metrics,
                    trace=trace, coherence=coherence, l=l)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class SensingSlice:
 
 @dataclass
 class Problem:
-    """A distributed sparse recovery instance over p agents."""
+    """A distributed sparse recovery instance over p agents, not to be mutated."""
 
     n: int
     m: int
@@ -64,6 +65,10 @@ class Problem:
         """Reassemble the full (A, b) from the slices."""
         return (np.vstack([s.a for s in self.slices]),
                 np.concatenate([s.b for s in self.slices]))
+
+    @cached_property
+    def _stacked_lipschitz(self) -> float:  # not a field: == and repr skip it
+        return 2.0 * spectral_norm(self.stacked()[0]) ** 2
 
 
 @dataclass
@@ -112,8 +117,8 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 def stacked_lipschitz(problem: Problem) -> float:
-    """Gradient Lipschitz constant 2 ||A||^2 of the stacked loss, exact."""
-    return 2.0 * spectral_norm(problem.stacked()[0]) ** 2
+    """Gradient Lipschitz constant 2 ||A||^2 of the stacked loss, exact, memoised."""
+    return problem._stacked_lipschitz
 
 
 def loss_info(problem: Problem) -> LossInfo:

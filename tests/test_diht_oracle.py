@@ -1,17 +1,21 @@
-"""Differential oracle for run_diht: the original loop, kept verbatim.
+"""Differential oracles for run_diht: the original loop, kept verbatim, and
+the dense gradient path that the K-column one replaced.
 
 The library runs DIHT on centralized IHT's loop with a tree-summed gradient
 oracle and fills the counters from their closed form; the agents' gradients
-come from one batched product and the tree sum adds the rows of one (p, n)
-array in place, deepest vertices first.  This file keeps the loop that had
-its own copy of the stop rule, record-keeping and counting, the post-order
-tree sum, and the list-based tree sum that the in-place one replaced.
+come from one batched product on the K columns the down sweep sends, and
+the tree sum adds the rows of one (p, n) array in place, deepest vertices
+first.  This file keeps the loop that had its own copy of the stop rule,
+record-keeping and counting, the post-order tree sum, the list-based tree
+sum that the in-place one replaced, and the shared-loop run that decoded
+the sent pairs into one (p, n) row per agent and took the batched
+gradients at the rows.
 
-The batched product rounds differently from one product per slice, so the
-iterates, errors, step sizes and estimates agree to float64 drift (1e-12 of
-each series' largest magnitude) rather than bit for bit.  The step
-constant, the stop index, every counter and the coherence agree exactly,
-and the tree sums agree bit for bit.
+Both products round differently from the one here, so the iterates,
+errors, step sizes and estimates agree to float64 drift (1e-12 of each
+series' largest magnitude) rather than bit for bit.  The step constant, the
+stop index, every counter, the coherence and, against the dense path, every
+iterate's support agree exactly, and the tree sums agree bit for bit.
 """
 import warnings
 from dataclasses import dataclass, field
@@ -20,11 +24,13 @@ from typing import Optional
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from distiht.diht import StopRule, _path_delay, _tree_sum, run_diht
+from distiht.diht import (DihtRun, Metrics as RunMetrics, StopRule, _path_delay,
+                          _tree_sum, default_step_constant, run_diht)
 from distiht.graphs import (Graph, SpanningTree, bfs_spanning_tree,
                             gen_barabasi_albert, gen_erdos_renyi, gen_geometric)
-from distiht.iht import IhtTrace, NumericFailure, hard_threshold
-from distiht.model import Problem, generate_problem, loss_gradient, loss_info
+from distiht.iht import IhtConfig, IhtTrace, NumericFailure, _run, hard_threshold
+from distiht.model import (Problem, batched_gradients, generate_problem, loss_gradient,
+                           loss_info, padded_slices)
 
 
 @dataclass
@@ -197,6 +203,46 @@ def reference_run_diht(problem: Problem, graph: Graph, l: Optional[float] = None
                    metrics=metrics, trace=trace, coherence=coherence, l=l)
 
 
+def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule,
+                   x_init: Optional[np.ndarray] = None) -> DihtRun:
+    """run_diht on the shared loop, with every agent's decoded copy of the
+    iterate held as one row of a (p, n) block and the batched gradients
+    taken at the rows."""
+    k = problem.k
+    l = default_step_constant(problem)
+
+    tree = bfs_spanning_tree(graph, root=0)
+    x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
+    a, b = padded_slices(problem.slices)
+    estimates = np.tile(x0, (problem.p, 1))  # row q: agent q's copy of the iterate
+    coherence = []
+
+    def gradient(x):
+        # broadcast phase: the iterate travels down the tree as at most k
+        # (index, value) pairs, and every agent decodes them into its row;
+        # convergecast phase: the agents' gradients at their rows are
+        # summed toward the root
+        support = np.flatnonzero(x)[:k]
+        estimates.fill(0.0)
+        estimates[:, support] = x[support]
+        coherence.append(float(np.max(np.abs(estimates - x), initial=0.0)))
+        return _tree_sum(tree, batched_gradients(a, b, estimates))
+
+    config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
+    trace = _run(gradient, None, stop.reference_vector(problem), config, None)
+
+    nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
+    up_values = (problem.p - 1) * problem.n
+    cost = ((problem.p - 1) * 2 * k + up_values, 2 * (problem.p - 1),
+            2 * k * nonleaf + up_values, 2 * tree.height)
+    metrics = RunMetrics.from_costs(trace.errors_vs_truth[1:] or None,
+                                    [cost] * len(trace.step_deltas),
+                                    start=(0, tree.build_messages, 0, 0))  # the tree build
+
+    return DihtRun(tree=tree, agent_estimates=list(estimates), metrics=metrics,
+                   trace=trace, coherence=coherence, l=l)
+
+
 RTOL = 1e-12
 
 
@@ -291,3 +337,44 @@ def test_tree_sum_matches_list_loop_bit_for_bit(p, family, seed, n):
     want = list_tree_sum(tree, list(rows))
     np.testing.assert_array_equal(_tree_sum(tree, list(rows)), want)
     np.testing.assert_array_equal(_tree_sum(tree, rows.copy()), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 8), family=st.sampled_from(["er", "ba", "geo"]),
+       seed=st.integers(0, 10 ** 6), n=st.integers(1, 60), data=st.data(),
+       reference=st.sampled_from(["truth", "self"]),
+       tol=st.sampled_from([0.0, 1e-2, 1e-5]), start=st.booleans(),
+       max_iters=st.integers(1, 40))
+def test_k_column_gradient_matches_dense_decode(p, family, seed, n, data, reference,
+                                                tol, start, max_iters):
+    k = data.draw(st.integers(1, n), label="k")
+    m = data.draw(st.integers(p, 3 * p + 6), label="m")
+    prob = generate_problem(n, m, k, p, seed=seed)
+    graph = draw_graph(family, p, seed)
+    x_init = None
+    if start:
+        # fewer than k nonzeros where k allows it, index 0 among them
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, k)) if k > 1 else 1
+        x_init = np.zeros(n)
+        x_init[0] = rng.standard_normal()
+        x_init[rng.choice(np.arange(1, n), size=count - 1, replace=False)] = (
+            rng.standard_normal(count - 1))
+    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters, reference=reference),
+                  x_init=x_init)
+    fast, slow = run_diht(prob, graph, **kwargs), dense_run_diht(prob, graph, **kwargs)
+    assert fast.l == slow.l
+    assert fast.coherence == slow.coherence
+    assert fast.trace.converged_at == slow.trace.converged_at
+    assert fast.metrics.totals == slow.metrics.totals
+    for name, col in fast.metrics.columns.items():
+        if name != "err":
+            np.testing.assert_array_equal(col, slow.metrics.columns[name])
+    assert len(fast.trace.iterates) == len(slow.trace.iterates)
+    for u, v in zip(fast.trace.iterates, slow.trace.iterates):
+        np.testing.assert_array_equal(np.flatnonzero(u), np.flatnonzero(v))
+    assert_close(fast.trace.iterates, slow.trace.iterates)
+    assert_close(fast.trace.errors_vs_truth, slow.trace.errors_vs_truth)
+    assert_close(fast.metrics.columns["err"], slow.metrics.columns["err"])
+    assert_close(fast.trace.step_deltas, slow.trace.step_deltas)
+    assert_close(fast.agent_estimates, slow.agent_estimates)

@@ -1,7 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distiht import model
+from distiht.cbdiht import run_cbdiht
+from distiht.diht import StopRule, run_diht
+from distiht.graphs import (gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
+                            static_schedule)
 from distiht.model import (SensingSlice, _split, batched_gradients, generate_problem,
                            lipschitz_of_slice, load_problem, loss_gradient, loss_info,
                            loss_value, padded_slices, save_problem, spectral_norm,
@@ -161,6 +168,33 @@ class TestLossInfo:
         a, _ = prob.stacked()
         assert stacked_lipschitz(prob) == loss_info(prob).lipschitz_global
         assert stacked_lipschitz(prob) == 2.0 * spectral_norm(a) ** 2
+
+    def test_stacked_constant_is_computed_once_per_problem(self, monkeypatch, tmp_path):
+        prob = generate_problem(40, 20, 3, 4, seed=5)
+        a, _ = prob.stacked()
+        fresh = 2.0 * spectral_norm(a) ** 2
+        shapes = []
+
+        def counting(mat):
+            shapes.append(np.shape(mat))
+            return spectral_norm(mat)
+
+        monkeypatch.setattr(model, "spectral_norm", counting)
+        info = loss_info(prob)
+        stop = StopRule(tol=0, max_iters=3)
+        for g in (gen_erdos_renyi(4, 0.6, 1), gen_barabasi_albert(4, 2, 2),
+                  gen_geometric(4, 0.8, 3)):
+            assert run_diht(prob, g, stop=stop).l == 1.005 * fresh
+        run_cbdiht(prob, static_schedule(gen_erdos_renyi(4, 0.6, 4)), stop=stop)
+        assert shapes.count(a.shape) == 1  # the slices are (5, 40)
+        assert info.lipschitz_global == stacked_lipschitz(prob) == fresh
+        assert "_stacked_lipschitz" not in repr(prob)
+        # a new Problem, even one equal to this one, computes its own
+        path = str(tmp_path / "p.npz")
+        save_problem(prob, path)
+        for other in (load_problem(path), replace(prob)):
+            assert stacked_lipschitz(other) == fresh
+        assert shapes.count(a.shape) == 3
 
 
 @settings(max_examples=25, deadline=None)
