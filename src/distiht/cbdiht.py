@@ -122,16 +122,10 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         s_k = int(s_fn(outer, x))
         s_schedule.append(s_k)
 
-        cost = np.array([0, 0, 0, s_k], dtype=np.int64)  # a step is a time step
-        for _ in range(s_k):
-            links = periods[machine.step_count % len(periods)]
-            sends, initiates = machine.step(links)
-            senders, initiators = np.count_nonzero(sends), np.count_nonzero(initiates)
-            sends, initiates = sends.sum(), initiates.sum()
-            # a vector costs N values and N broadcasts per sender, an INITIATE 2K
-            cost[:3] += (n * sends + 2 * k * initiates, sends + initiates,
-                         n * senders + 2 * k * initiators)
-        costs.append(cost)
+        sends, initiates, senders, initiators = machine.advance(periods, s_k)
+        # a vector costs N values and N broadcasts per sender, an INITIATE 2K
+        costs.append((n * sends + 2 * k * initiates, sends + initiates,
+                      n * senders + 2 * k * initiators, s_k))  # a step is a time step
         for i in iterates.keys() - set(machine.inst.tolist()):
             del iterates[i]  # no agent holds instance i any more
         v_hat = machine.coef[0] @ grads

@@ -15,6 +15,8 @@ import numpy as np
 
 from .graphs import TvSchedule
 
+TABLE_CAP = 4096  # transitions a DiffusiveConsensus memoises; a full table is cleared
+
 
 @dataclass
 class WeightMatrix:
@@ -91,6 +93,10 @@ class DiffusiveConsensus:
     Agents that have not joined, or have no same-instance active link this
     step, hold their coefficient row bit-unchanged.  Instance numbers only
     grow; the constructor's instance 0 may be reopened before any step.
+
+    A step never reads the values and compares instances only for order and
+    equality, so `advance` replays steps from a table keyed on the period
+    phase, `active` and each agent's instance rank (not joined lowest).
     """
 
     def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
@@ -104,6 +110,7 @@ class DiffusiveConsensus:
         self.active = np.zeros((p, p), dtype=bool)
         self.initiated_at: list = [None] * p  # step from which each takes part
         self.step_count = 0
+        self._periods, self._table = None, {}  # see advance
         background.flags.writeable = False
         self.bases = {-1: background}
         first = background.copy()
@@ -182,9 +189,9 @@ class DiffusiveConsensus:
             if not fresh:
                 continue
             fanout[a] = len(fresh)
-            active[a, fresh] = True
             ka = int(inst[a])
             for q in fresh:
+                active[a, q] = True
                 if ka > inst[q]:
                     inst[q] = ka
                     active[q] = False
@@ -203,6 +210,66 @@ class DiffusiveConsensus:
         self.step_count += 1
         return sends, fanout
 
+    def advance(self, periods: list, steps: int) -> np.ndarray:
+        """Run `steps` steps, step t over `periods[t % len(periods)]` (a list
+        of `Links`); return the summed (sends, fan-out, senders, initiators).
+
+        The first visit to a (state, phase) runs `step` on `coef = I` to read
+        its mixing matrix W off; later visits replay it bit for bit as
+        `coef = W @ coef`, a joiner reset and a cost-row add.  The state is
+        hashed on entry, so `open` and `step` calls in between are fine.
+        """
+        total, steps = np.zeros(4, dtype=np.int64), max(steps, 0)
+        if periods is not self._periods:  # a new list of links starts a new table
+            self._periods, self._table = periods, {}
+        p, start, coef = self.p, self.step_count, self.coef
+        u = np.array(sorted(set(self.inst.tolist()) | {-1}))  # rank -> instance
+        key = self._key(np.searchsorted(u, self.inst), self.active)
+        for t in range(start, start + steps):
+            entry = self._table.get((key, t % len(periods))) or self._learn(key, u, t)
+            key, kept, mix, joiners, row = entry
+            u = u[kept]
+            if mix is not None:  # scatter W's nonzeros into a zeroed (p, p)
+                coef = np.bincount(*mix, minlength=p * p).reshape(p, p) @ coef
+            if joiners is not None:  # a joiner restarts from row e_q
+                coef[joiners] = 0.0
+                coef[joiners, joiners] = 1.0
+                for q in joiners.tolist():
+                    self.initiated_at[q] = t + 1
+            total += row
+        ranks, self.active = self._decode(key)
+        self.inst, self.coef, self.step_count = u[ranks], coef, start + steps
+        self._prune()
+        return total
+
+    def _key(self, ranks: np.ndarray, active: np.ndarray) -> bytes:
+        return ranks.astype(np.int32).tobytes() + np.packbits(active).tobytes()
+
+    def _decode(self, key: bytes) -> tuple:
+        p = self.p
+        bits = np.unpackbits(np.frombuffer(key, np.uint8, offset=4 * p), count=p * p)
+        return np.frombuffer(key, np.int32, count=p), bits.reshape(p, p).astype(bool)
+
+    def _learn(self, key: bytes, u: np.ndarray, t: int) -> tuple:
+        """Run step t from the state `key` (ranks over the instances `u`) on
+        `coef = I` and store what it did; `advance` writes the state back."""
+        if len(self._table) >= TABLE_CAP:
+            self._table = {}
+        ranks, self.active = self._decode(key)
+        self.inst, self.coef, self.step_count = u[ranks], np.eye(self.p), t
+        sends, fanout = self.step(self._periods[t % len(self._periods)])
+        after = np.searchsorted(u, self.inst)
+        joiners = np.flatnonzero(after != ranks)
+        kept = np.flatnonzero(np.bincount(np.append(after, 0)))  # next rank -> rank
+        nonzero = np.flatnonzero(self.coef)  # the diagonal and each mixing row's links
+        entry = self._table[key, t % len(self._periods)] = (
+            self._key(np.searchsorted(kept, after), self.active), kept,
+            None if len(nonzero) == self.p else (nonzero, self.coef.ravel()[nonzero]),
+            joiners if len(joiners) else None,
+            np.array([sends.sum(), fanout.sum(), np.count_nonzero(sends),
+                      np.count_nonzero(fanout)]))
+        return entry
+
 
 def run_diffusive_consensus(schedule: TvSchedule, per_agent_values: np.ndarray,
                             steps: int):
@@ -215,9 +282,8 @@ def run_diffusive_consensus(schedule: TvSchedule, per_agent_values: np.ndarray,
         raise ValueError("steps must be nonnegative")
     machine = DiffusiveConsensus(schedule.p, 0, per_agent_values[0],
                                  background=per_agent_values)
-    periods = [directed_links(links, schedule.p) for links in schedule.subgraphs]
-    for t in range(steps):
-        machine.step(periods[t % schedule.period])
+    machine.advance([directed_links(links, schedule.p) for links in schedule.subgraphs],
+                    steps)
     return machine.values, machine.initiated_at
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .graphs import Graph, SpanningTree, bfs_spanning_tree
 from .iht import IhtConfig, IhtTrace, _run, write_csv
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import Problem, lipschitz_of_slice, padded_slices, stacked_lipschitz
+from .model import (Problem, lipschitz_of_slice, padded_slices, stacked_lipschitz,
+                    support_gradients)
 from .model import loss_gradient, loss_info  # noqa: F401  rebound by perfbench
 
 
@@ -205,8 +206,7 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     def gradient(x):  # every agent decodes the same pairs: x at its first k nonzeros
         sent[:] = x, np.flatnonzero(x)
         coherence.append(float(np.max(np.abs(x[sent[1][k:]]), initial=0.0)))
-        r = a[:, :, sent[1][:k]] @ x[sent[1][:k]] - b
-        return _tree_sum(tree, np.matmul((2.0 * r)[:, None, :], a)[:, 0, :])
+        return _tree_sum(tree, support_gradients(a, b, x, sent[1][:k]))
 
     config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
     trace = _run(gradient, None, stop.reference_vector(problem), config, None,

@@ -153,6 +153,14 @@ def batched_gradients(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarra
     return 2.0 * np.matmul(r[:, None, :], a)[:, 0, :]
 
 
+def support_gradients(a: np.ndarray, b: np.ndarray, x: np.ndarray,
+                      support: np.ndarray) -> np.ndarray:
+    """batched_gradients at one point x that is zero off `support`: the
+    forward product reads only those columns, so the two agree to rounding."""
+    r = a[:, :, support] @ x[support] - b
+    return np.matmul((2.0 * r)[:, None, :], a)[:, 0, :]
+
+
 def _row_counts(m: int, p: int) -> list[int]:
     # trailing agents absorb the remainder, one extra row each
     base, extra = divmod(m, p)

@@ -8,10 +8,12 @@ import pytest
 import distiht.cli
 import distiht.harness
 from distiht.cli import cli
+from distiht.diht import default_step_constant
 from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_config,
                              parse_config_text, parse_graph_token,
                              run_experiment, write_report)
-from distiht.model import generate_problem
+from distiht.iht import IhtConfig, run_iht
+from distiht.model import generate_problem, support_gradients
 
 DESK_CONFIG = """
 [meta]
@@ -514,3 +516,30 @@ def test_incomplete_problem_file_exits_2(content, tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert "not a complete problem archive" in proc.stderr
+
+
+def test_iht_cell_takes_the_forward_product_on_the_support(monkeypatch):
+    # the centralized IHT cell computes 2 A^T (A[:, s] x[s] - b) with s the
+    # iterate's nonzeros; it follows the dense gradient to rounding
+    problem = generate_problem(80, 40, 4, 4, seed=5, ensemble="tight-frame")
+    supports = []
+
+    def spy(a, b, x, support):
+        supports.append(len(support))
+        return support_gradients(a, b, x, support)
+
+    monkeypatch.setattr(distiht.harness, "support_gradients", spy)
+    got = ALGORITHMS["iht"](problem, None, None,
+                            ExperimentConfig(accuracies=[1e-2, 1e-9], max_iters=400))
+    a, b = problem.stacked()
+    config = IhtConfig(l=default_step_constant(problem), k=4, max_iters=400, tol=1e-9,
+                       x_init=np.zeros(80))
+    want = run_iht(lambda x: 2.0 * (a.T @ (a @ x - b)), problem.x_star, config)
+    assert supports and max(supports) <= 4
+    assert got.converged_at == want.converged_at is not None
+    scale = max(want.errors_vs_truth)
+    np.testing.assert_allclose(got.trace.errors_vs_truth, want.errors_vs_truth,
+                               rtol=1e-12, atol=1e-12 * scale)
+    assert np.array_equal(np.flatnonzero(got.trace.final), np.flatnonzero(want.final))
+    np.testing.assert_allclose(got.trace.final, want.final, rtol=1e-12,
+                               atol=1e-12 * float(np.max(np.abs(want.final))))
