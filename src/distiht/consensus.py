@@ -45,20 +45,18 @@ def metropolis_matrix(src: np.ndarray, dst: np.ndarray, p: int):
     return w, deg
 
 
+def _directed(links) -> np.ndarray:
+    """The (src, dst) index arrays of any iterable of undirected pairs,
+    listing every link in both directions."""
+    e = np.fromiter(chain.from_iterable(links), dtype=np.intp).reshape(-1, 2)
+    return np.concatenate([e, e[:, ::-1]]).T
+
+
 def metropolis_weights(active_links, p: int) -> WeightMatrix:
     """Metropolis-Hastings weights over the given undirected links; every
     nonzero entry is at least eta = 1/(1 + max degree)."""
-    e = np.fromiter(chain.from_iterable(active_links), dtype=np.intp).reshape(-1, 2)
-    w, deg = metropolis_matrix(*np.concatenate([e, e[:, ::-1]]).T, p)
+    w, deg = metropolis_matrix(*_directed(active_links), p)
     return WeightMatrix(w=w, eta=float(1.0 / (1.0 + deg.max(initial=0))))
-
-
-def consensus_step(values: np.ndarray, w: WeightMatrix) -> np.ndarray:
-    """One synchronous averaging round: row p becomes sum_q w_pq values_q."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != w.w.shape[0]:
-        raise ValueError("values and weight matrix sizes differ")
-    return w.w @ values
 
 
 class Links(NamedTuple):
@@ -72,9 +70,83 @@ class Links(NamedTuple):
 
 def directed_links(links, p: int) -> Links:
     """Build the directed arrays of one link set; done once per period step."""
-    e = np.array(links, dtype=np.intp).reshape(-1, 2)
-    src, dst = np.concatenate([e, e[:, ::-1]]).T
+    src, dst = _directed(links)
     return Links(src, dst, [dst[src == a].tolist() for a in range(p)])
+
+
+def _transition(inst: np.ndarray, active: np.ndarray, links: Links) -> tuple:
+    """One synchronous step from the instances `inst` (negative: not joined)
+    and activations `active` over `links`; mutates nothing.
+
+    Values first move over the links their sender had activated, and agents
+    average with same-instance neighbours under Metropolis weights.  Then
+    the INITIATE wave runs in agent-index order; an agent that joins from a
+    lower-indexed sender forwards in this step.  Returns the next `inst` and
+    `active`, the mixing matrix W (None: the identity; an agent that
+    averages nothing has row e_q), the joiners, and each agent's value sends
+    and INITIATE fan-out.
+    """
+    src, dst, nbrs = links
+    p = len(inst)
+    live = active[src, dst]
+    # the far end of a live same-instance link is active too, since
+    # instances only grow and an INITIATE activates both ends at once
+    avg = live & (inst[src] == inst[dst])
+    w = metropolis_matrix(src[avg], dst[avg], p)[0] if avg.any() else None
+    # every joined agent ships its row on its live links, whether or not
+    # the far end still listens to its instance
+    sends = np.bincount(src[live], minlength=p)
+
+    start, inst, active = inst, inst.copy(), active.copy()
+    fanout = np.zeros(p, dtype=int)
+    pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=p).tolist()
+    for a in range(p):
+        if not pending[a]:
+            continue
+        fresh = [q for q in nbrs[a] if not active[a, q]]
+        if not fresh:
+            continue
+        fanout[a] = len(fresh)
+        ka = int(inst[a])
+        for q in fresh:
+            active[a, q] = True
+            if ka > inst[q]:
+                inst[q] = ka
+                active[q] = False
+                active[q, a] = True
+                pending[q] = True
+            elif ka == inst[q]:
+                active[q, a] = True  # pure link activation
+            # an already-fresher receiver ignores the message
+    return inst, active, w, np.flatnonzero(inst != start), sends, fanout
+
+
+def _key(ranks: np.ndarray, active: np.ndarray) -> bytes:
+    return ranks.astype(np.int32).tobytes() + np.packbits(active).tobytes()
+
+
+def _decode(key: bytes, p: int) -> tuple:
+    bits = np.unpackbits(np.frombuffer(key, np.uint8, offset=4 * p), count=p * p)
+    return np.frombuffer(key, np.int32, count=p), bits.reshape(p, p).astype(bool)
+
+
+def _entry(key: bytes, links: Links) -> tuple:
+    """The table entry of one step over `links` from the state `key`: the
+    next key, the rank each next rank had, W's flat nonzeros off the joiners'
+    rows (None for the identity), the joiners and the cost row (sends,
+    fan-out, senders, initiators)."""
+    p = len(links.nbrs)
+    ranks, active = _decode(key, p)
+    # rank 0 is "not joined", which _transition reads as a negative instance
+    inst, active, w, joiners, sends, fanout = _transition(ranks - 1, active, links)
+    if w is not None:  # the apply overwrites the joiners' rows, so none is stored
+        w[joiners] = 0.0
+    after = inst + 1
+    kept = np.flatnonzero(np.bincount(np.append(after, 0)))  # next rank -> rank
+    return (_key(np.searchsorted(kept, after), active), kept,
+            None if w is None else (np.flatnonzero(w), w[w != 0]), joiners,
+            np.array([sends.sum(), fanout.sum(), np.count_nonzero(sends),
+                      np.count_nonzero(fanout)]))
 
 
 class DiffusiveConsensus:
@@ -94,9 +166,10 @@ class DiffusiveConsensus:
     step, hold their coefficient row bit-unchanged.  Instance numbers only
     grow; the constructor's instance 0 may be reopened before any step.
 
-    A step never reads the values and compares instances only for order and
-    equality, so `advance` replays steps from a table keyed on the period
-    phase, `active` and each agent's instance rank (not joined lowest).
+    A step (`_transition`) never reads the values and compares instances
+    only for order and equality, so `advance` replays steps from a table
+    keyed on the period phase, `active` and each agent's instance rank (not
+    joined lowest).
     """
 
     def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
@@ -151,62 +224,29 @@ class DiffusiveConsensus:
         for i in [i for i in self.bases if i not in live]:
             del self.bases[i]
 
-    def step(self, links):
-        """One synchronous step over `links` (a `Links` or a list of pairs).
+    def _apply(self, w: Optional[np.ndarray], joiners: np.ndarray, t: int) -> None:
+        """Step t's effect on the coefficients, for `step` and table hits
+        alike: `coef = W @ coef` (W None: the identity), then each joiner
+        restarts from row e_q and takes part from step t + 1."""
+        if w is not None:  # a row e_q keeps a finite row bit-exact
+            self.coef = w @ self.coef
+        if len(joiners):
+            self.coef[joiners] = 0.0
+            self.coef[joiners, joiners] = 1.0
+            for q in joiners.tolist():
+                self.initiated_at[q] = t + 1
 
-        Values first move over the links their sender had activated, and
-        agents average with same-instance neighbours under Metropolis
-        weights, which mix the coefficient rows.  Then the INITIATE wave runs
-        in agent-index order; an agent that joins from a lower-indexed sender
-        forwards in this step.  Returns each agent's value sends and
+    def step(self, links):
+        """One synchronous step over `links` (a `Links` or a list of pairs),
+        as `_transition` describes it.  Returns each agent's value sends and
         INITIATE fan-out.
         """
         if not isinstance(links, Links):
             links = directed_links(links, self.p)
-        src, dst, nbrs = links
-        inst, active = self.inst, self.active
-        live = active[src, dst]
-
-        # the far end of a live same-instance link is active too, since
-        # instances only grow and an INITIATE activates both ends at once
-        avg = live & (inst[src] == inst[dst])
-        if avg.any():
-            w, deg = metropolis_matrix(src[avg], dst[avg], self.p)
-            mixed = w @ self.coef
-            mixed[deg == 0] = self.coef[deg == 0]  # holders keep their row bit-exact
-            self.coef = mixed
-        # every joined agent ships its row on its live links, whether or not
-        # the far end still listens to its instance
-        sends = np.bincount(src[live], minlength=self.p)
-
-        fanout = np.zeros(self.p, dtype=int)
-        joined = []
-        pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=self.p).tolist()
-        for a in range(self.p):
-            if not pending[a]:
-                continue
-            fresh = [q for q in nbrs[a] if not active[a, q]]
-            if not fresh:
-                continue
-            fanout[a] = len(fresh)
-            ka = int(inst[a])
-            for q in fresh:
-                active[a, q] = True
-                if ka > inst[q]:
-                    inst[q] = ka
-                    active[q] = False
-                    active[q, a] = True
-                    self.initiated_at[q] = self.step_count + 1
-                    joined.append(q)
-                    pending[q] = True
-                elif ka == inst[q]:
-                    active[q, a] = True  # pure link activation
-                # an already-fresher receiver ignores the message
-        if joined:
-            # a joiner contributes its own row of its new instance's basis
-            self.coef[joined] = 0.0
-            self.coef[joined, joined] = 1.0
-            self._prune()
+        self.inst, self.active, w, joiners, sends, fanout = _transition(
+            self.inst, self.active, links)
+        self._apply(w, joiners, self.step_count)
+        self._prune()
         self.step_count += 1
         return sends, fanout
 
@@ -214,61 +254,33 @@ class DiffusiveConsensus:
         """Run `steps` steps, step t over `periods[t % len(periods)]` (a list
         of `Links`); return the summed (sends, fan-out, senders, initiators).
 
-        The first visit to a (state, phase) runs `step` on `coef = I` to read
-        its mixing matrix W off; later visits replay it bit for bit as
-        `coef = W @ coef`, a joiner reset and a cost-row add.  The state is
-        hashed on entry, so `open` and `step` calls in between are fine.
+        The first visit to a (state, phase) runs `_transition` on the state
+        and stores what it did; every visit then applies it as `step` does.
+        The state is hashed on entry and written back on exit, so `open` and
+        `step` calls in between are fine.
         """
         total, steps = np.zeros(4, dtype=np.int64), max(steps, 0)
         if periods is not self._periods:  # a new list of links starts a new table
             self._periods, self._table = periods, {}
-        p, start, coef = self.p, self.step_count, self.coef
+        p, start = self.p, self.step_count
         u = np.array(sorted(set(self.inst.tolist()) | {-1}))  # rank -> instance
-        key = self._key(np.searchsorted(u, self.inst), self.active)
+        key = _key(np.searchsorted(u, self.inst), self.active)
         for t in range(start, start + steps):
-            entry = self._table.get((key, t % len(periods))) or self._learn(key, u, t)
+            phase = t % len(periods)
+            entry = self._table.get((key, phase))
+            if entry is None:
+                if len(self._table) >= TABLE_CAP:
+                    self._table = {}
+                entry = self._table[key, phase] = _entry(key, periods[phase])
             key, kept, mix, joiners, row = entry
-            u = u[kept]
-            if mix is not None:  # scatter W's nonzeros into a zeroed (p, p)
-                coef = np.bincount(*mix, minlength=p * p).reshape(p, p) @ coef
-            if joiners is not None:  # a joiner restarts from row e_q
-                coef[joiners] = 0.0
-                coef[joiners, joiners] = 1.0
-                for q in joiners.tolist():
-                    self.initiated_at[q] = t + 1
+            u = u[kept]  # W's nonzeros are scattered into a zeroed (p, p)
+            w = None if mix is None else np.bincount(*mix, minlength=p * p).reshape(p, p)
+            self._apply(w, joiners, t)
             total += row
-        ranks, self.active = self._decode(key)
-        self.inst, self.coef, self.step_count = u[ranks], coef, start + steps
+        ranks, self.active = _decode(key, p)
+        self.inst, self.step_count = u[ranks], start + steps
         self._prune()
         return total
-
-    def _key(self, ranks: np.ndarray, active: np.ndarray) -> bytes:
-        return ranks.astype(np.int32).tobytes() + np.packbits(active).tobytes()
-
-    def _decode(self, key: bytes) -> tuple:
-        p = self.p
-        bits = np.unpackbits(np.frombuffer(key, np.uint8, offset=4 * p), count=p * p)
-        return np.frombuffer(key, np.int32, count=p), bits.reshape(p, p).astype(bool)
-
-    def _learn(self, key: bytes, u: np.ndarray, t: int) -> tuple:
-        """Run step t from the state `key` (ranks over the instances `u`) on
-        `coef = I` and store what it did; `advance` writes the state back."""
-        if len(self._table) >= TABLE_CAP:
-            self._table = {}
-        ranks, self.active = self._decode(key)
-        self.inst, self.coef, self.step_count = u[ranks], np.eye(self.p), t
-        sends, fanout = self.step(self._periods[t % len(self._periods)])
-        after = np.searchsorted(u, self.inst)
-        joiners = np.flatnonzero(after != ranks)
-        kept = np.flatnonzero(np.bincount(np.append(after, 0)))  # next rank -> rank
-        nonzero = np.flatnonzero(self.coef)  # the diagonal and each mixing row's links
-        entry = self._table[key, t % len(self._periods)] = (
-            self._key(np.searchsorted(kept, after), self.active), kept,
-            None if len(nonzero) == self.p else (nonzero, self.coef.ravel()[nonzero]),
-            joiners if len(joiners) else None,
-            np.array([sends.sum(), fanout.sum(), np.count_nonzero(sends),
-                      np.count_nonzero(fanout)]))
-        return entry
 
 
 def run_diffusive_consensus(schedule: TvSchedule, per_agent_values: np.ndarray,

@@ -127,14 +127,24 @@ def _path_delay(tree: SpanningTree, delays) -> int:
     return max(dist)
 
 
+def _tree_traffic(tree: SpanningTree, down: Optional[int], up: int, delay: int) -> tuple:
+    """(values, messages, broadcasts, time steps) of sending `down` values
+    down every tree edge (None: no down sweep), then `up` values up every
+    edge, each sweep taking `delay` steps; vertices with children broadcast
+    the down values, and every non-root its up values."""
+    edges, sweeps, down = tree.p - 1, 1 if down is None else 2, down or 0
+    nonleaf = sum(1 for c in tree.children if c)
+    return (edges * (down + up), sweeps * edges, nonleaf * down + edges * up,
+            sweeps * delay)
+
+
 def convergecast_sum(tree: SpanningTree, per_agent_vectors) -> tuple:
     """Sum one vector per agent up the tree; returns (total, Metrics delta)."""
     vectors = [np.asarray(v, dtype=float) for v in per_agent_vectors]
     if len(vectors) != tree.p:
         raise ValueError("need exactly one vector per agent")
-    n = vectors[0].shape[0]
     total = _tree_sum(tree, vectors)
-    return total, Metrics((tree.p - 1) * n, tree.p - 1, (tree.p - 1) * n, tree.height)
+    return total, Metrics(*_tree_traffic(tree, None, vectors[0].shape[0], tree.height))
 
 
 def aggregate_lipschitz(tree: SpanningTree, per_agent_lipschitz) -> tuple:
@@ -147,9 +157,7 @@ def aggregate_lipschitz(tree: SpanningTree, per_agent_lipschitz) -> tuple:
     if len(vals) != tree.p:
         raise ValueError("need exactly one constant per agent")
     total = float(_tree_sum(tree, [np.array([v]) for v in vals])[0])
-    nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
-    return total, Metrics(2 * (tree.p - 1), 2 * (tree.p - 1), nonleaf + (tree.p - 1),
-                          2 * tree.height)
+    return total, Metrics(*_tree_traffic(tree, 1, 1, tree.height))
 
 
 @dataclass
@@ -158,7 +166,6 @@ class DihtRun:
     agent_estimates: list
     metrics: Metrics
     trace: IhtTrace
-    coherence: list  # max over agents of |x_p - x_1| at each broadcast
     l: float
 
 
@@ -201,21 +208,16 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
     a, b = padded_slices(problem.slices)
     sent = [x0, np.flatnonzero(x0)]  # the last x broadcast and its nonzeros
-    coherence = []  # per broadcast, the largest |x_i| that no agent's copy holds
 
     def gradient(x):  # every agent decodes the same pairs: x at its first k nonzeros
         sent[:] = x, np.flatnonzero(x)
-        coherence.append(float(np.max(np.abs(x[sent[1][k:]]), initial=0.0)))
         return _tree_sum(tree, support_gradients(a, b, x, sent[1][:k]))
 
     config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
     trace = _run(gradient, None, stop.reference_vector(problem), config, None,
                  keep_iterates=keep_iterates)
 
-    nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
-    up_values = (problem.p - 1) * problem.n
-    cost = ((problem.p - 1) * 2 * k + up_values, 2 * (problem.p - 1),
-            2 * k * nonleaf + up_values, 2 * _path_delay(tree, delays))
+    cost = _tree_traffic(tree, 2 * k, problem.n, _path_delay(tree, delays))
     metrics = Metrics.from_costs(trace.errors_vs_truth[1:] or None,
                                  [cost] * len(trace.step_deltas),
                                  start=(0, tree.build_messages, 0, 0))  # the tree build
@@ -223,7 +225,7 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     estimates = np.zeros((problem.p, problem.n))  # row q: agent q's decoded copy
     estimates[:, sent[1][:k]] = sent[0][sent[1][:k]]
     return DihtRun(tree=tree, agent_estimates=list(estimates), metrics=metrics,
-                   trace=trace, coherence=coherence, l=l)
+                   trace=trace, l=l)
 
 
 def distributed_step_constant(problem: Problem, tree: SpanningTree,

@@ -38,17 +38,6 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def iht_step(x: np.ndarray, grad: np.ndarray, l: float, k: int) -> np.ndarray:
-    """One gradient step of length 1/l followed by hard thresholding."""
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if x.shape != grad.shape:
-        raise ValueError("x and grad dimensions differ")
-    if l <= 0:
-        raise ValueError("step constant l must be positive")
-    return hard_threshold(x - grad / l, k)
-
-
 @dataclass
 class IhtConfig:
     l: float

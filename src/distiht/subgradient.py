@@ -15,7 +15,7 @@ import numpy as np
 from .consensus import metropolis_weights
 from .diht import Metrics
 from .graphs import Graph, TvSchedule, static_schedule
-from .model import Problem, SensingSlice, batched_gradients, loss_gradient, padded_slices
+from .model import Problem, SensingSlice, batched_gradients, padded_slices
 
 
 @dataclass
@@ -35,11 +35,11 @@ class SubgradConfig:
 
 
 class AffineProjector:
-    """Projection onto {x : a x = b}, with a^T = Q R factored once.
+    """One slice's consistency set {x : a x = b}, with a^T = Q R factored once.
 
     The set is also {x : Q^T x = c} for c = R^-T b.  That orthonormal form
-    is held as a slice, and the projection x - Q (Q^T x - c) is x less half
-    the gradient of its loss.
+    is held as a slice, and the projection x - Q (Q^T x - c) onto the set is
+    x less half the gradient of its loss.
     """
 
     def __init__(self, sl: SensingSlice, agent: Optional[int] = None):
@@ -51,14 +51,6 @@ class AffineProjector:
         q, r = np.linalg.qr(sl.a.T)
         self.orthonormal = SensingSlice(q.T, np.linalg.solve(r.T, sl.b))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return x - 0.5 * loss_gradient(self.orthonormal, x)
-
-
-def affine_projection(sl: SensingSlice, x: np.ndarray) -> np.ndarray:
-    """One-off projection of x onto the slice's consistency set."""
-    return AffineProjector(sl)(np.asarray(x, dtype=float))
-
 
 @dataclass
 class SubgradTrace:
@@ -68,23 +60,22 @@ class SubgradTrace:
 
 
 def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule],
-                    config: Optional[SubgradConfig] = None,
-                    reference: Optional[np.ndarray] = None) -> tuple:
+                    config: Optional[SubgradConfig] = None) -> tuple:
     """Run the baseline; returns (SubgradTrace, Metrics).
 
     Convergence is declared when every agent's estimate is within tol of the
-    reference (the ground truth unless overridden), relative to its norm.
-    Every iteration each agent ships its full estimate to all neighbors
-    present that step, which dominates the value count.  The traffic of an
-    iteration depends only on its step of the period, so the counters are
-    filled in after the run from one row per period step.
+    ground truth, relative to its norm.  Every iteration each agent ships its
+    full estimate to all neighbors present that step, which dominates the
+    value count.  The traffic of an iteration depends only on its step of
+    the period, so the counters are filled in after the run from one row per
+    period step.
     """
     config = config or SubgradConfig()
     schedule = (static_schedule(graph_or_schedule)
                 if isinstance(graph_or_schedule, Graph) else graph_or_schedule)
     if schedule.p != problem.p:
         raise ValueError("network and problem disagree on the agent count")
-    ref = problem.x_star if reference is None else np.asarray(reference, dtype=float)
+    ref = problem.x_star
     ref_norm = max(float(np.linalg.norm(ref)), 1e-300)
 
     p, n = problem.p, problem.n

@@ -2,10 +2,14 @@
 
 `DiffusiveConsensus.advance` replays each step it has seen from a table keyed
 on the period phase, the agents' instance ranks and the activation matrix.
-A second machine driven one `step` at a time is its oracle: both must agree
-bit for bit on the coefficients, instances, activations, join steps and the
-summed traffic, with `open` and direct `step` calls interleaved.
+Two oracles drive the same actions: a second machine stepped one `step` at
+a time, and the previous machine, whose `step` mutated its state in place
+and whose table misses ran that `step` on the machine itself from
+`coef = I`.  Each must agree with the machine bit for bit on the
+coefficients, instances, activations, join steps and traffic, with `open`
+and direct `step` calls interleaved.
 """
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -14,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from distiht import cbdiht, consensus
 from distiht.cbdiht import run_cbdiht
-from distiht.consensus import DiffusiveConsensus, directed_links
+from distiht.consensus import (DiffusiveConsensus, Links, directed_links,
+                               metropolis_matrix)
 from distiht.diht import StopRule
 from distiht.graphs import Graph, TvSchedule, gen_erdos_renyi, gen_tv_schedule
 from distiht.model import generate_problem
@@ -46,18 +51,138 @@ def assert_same_machine(fast: DiffusiveConsensus, slow: DiffusiveConsensus) -> N
     assert fast.values.tobytes() == slow.values.tobytes()
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(2, 12), st.integers(1, 4), st.floats(0.1, 1.0),
-       st.integers(0, 10 ** 6), st.integers(1, 3),
-       st.lists(st.tuples(st.sampled_from(["advance", "advance", "step", "open"]),
-                          st.integers(0, 12)), min_size=1, max_size=14),
-       st.sampled_from([consensus.TABLE_CAP, 2]))
-def test_table_matches_step_by_step(p, period, density, seed, dim, actions, cap):
+class PreviousMachine(DiffusiveConsensus):
+    """The machine before its step became the pure `_transition`, with
+    these methods kept verbatim (the table cap read from the module)."""
+
+    def step(self, links):
+        """One synchronous step over `links` (a `Links` or a list of pairs).
+
+        Values first move over the links their sender had activated, and
+        agents average with same-instance neighbours under Metropolis
+        weights, which mix the coefficient rows.  Then the INITIATE wave runs
+        in agent-index order; an agent that joins from a lower-indexed sender
+        forwards in this step.  Returns each agent's value sends and
+        INITIATE fan-out.
+        """
+        if not isinstance(links, Links):
+            links = directed_links(links, self.p)
+        src, dst, nbrs = links
+        inst, active = self.inst, self.active
+        live = active[src, dst]
+
+        # the far end of a live same-instance link is active too, since
+        # instances only grow and an INITIATE activates both ends at once
+        avg = live & (inst[src] == inst[dst])
+        if avg.any():
+            w, deg = metropolis_matrix(src[avg], dst[avg], self.p)
+            mixed = w @ self.coef
+            mixed[deg == 0] = self.coef[deg == 0]  # holders keep their row bit-exact
+            self.coef = mixed
+        # every joined agent ships its row on its live links, whether or not
+        # the far end still listens to its instance
+        sends = np.bincount(src[live], minlength=self.p)
+
+        fanout = np.zeros(self.p, dtype=int)
+        joined = []
+        pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=self.p).tolist()
+        for a in range(self.p):
+            if not pending[a]:
+                continue
+            fresh = [q for q in nbrs[a] if not active[a, q]]
+            if not fresh:
+                continue
+            fanout[a] = len(fresh)
+            ka = int(inst[a])
+            for q in fresh:
+                active[a, q] = True
+                if ka > inst[q]:
+                    inst[q] = ka
+                    active[q] = False
+                    active[q, a] = True
+                    self.initiated_at[q] = self.step_count + 1
+                    joined.append(q)
+                    pending[q] = True
+                elif ka == inst[q]:
+                    active[q, a] = True  # pure link activation
+                # an already-fresher receiver ignores the message
+        if joined:
+            # a joiner contributes its own row of its new instance's basis
+            self.coef[joined] = 0.0
+            self.coef[joined, joined] = 1.0
+            self._prune()
+        self.step_count += 1
+        return sends, fanout
+
+    def advance(self, periods: list, steps: int) -> np.ndarray:
+        """Run `steps` steps, step t over `periods[t % len(periods)]` (a list
+        of `Links`); return the summed (sends, fan-out, senders, initiators).
+
+        The first visit to a (state, phase) runs `step` on `coef = I` to read
+        its mixing matrix W off; later visits replay it bit for bit as
+        `coef = W @ coef`, a joiner reset and a cost-row add.  The state is
+        hashed on entry, so `open` and `step` calls in between are fine.
+        """
+        total, steps = np.zeros(4, dtype=np.int64), max(steps, 0)
+        if periods is not self._periods:  # a new list of links starts a new table
+            self._periods, self._table = periods, {}
+        p, start, coef = self.p, self.step_count, self.coef
+        u = np.array(sorted(set(self.inst.tolist()) | {-1}))  # rank -> instance
+        key = self._key(np.searchsorted(u, self.inst), self.active)
+        for t in range(start, start + steps):
+            entry = self._table.get((key, t % len(periods))) or self._learn(key, u, t)
+            key, kept, mix, joiners, row = entry
+            u = u[kept]
+            if mix is not None:  # scatter W's nonzeros into a zeroed (p, p)
+                coef = np.bincount(*mix, minlength=p * p).reshape(p, p) @ coef
+            if joiners is not None:  # a joiner restarts from row e_q
+                coef[joiners] = 0.0
+                coef[joiners, joiners] = 1.0
+                for q in joiners.tolist():
+                    self.initiated_at[q] = t + 1
+            total += row
+        ranks, self.active = self._decode(key)
+        self.inst, self.coef, self.step_count = u[ranks], coef, start + steps
+        self._prune()
+        return total
+
+    def _key(self, ranks: np.ndarray, active: np.ndarray) -> bytes:
+        return ranks.astype(np.int32).tobytes() + np.packbits(active).tobytes()
+
+    def _decode(self, key: bytes) -> tuple:
+        p = self.p
+        bits = np.unpackbits(np.frombuffer(key, np.uint8, offset=4 * p), count=p * p)
+        return np.frombuffer(key, np.int32, count=p), bits.reshape(p, p).astype(bool)
+
+    def _learn(self, key: bytes, u: np.ndarray, t: int) -> tuple:
+        """Run step t from the state `key` (ranks over the instances `u`) on
+        `coef = I` and store what it did; `advance` writes the state back."""
+        if len(self._table) >= consensus.TABLE_CAP:
+            self._table = {}
+        ranks, self.active = self._decode(key)
+        self.inst, self.coef, self.step_count = u[ranks], np.eye(self.p), t
+        sends, fanout = self.step(self._periods[t % len(self._periods)])
+        after = np.searchsorted(u, self.inst)
+        joiners = np.flatnonzero(after != ranks)
+        kept = np.flatnonzero(np.bincount(np.append(after, 0)))  # next rank -> rank
+        nonzero = np.flatnonzero(self.coef)  # the diagonal and each mixing row's links
+        entry = self._table[key, t % len(self._periods)] = (
+            self._key(np.searchsorted(kept, after), self.active), kept,
+            None if len(nonzero) == self.p else (nonzero, self.coef.ravel()[nonzero]),
+            joiners if len(joiners) else None,
+            np.array([sends.sum(), fanout.sum(), np.count_nonzero(sends),
+                      np.count_nonzero(fanout)]))
+        return entry
+
+
+def drive(slow_type, slow_advance, p, period, density, seed, dim, actions, cap):
+    """Run the same actions on the machine and on an oracle of `slow_type`
+    whose `advance` is `slow_advance`, comparing them after each."""
     rng = np.random.default_rng(seed)
     periods = random_periods(rng, p, period, density)
     first = rng.standard_normal((p, dim))
     fast = DiffusiveConsensus(p, 0, first[0], background=first)
-    slow = DiffusiveConsensus(p, 0, first[0], background=first)
+    slow = slow_type(p, 0, first[0], background=first)
     opened = 0
     for action, n in actions:
         if action == "open":  # a fresher instance at any agent
@@ -65,16 +190,58 @@ def test_table_matches_step_by_step(p, period, density, seed, dim, actions, cap)
             contributions = rng.standard_normal((p, dim))
             fast.open(opened, n % p, contributions)
             slow.open(opened, n % p, contributions)
-        elif action == "step":
+        elif action == "step":  # per-agent sends and fan-out
             links = periods[fast.step_count % period]
             got, want = fast.step(links), slow.step(links)
             assert all(np.array_equal(u, v) for u, v in zip(got, want))
         else:
             with mock.patch.object(consensus, "TABLE_CAP", cap):  # 2 clears it often
-                got = fast.advance(periods, n)
-            assert np.array_equal(got, step_by_step(slow, periods, n))
+                got, want = fast.advance(periods, n), slow_advance(slow, periods, n)
+            assert np.array_equal(got, want)
             assert len(fast._table) <= cap
         assert_same_machine(fast, slow)
+
+
+ACTIONS = given(
+    st.integers(2, 12), st.integers(1, 4), st.floats(0.1, 1.0),
+    st.integers(0, 10 ** 6), st.integers(1, 3),
+    st.lists(st.tuples(st.sampled_from(["advance", "advance", "step", "open"]),
+                       st.integers(0, 12)), min_size=1, max_size=14),
+    st.sampled_from([consensus.TABLE_CAP, 2]))
+
+
+@settings(max_examples=120, deadline=None)
+@ACTIONS
+def test_table_matches_step_by_step(p, period, density, seed, dim, actions, cap):
+    drive(DiffusiveConsensus, step_by_step, p, period, density, seed, dim, actions, cap)
+
+
+@settings(max_examples=120, deadline=None)
+@ACTIONS
+def test_matches_the_previous_machine(p, period, density, seed, dim, actions, cap):
+    drive(PreviousMachine, PreviousMachine.advance, p, period, density, seed, dim,
+          actions, cap)
+
+
+def test_entries_depend_on_ranks_not_instance_numbers():
+    # two machines whose instance numbers differ but whose ranks, activations
+    # and phases agree learn byte-equal table entries
+    p, period = 7, 3
+    periods = random_periods(np.random.default_rng(5), p, period, 0.5)
+    first = np.random.default_rng(6).standard_normal((p, 2))
+    one = DiffusiveConsensus(p, 0, first[0], background=first)
+    other = DiffusiveConsensus(p, 0, first[0], background=first)
+    other.open(40, 0, first)  # the constructor's instance, reopened before any step
+    for instance in range(1, 7):
+        one.advance(periods, 2 * period - instance % 2)
+        other.advance(periods, 2 * period - instance % 2)
+        assert not np.array_equal(one.inst, other.inst)
+        one.open(instance, 0, first * instance)
+        other.open(40 + 7 * instance, 0, first * instance)
+    assert len(one._table) > period
+    assert one._table.keys() == other._table.keys()
+    for key, entry in one._table.items():
+        assert pickle.dumps(entry) == pickle.dumps(other._table[key])
 
 
 def test_hits_replay_the_learned_step():

@@ -14,8 +14,9 @@ gradients at the rows.
 Both products round differently from the one here, so the iterates,
 errors, step sizes and estimates agree to float64 drift (1e-12 of each
 series' largest magnitude) rather than bit for bit.  The step constant, the
-stop index, every counter, the coherence and, against the dense path, every
-iterate's support agree exactly, and the tree sums agree bit for bit.
+stop index, every counter and, against the dense path, every iterate's
+support agree exactly, and the tree sums agree bit for bit.  Every agent's
+copy is, byte for byte, the decode of the last iterate broadcast.
 """
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
+from test_diht import assert_agents_hold_last_broadcast
 
 from distiht.diht import (DihtRun, Metrics as RunMetrics, StopRule, _path_delay,
                           _tree_sum, default_step_constant, run_diht)
@@ -96,7 +98,6 @@ class ReferenceDihtRun:
     sums: Optional[list]
     metrics: Metrics
     trace: IhtTrace
-    coherence: list  # max over agents of |x_p - x_1| after each iteration
     l: float
 
 
@@ -146,7 +147,6 @@ def reference_run_diht(problem: Problem, graph: Graph, l: Optional[float] = None
     if reference is not None:
         trace.errors_vs_truth.append(float(np.linalg.norm(x - reference)))
     sums = [] if record_sums else None
-    coherence = []
     agent_estimates = [x.copy() for _ in range(problem.p)]
 
     nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
@@ -177,8 +177,6 @@ def reference_run_diht(problem: Problem, graph: Graph, l: Optional[float] = None
         delta_sq = float(np.linalg.norm(x - x_next) ** 2)
         trace.step_deltas.append(delta_sq)
         step_denom = max(1.0, float(np.linalg.norm(x)))
-        coherence.append(max(float(np.max(np.abs(est - x))) if est.size else 0.0
-                             for est in agent_estimates))
         x = x_next
         if keep_iterates:
             trace.iterates.append(x.copy())
@@ -200,7 +198,7 @@ def reference_run_diht(problem: Problem, graph: Graph, l: Optional[float] = None
                 break
 
     return ReferenceDihtRun(tree=tree, agent_estimates=agent_estimates, sums=sums,
-                   metrics=metrics, trace=trace, coherence=coherence, l=l)
+                   metrics=metrics, trace=trace, l=l)
 
 
 def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule,
@@ -215,7 +213,6 @@ def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule,
     x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
     a, b = padded_slices(problem.slices)
     estimates = np.tile(x0, (problem.p, 1))  # row q: agent q's copy of the iterate
-    coherence = []
 
     def gradient(x):
         # broadcast phase: the iterate travels down the tree as at most k
@@ -225,7 +222,6 @@ def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule,
         support = np.flatnonzero(x)[:k]
         estimates.fill(0.0)
         estimates[:, support] = x[support]
-        coherence.append(float(np.max(np.abs(estimates - x), initial=0.0)))
         return _tree_sum(tree, batched_gradients(a, b, estimates))
 
     config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
@@ -240,7 +236,7 @@ def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule,
                                     start=(0, tree.build_messages, 0, 0))  # the tree build
 
     return DihtRun(tree=tree, agent_estimates=list(estimates), metrics=metrics,
-                   trace=trace, coherence=coherence, l=l)
+                   trace=trace, l=l)
 
 
 RTOL = 1e-12
@@ -265,7 +261,6 @@ def assert_runs_equal(fast, slow):
     counters = [[{**r, "err": None} for r in rows] for rows in (fast_rows, slow_rows)]
     assert counters[0] == counters[1]
     assert_close([r["err"] for r in fast_rows], [r["err"] for r in slow_rows])
-    assert fast.coherence == slow.coherence
     assert_close(fast.trace.iterates, slow.trace.iterates)
     assert_close(fast.agent_estimates, slow.agent_estimates)
 
@@ -310,8 +305,10 @@ def test_matches_reference_loop(p, family, seed, reference, tol, keep_iterates,
     kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters, reference=reference),
                   x_init=x_init, delays=delays, keep_iterates=keep_iterates,
                   l=1.5 * loss_info(prob).lipschitz_global if scaled_l else None)
-    assert_runs_equal(run_diht(prob, graph, **kwargs),
-                      reference_run_diht(prob, graph, **kwargs))
+    fast = run_diht(prob, graph, **kwargs)
+    assert_runs_equal(fast, reference_run_diht(prob, graph, **kwargs))
+    if keep_iterates:  # else the last broadcast iterate is not kept
+        assert_agents_hold_last_broadcast(fast, k, np.zeros(n) if x_init is None else x_init)
 
 
 def test_start_within_tolerance_stops_at_zero_iterations():
@@ -321,7 +318,8 @@ def test_start_within_tolerance_stops_at_zero_iterations():
     run = run_diht(prob, graph, **kwargs)
     assert run.trace.converged_at == 0
     assert run.trace.step_deltas == [] and run.metrics.per_iteration == []
-    assert run.coherence == [] and len(run.trace.iterates) == 1
+    assert len(run.trace.iterates) == 1
+    assert_agents_hold_last_broadcast(run, prob.k, prob.x_star)
     assert run.metrics.values_sent == 0
     assert run.metrics.messages_sent == run.tree.build_messages
     # the old loop always took one step before testing the tolerance
@@ -364,7 +362,9 @@ def test_k_column_gradient_matches_dense_decode(p, family, seed, n, data, refere
                   x_init=x_init)
     fast, slow = run_diht(prob, graph, **kwargs), dense_run_diht(prob, graph, **kwargs)
     assert fast.l == slow.l
-    assert fast.coherence == slow.coherence
+    x0 = np.zeros(n) if x_init is None else x_init
+    assert_agents_hold_last_broadcast(fast, k, x0)
+    assert_agents_hold_last_broadcast(slow, k, x0)
     assert fast.trace.converged_at == slow.trace.converged_at
     assert fast.metrics.totals == slow.metrics.totals
     for name, col in fast.metrics.columns.items():

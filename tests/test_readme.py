@@ -1,0 +1,37 @@
+"""The README's Library tour names exactly what the package exports."""
+import ast
+import os
+import re
+
+import distiht
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DELETED = ["iht_step", "affine_projection", "consensus_step"]  # wrappers nothing called
+
+
+def exported() -> list:
+    with open(distiht.__file__) as f:
+        tree = ast.parse(f.read())
+    return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def tour_names() -> set:
+    """Every identifier inside a backtick span of the Library tour section."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    tour = text.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    return {name for span in re.findall(r"`([^`]+)`", tour)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_every_export_is_named_in_the_library_tour():
+    names = tour_names()
+    assert [name for name in exported() if name not in names] == []
+
+
+def test_deleted_wrappers_are_neither_exported_nor_named():
+    names = tour_names()
+    for name in DELETED:
+        assert not hasattr(distiht, name) and name not in exported()
+        assert name not in names

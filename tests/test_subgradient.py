@@ -4,9 +4,8 @@ from scipy.optimize import linprog
 
 from distiht.graphs import Graph, gen_erdos_renyi, gen_tv_schedule
 from distiht.harness import ExperimentConfig, _result
-from distiht.model import SensingSlice, generate_problem
-from distiht.subgradient import (AffineProjector, SubgradConfig,
-                                 affine_projection, run_subgradient)
+from distiht.model import SensingSlice, generate_problem, loss_gradient
+from distiht.subgradient import AffineProjector, SubgradConfig, run_subgradient
 
 
 def basis_pursuit_oracle(a, b):
@@ -17,6 +16,12 @@ def basis_pursuit_oracle(a, b):
                   bounds=[(0, None)] * (2 * n), method="highs")
     assert res.success
     return res.x[:n] - res.x[n:]
+
+
+def affine_projection(sl, x):
+    # the projection run_subgradient batches: x less half the gradient of
+    # the loss of the slice's orthonormal form
+    return x - 0.5 * loss_gradient(AffineProjector(sl).orthonormal, x)
 
 
 class TestAffineProjection:
