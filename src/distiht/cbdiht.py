@@ -21,7 +21,7 @@ from .diht import Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
 from .iht import IhtConfig, IhtTrace, _run
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import (Problem, batched_gradients, lipschitz_of_slice, padded_slices,
+from .model import (Problem, lipschitz_of_slice, mixed_gradients, padded_slices,
                     stacked_lipschitz)
 from .model import loss_gradient  # noqa: F401  rebound by perfbench's traced pass
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
@@ -107,7 +107,9 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     a, b = padded_slices(problem.slices)
     # the iterate each live instance carries; agents that never joined hold x_init
     iterates = {-1: config.x_init}
-    machine = DiffusiveConsensus(p, 0, np.zeros(n))
+    # the machine mixes coefficients only, over zero-width bases
+    machine, no_values = DiffusiveConsensus(p, 0, np.zeros(0)), np.empty((p, 0))
+    weights = np.ones((2, p))  # row 0: agent 0's coefficients; row 1 sums
     s_schedule, v_hats, initiated_counts, eps_norms, worst_errors = [], [], [], [], []
     costs = []  # per outer iteration: values, messages, broadcasts, time steps
 
@@ -116,8 +118,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         # a joiner contributes its own from the next step on, and agent 0's
         # row is a mix of them (an older instance's rows never reach it)
         outer = len(s_schedule)
-        grads = batched_gradients(a, b, np.broadcast_to(x, (p, n)))
-        machine.open(outer, 0, grads)
+        machine.open(outer, 0, no_values)
         iterates[outer] = x
         s_k = int(s_fn(outer, x))
         s_schedule.append(s_k)
@@ -128,10 +129,12 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
                       n * senders + 2 * k * initiators, s_k))  # a step is a time step
         for i in iterates.keys() - set(machine.inst.tolist()):
             del iterates[i]  # no agent holds instance i any more
-        v_hat = machine.coef[0] @ grads
+        weights[0] = machine.coef[0]  # v_hat = coef[0] @ G, grad f(x) = ones @ G
+        mixed = mixed_gradients(a, b, x, np.flatnonzero(x), weights)
+        v_hat = mixed[0].copy()  # a row view would keep both rows alive
         v_hats.append(v_hat)
         initiated_counts.append(int(np.sum(machine.inst == outer)))
-        eps_norms.append(float(np.linalg.norm(p * v_hat - grads.sum(axis=0))))
+        eps_norms.append(float(np.linalg.norm(p * v_hat - mixed[1])))
         return v_hat
 
     rule, bound = None, 0.0  # without a reference, agent 0 stops on its step size

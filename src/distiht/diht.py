@@ -16,8 +16,8 @@ import numpy as np
 from .graphs import Graph, SpanningTree, bfs_spanning_tree
 from .iht import IhtConfig, IhtTrace, _run, write_csv
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import (Problem, lipschitz_of_slice, padded_slices, stacked_lipschitz,
-                    support_gradients)
+from .model import (Problem, lipschitz_of_slice, mixed_gradients, padded_slices,
+                    stacked_lipschitz)
 from .model import loss_gradient, loss_info  # noqa: F401  rebound by perfbench
 
 
@@ -180,9 +180,10 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     """Simulate distributed IHT rooted at agent 0 on a static graph.
 
     The iteration is centralized IHT whose gradient is the tree sum of the
-    agents' local gradients; the traffic of every iteration is the same
-    closed form, so the counters are filled in after the run.  A run whose
-    starting point already meets the tolerance stops at 0 iterations.
+    agents' local gradients, taken as one unit-weighted product over the
+    stacked slices, so it equals the tree sum up to rounding; the traffic of
+    every iteration is the same closed form, so the counters are filled in
+    after the run.  A run whose start meets the tolerance stops at 0 iterations.
 
     With l unset, the step constant defaults to 1.005 times the stacked
     gradient smoothness constant, mirroring the usual practice of running
@@ -207,11 +208,12 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     tree = bfs_spanning_tree(graph, root=0)
     x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
     a, b = padded_slices(problem.slices)
+    ones = np.ones((1, problem.p))  # the convergecast's sum as one weighted product
     sent = [x0, np.flatnonzero(x0)]  # the last x broadcast and its nonzeros
 
     def gradient(x):  # every agent decodes the same pairs: x at its first k nonzeros
         sent[:] = x, np.flatnonzero(x)
-        return _tree_sum(tree, support_gradients(a, b, x, sent[1][:k]))
+        return mixed_gradients(a, b, x, sent[1][:k], ones)[0]
 
     config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
     trace = _run(gradient, None, stop.reference_vector(problem), config, None,

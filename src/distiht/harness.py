@@ -23,7 +23,7 @@ from .graphs import (AssumptionViolation, Graph, check_graph_args, check_subgrap
                      gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
                      gen_tv_schedule, static_schedule)
 from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht, write_csv
-from .model import Problem, check_problem_args, generate_problem, support_gradients
+from .model import Problem, check_problem_args, generate_problem, mixed_gradients
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
 CONFIG_SCHEMA_VERSION = 1
@@ -261,7 +261,8 @@ def _run_iht(problem, graph, schedule, cfg) -> RunResult:
     l = cfg.l if cfg.l is not None else default_step_constant(problem)
     config = IhtConfig(l=l, k=problem.k, max_iters=cfg.max_iters,
                        tol=min(cfg.accuracies), x_init=np.zeros(problem.n))
-    trace = run_iht(lambda x: support_gradients(a, b, x, np.flatnonzero(x))[0],
+    ones = np.ones((1, 1))
+    trace = run_iht(lambda x: mixed_gradients(a, b, x, np.flatnonzero(x), ones)[0],
                     problem.x_star, config, keep_iterates=False)
     errors = trace.errors_vs_truth[1:]  # error after each iteration
     metrics = Metrics.from_costs(errors, np.zeros((len(errors), 4)))  # nothing is sent

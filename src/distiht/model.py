@@ -142,23 +142,17 @@ def padded_slices(slices: list[SensingSlice]) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def batched_gradients(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Every slice gradient 2 a_q^T (a_q x_q - b_q) as one (p, n) array.
+def mixed_gradients(a: np.ndarray, b: np.ndarray, x: np.ndarray, support: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """weights @ G, (j, n), for (j, p) weights and the slice gradients G at one
+    point x that is zero off `support`; a and b come from padded_slices.
 
-    a and b come from padded_slices, and row q of xs is agent q's point.
-    Each agent's result agrees with loss_gradient to rounding, not bit for
-    bit: the batched products sum in a different order.
-    """
-    r = np.matmul(a, xs[:, :, None])[:, :, 0] - b
-    return 2.0 * np.matmul(r[:, None, :], a)[:, 0, :]
-
-
-def support_gradients(a: np.ndarray, b: np.ndarray, x: np.ndarray,
-                      support: np.ndarray) -> np.ndarray:
-    """batched_gradients at one point x that is zero off `support`: the
-    forward product reads only those columns, so the two agree to rounding."""
+    The forward product reads only the support columns, and each result row
+    is one product 2 A^T (w * residuals) over the stacked rows, so G is never
+    formed; it agrees with summing loss_gradient to rounding."""
     r = a[:, :, support] @ x[support] - b
-    return np.matmul((2.0 * r)[:, None, :], a)[:, 0, :]
+    wr = (2.0 * np.asarray(weights, dtype=float))[:, :, None] * r
+    return wr.reshape(len(wr), -1) @ a.reshape(-1, a.shape[2])
 
 
 def _row_counts(m: int, p: int) -> list[int]:

@@ -15,7 +15,7 @@ import numpy as np
 from .consensus import metropolis_weights
 from .diht import Metrics
 from .graphs import Graph, TvSchedule, static_schedule
-from .model import Problem, SensingSlice, batched_gradients, padded_slices
+from .model import Problem, SensingSlice, padded_slices
 
 
 @dataclass
@@ -38,8 +38,7 @@ class AffineProjector:
     """One slice's consistency set {x : a x = b}, with a^T = Q R factored once.
 
     The set is also {x : Q^T x = c} for c = R^-T b.  That orthonormal form
-    is held as a slice, and the projection x - Q (Q^T x - c) onto the set is
-    x less half the gradient of its loss.
+    is held as a slice, and the projection onto the set is x - Q (Q^T x - c).
     """
 
     def __init__(self, sl: SensingSlice, agent: Optional[int] = None):
@@ -94,7 +93,8 @@ def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule
     for t in range(config.max_iters):
         alpha = (t + 1.0) ** (-config.step_exponent)
         y = weights[t % schedule.period] @ x - alpha * np.sign(x)
-        x = y - 0.5 * batched_gradients(q_stack, c_stack, y)
+        r = np.matmul(q_stack, y[:, :, None])[:, :, 0] - c_stack  # Q^T y - c
+        x = y - np.matmul(r[:, None, :], q_stack)[:, 0, :]
 
         diffs = x - ref
         worst = float(np.sqrt((diffs * diffs).sum(axis=1).max()))

@@ -59,8 +59,22 @@ class TestRunCbdiht:
         config = IhtConfig(l=run.l_tv, k=3, max_iters=20, tol=0,
                            x_init=np.zeros(30))
         central = run_iht(lambda x: 2.0 * (a.T @ (a @ x - b)), prob.x_star, config)
+        # the forward product on the iterate's nonzeros rounds differently
+        # from the dense one, so values agree to float64 drift, supports exactly
+        assert len(run.agent1_trace.iterates) == len(central.iterates)
+        scale = max(float(np.max(np.abs(v))) for v in central.iterates)
         for u, v in zip(run.agent1_trace.iterates, central.iterates):
-            np.testing.assert_array_equal(u, v)
+            np.testing.assert_array_equal(np.flatnonzero(u), np.flatnonzero(v))
+            np.testing.assert_allclose(u, v, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_each_v_hat_owns_its_memory(self):
+        # a row view of the weighted product would keep its other row alive
+        prob = desk_problem(3)
+        sched = gen_tv_schedule(gen_erdos_renyi(6, 0.5, 4), 10, 5)
+        run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=10))
+        assert len(run.v_hats) == 10
+        for v_hat in run.v_hats:
+            assert v_hat.flags.owndata and v_hat.shape == (prob.n,)
 
     def test_exact_average_limit_tracks_centralized(self):
         prob = desk_problem(2)

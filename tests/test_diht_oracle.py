@@ -2,21 +2,25 @@
 the dense gradient path that the K-column one replaced.
 
 The library runs DIHT on centralized IHT's loop with a tree-summed gradient
-oracle and fills the counters from their closed form; the agents' gradients
-come from one batched product on the K columns the down sweep sends, and
-the tree sum adds the rows of one (p, n) array in place, deepest vertices
-first.  This file keeps the loop that had its own copy of the stop rule,
-record-keeping and counting, the post-order tree sum, the list-based tree
-sum that the in-place one replaced, and the shared-loop run that decoded
-the sent pairs into one (p, n) row per agent and took the batched
-gradients at the rows.
+oracle and fills the counters from their closed form.  The tree sum of
+the agents' gradients is taken as one weighted product over the stacked
+slices (model.mixed_gradients with unit weights) on the K columns the
+down sweep sends, so no (p, n) block of agent gradients is formed during
+the run.  This file keeps the loop that had its own copy of the stop
+rule, record-keeping and counting, the post-order tree sum, the
+list-based tree sum that the in-place `_tree_sum` replaced (that one still
+serves convergecast_sum and aggregate_lipschitz), and the shared-loop run
+that decoded the sent pairs into one (p, n) row per agent, took the dense
+batched gradients at the rows (test_model.batched_gradients) and summed
+them up the tree.
 
-Both products round differently from the one here, so the iterates,
-errors, step sizes and estimates agree to float64 drift (1e-12 of each
-series' largest magnitude) rather than bit for bit.  The step constant, the
-stop index, every counter and, against the dense path, every iterate's
-support agree exactly, and the tree sums agree bit for bit.  Every agent's
-copy is, byte for byte, the decode of the last iterate broadcast.
+Both reference paths round differently from the one product here, so the
+iterates, errors, step sizes and estimates agree to float64 drift (1e-12
+of each series' largest magnitude) rather than bit for bit.  The step
+constant, the stop index, every counter and, against the dense path,
+every iterate's support agree exactly, and the tree sums agree bit for
+bit.  Every agent's copy is, byte for byte, the decode of the last
+iterate broadcast.
 """
 import warnings
 from dataclasses import dataclass, field
@@ -25,14 +29,14 @@ from typing import Optional
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from test_diht import assert_agents_hold_last_broadcast
+from test_model import batched_gradients
 
 from distiht.diht import (DihtRun, Metrics as RunMetrics, StopRule, _path_delay,
                           _tree_sum, default_step_constant, run_diht)
 from distiht.graphs import (Graph, SpanningTree, bfs_spanning_tree,
                             gen_barabasi_albert, gen_erdos_renyi, gen_geometric)
 from distiht.iht import IhtConfig, IhtTrace, NumericFailure, _run, hard_threshold
-from distiht.model import (Problem, batched_gradients, generate_problem, loss_gradient,
-                           loss_info, padded_slices)
+from distiht.model import Problem, generate_problem, loss_gradient, loss_info, padded_slices
 
 
 @dataclass

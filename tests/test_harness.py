@@ -13,7 +13,7 @@ from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_confi
                              parse_config_text, parse_graph_token,
                              run_experiment, write_report)
 from distiht.iht import IhtConfig, run_iht
-from distiht.model import generate_problem, support_gradients
+from distiht.model import generate_problem, mixed_gradients
 
 DESK_CONFIG = """
 [meta]
@@ -524,11 +524,11 @@ def test_iht_cell_takes_the_forward_product_on_the_support(monkeypatch):
     problem = generate_problem(80, 40, 4, 4, seed=5, ensemble="tight-frame")
     supports = []
 
-    def spy(a, b, x, support):
+    def spy(a, b, x, support, weights):
         supports.append(len(support))
-        return support_gradients(a, b, x, support)
+        return mixed_gradients(a, b, x, support, weights)
 
-    monkeypatch.setattr(distiht.harness, "support_gradients", spy)
+    monkeypatch.setattr(distiht.harness, "mixed_gradients", spy)
     got = ALGORITHMS["iht"](problem, None, None,
                             ExperimentConfig(accuracies=[1e-2, 1e-9], max_iters=400))
     a, b = problem.stacked()

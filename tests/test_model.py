@@ -9,9 +9,9 @@ from distiht.cbdiht import run_cbdiht
 from distiht.diht import StopRule, run_diht
 from distiht.graphs import (gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
                             static_schedule)
-from distiht.model import (SensingSlice, _split, batched_gradients, generate_problem,
-                           lipschitz_of_slice, load_problem, loss_gradient, loss_info,
-                           loss_value, padded_slices, save_problem, spectral_norm,
+from distiht.model import (SensingSlice, _split, generate_problem, lipschitz_of_slice,
+                           load_problem, loss_gradient, loss_info, loss_value,
+                           mixed_gradients, padded_slices, save_problem, spectral_norm,
                            stacked_lipschitz)
 
 
@@ -271,14 +271,30 @@ def uneven_problem(tmp_path):
     return load_problem(path)
 
 
-@pytest.mark.parametrize("case", ["uniform", "uneven", "one-agent"])
-def test_batched_gradients_match_each_slice(case, tmp_path):
+def batched_gradients(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Every slice gradient 2 a_q^T (a_q x_q - b_q) as one (p, n) array, row q
+    of xs being agent q's point; a and b come from padded_slices.
+
+    The dense batched kernel that CB-DIHT took its slice gradients with, and
+    the subgradient its projection, before model.mixed_gradients replaced
+    it; kept as an oracle for the slice stack.
+    """
+    r = np.matmul(a, xs[:, :, None])[:, :, 0] - b
+    return 2.0 * np.matmul(r[:, None, :], a)[:, 0, :]
+
+
+def gradient_case(case, tmp_path):
     if case == "uneven":
         prob = uneven_problem(tmp_path)
         assert [s.m_p for s in prob.slices] == [1, 5, 2, 6]
-    else:
-        prob = generate_problem(40, 20, 3, 5 if case == "uniform" else 1,
-                                noise_std=0.1, seed=13)
+        return prob
+    return generate_problem(40, 20, 3, 5 if case == "uniform" else 1,
+                            noise_std=0.1, seed=13)
+
+
+@pytest.mark.parametrize("case", ["uniform", "uneven", "one-agent"])
+def test_batched_gradients_match_each_slice(case, tmp_path):
+    prob = gradient_case(case, tmp_path)
     a, b = padded_slices(prob.slices)
     assert a.shape == (prob.p, max(s.m_p for s in prob.slices), prob.n)
     xs = np.random.default_rng(15).standard_normal((prob.p, prob.n))
@@ -287,6 +303,34 @@ def test_batched_gradients_match_each_slice(case, tmp_path):
     for q, sl in enumerate(prob.slices):
         np.testing.assert_allclose(got[q], loss_gradient(sl, xs[q]), rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(got[q])))
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("nonzeros", [3, 0])  # 0: x = 0, an empty support
+@pytest.mark.parametrize("case", ["uniform", "uneven", "one-agent", "k=0"])
+def test_mixed_gradients_match_weighted_slice_sums(case, nonzeros, j, tmp_path):
+    if case == "k=0":  # a zero signal: b is all noise
+        prob = generate_problem(40, 20, 0, 5, noise_std=0.1, seed=14)
+    else:
+        prob = gradient_case(case, tmp_path)
+    rng = np.random.default_rng(16)
+    x = np.zeros(prob.n)
+    support = np.sort(rng.choice(prob.n, size=nonzeros, replace=False))
+    x[support] = rng.standard_normal(nonzeros)
+    weights = rng.standard_normal((j, prob.p))
+    a, b = padded_slices(prob.slices)
+    got = mixed_gradients(a, b, x, support, weights)
+    grads = np.array([loss_gradient(sl, x) for sl in prob.slices])
+    assert got.shape == (j, prob.n)
+    for w, row in zip(weights, got):
+        want = sum(wq * g for wq, g in zip(w, grads))
+        np.testing.assert_allclose(row, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(grads)))
+    # unit weights give the network's gradient 2 A^T (A x - b)
+    a_full, b_full = prob.stacked()
+    total = mixed_gradients(a, b, x, support, np.ones((1, prob.p)))[0]
+    np.testing.assert_allclose(total, 2.0 * (a_full.T @ (a_full @ x - b_full)),
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(total)))
 
 
 def split_as_generated(a, b, row_counts):
