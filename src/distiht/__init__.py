@@ -10,8 +10,7 @@ from .model import (Problem, SensingSlice, LossInfo, generate_problem,
                     loss_value, loss_gradient, lipschitz_of_slice, loss_info,
                     save_problem, load_problem)
 from .iht import (IhtConfig, IhtTrace, NumericFailure, hard_threshold, run_iht,
-                  run_inexact_iht, is_l_stationary, descent_gap_check,
-                  spark_bruteforce, write_trace_csv)
+                  run_inexact_iht, is_l_stationary, write_trace_csv)
 from .graphs import (Graph, SpanningTree, TvSchedule, bfs_spanning_tree,
                      gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
                      gen_tv_schedule, static_schedule,
@@ -22,7 +21,7 @@ from .consensus import (WeightMatrix, BoundConstants, DiffusiveConsensus,
 from .diht import (Metrics, StopRule, DihtRun, convergecast_sum,
                    aggregate_lipschitz, run_diht, write_metrics_csv)
 from .cbdiht import (CbDihtRun, consensus_steps, run_cbdiht,
-                     epsilon_series, max_consensus, default_l_tv)
+                     epsilon_series, default_l_tv)
 from .subgradient import (SubgradConfig, SubgradTrace, AffineProjector,
                           run_subgradient)
 from .harness import (ExperimentConfig, GraphSpec, Report, RunCell,

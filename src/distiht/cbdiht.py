@@ -173,23 +173,3 @@ def epsilon_series(run: CbDihtRun) -> np.ndarray:
     """Squared gradient-approximation errors ||p v_hat - grad f(x_k)||^2, one
     per outer iteration, as the run recorded them."""
     return np.square(run.agent1_trace.eps_norms)
-
-
-def max_consensus(schedule: TvSchedule, per_agent_values, steps: int) -> np.ndarray:
-    """Flood the per-agent scalars for `steps` steps, keeping running maxima.
-
-    All agents participate from the start; on every step each agent adopts
-    the largest value heard over the links present that step.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    vals = np.array([float(v) for v in per_agent_values])
-    if vals.shape[0] != schedule.p:
-        raise ValueError("need one value per agent")
-    for t in range(steps):
-        new = vals.copy()
-        for u, v in schedule.edges_at(t):
-            new[u] = max(new[u], vals[v])
-            new[v] = max(new[v], vals[u])
-        vals = new
-    return vals

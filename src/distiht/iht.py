@@ -1,13 +1,11 @@
 """Centralized iterative hard thresholding, exact and with injected gradient error.
 
-Also houses the stationarity certificate, the per-iteration descent-gap
-check, and a brute-force spark oracle for validating test instances.
+Also houses the stationarity certificate and the package's one CSV writer.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,8 +22,12 @@ class NumericFailure(RuntimeError):
 def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
     """Zero all but the k largest-magnitude entries of v.
 
-    Ties are broken toward the lowest index so that repeated runs and
-    distributed replicas agree bit for bit.
+    The kept entries are those a stable sort of the magnitudes, largest
+    first and NaN last, puts in its first k: every magnitude above the k-th,
+    then the lowest-index ties at it; NaN entries are kept only when fewer
+    than k entries are numbers, lowest index first.  Repeated runs and
+    distributed replicas therefore agree bit for bit.  The entries are found
+    by a linear-time selection, not a sort.
     """
     v = np.asarray(v, dtype=float)
     if k < 0 or k > v.size:
@@ -33,7 +35,17 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros_like(v)
     if k == 0:
         return out
-    keep = np.argsort(-np.abs(v), kind="stable")[:k]
+    neg = -np.abs(v)
+    keep = np.argpartition(neg, k - 1)[:k]
+    tau = neg[keep[-1]]  # the k-th smallest of neg; NaN sorts last
+    if np.count_nonzero(neg <= tau) != k:  # a tie at the k-th magnitude, or NaN
+        if np.isnan(tau):  # fewer than k numbers: all of them, then the first NaNs
+            at = np.isnan(neg)
+            below = ~at
+        else:
+            below, at = neg < tau, neg == tau
+        head = np.flatnonzero(below)
+        keep = np.concatenate((head, np.flatnonzero(at)[:k - head.size]))
     out[keep] = v[keep]
     return out
 
@@ -73,10 +85,12 @@ class IhtTrace:
         return self.iterates[-1]
 
 
-def truth_stop(reference: np.ndarray, tol: float):
-    """Stop once the iterate is within tol of the reference, relative to its norm."""
+def truth_stop(reference: np.ndarray, tol: float, errors: list):
+    """Stop once the iterate is within tol of the reference, relative to its
+    norm, reading its distance as the last entry of `errors`, the run's
+    record of ||x - reference||."""
     bound = tol * max(float(np.linalg.norm(reference)), 1e-300)
-    return lambda x, x_prev: float(np.linalg.norm(x - reference)) <= bound
+    return lambda x, x_prev: errors[-1] <= bound
 
 
 def self_stop(tol: float):
@@ -87,23 +101,24 @@ def self_stop(tol: float):
         / max(1.0, float(np.linalg.norm(x_prev))) <= tol)
 
 
-def stop_rule(reference: Optional[np.ndarray], tol: float):
+def stop_rule(reference: Optional[np.ndarray], tol: float, errors: list):
     """truth_stop with a reference, else self_stop; never when tol <= 0."""
     if tol <= 0:
         return lambda x, x_prev: False
-    return self_stop(tol) if reference is None else truth_stop(reference, tol)
+    return self_stop(tol) if reference is None else truth_stop(reference, tol, errors)
 
 
 def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
          keep_iterates: bool = True, stop=None) -> IhtTrace:
     """IHT's loop x <- T_k(x - g/l), g = grad_fn(x) (+ injector(k)), until
     stop(x, x_prev) holds (asked at the start with x_prev None, then after
-    every step; by default stop_rule(x_star, config.tol)) or the budget ends."""
+    every step; by default stop_rule(x_star, config.tol), reading the error
+    just recorded) or the budget ends."""
     if config.x_init is None:
         raise ValueError("config.x_init is required to size the run")
-    stop = stop or stop_rule(x_star, config.tol)
     x = config.x_init.copy()
     trace = IhtTrace()
+    stop = stop or stop_rule(x_star, config.tol, trace.errors_vs_truth)
 
     def record(xk):
         if keep_iterates or not trace.iterates:
@@ -184,53 +199,6 @@ def is_l_stationary(grad_fn, x: np.ndarray, l: float, k: int,
     violations = [(int(i), float(abs(g[i])), float(bounds[i]))
                   for i in np.flatnonzero(np.abs(g) > bounds)]
     return StationarityReport(ok=not violations, m_k=m_k, violations=violations)
-
-
-def descent_gap_check(f_vals: tuple, delta: np.ndarray, eps_k, l: float,
-                      l_f: float, slack: float = 1e-9) -> bool:
-    """Per-iteration sufficient-decrease inequality for l > l_f.
-
-    f(x^k) - f(x^{k+1}) must be at least ((l - l_f)/2) ||delta||^2 minus the
-    error cross term delta^T eps, within an absolute roundoff slack.
-    """
-    f_curr, f_next = f_vals
-    delta = np.asarray(delta, dtype=float)
-    cross = float(delta @ np.asarray(eps_k, dtype=float)) if eps_k is not None else 0.0
-    lhs = f_curr - f_next
-    rhs = 0.5 * (l - l_f) * float(delta @ delta) - cross
-    return lhs >= rhs - slack
-
-
-@dataclass
-class SparkResult:
-    """Exact spark when `exact`, otherwise the certified lower bound `value`."""
-
-    value: int
-    exact: bool
-
-    def __str__(self):
-        return str(self.value) if self.exact else f">= {self.value}"
-
-
-def spark_bruteforce(a: np.ndarray, max_cols: int) -> SparkResult:
-    """Smallest number of linearly dependent columns, by subset enumeration.
-
-    Desk-scale oracle: every subset of up to max_cols columns is rank-tested.
-    If none is dependent the result is the bound "spark >= max_cols + 1",
-    never a guess.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[1]
-    if n > 24 and max_cols > 6:
-        raise ValueError("oracle budget: need n <= 24 or max_cols <= 6")
-    scale = max(float(np.abs(a).max()), 1e-300)
-    for s in range(1, min(max_cols, n) + 1):
-        for cols in combinations(range(n), s):
-            sub = a[:, cols]
-            sv = np.linalg.svd(sub, compute_uv=False)
-            if sv[-1] <= 1e-10 * scale * np.sqrt(s):
-                return SparkResult(value=s, exact=True)
-    return SparkResult(value=max_cols + 1, exact=False)
 
 
 def write_csv(path: str, header, rows) -> None:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distiht.iht import (IhtConfig, NumericFailure, descent_gap_check,
-                         hard_threshold, is_l_stationary, run_iht,
-                         run_inexact_iht, spark_bruteforce, write_trace_csv)
+from distiht.iht import (IhtConfig, NumericFailure, hard_threshold,
+                         is_l_stationary, run_iht, run_inexact_iht,
+                         write_trace_csv)
 from distiht.model import generate_problem, loss_info
+from oracles import argsort_hard_threshold, descent_gap_check, spark_bruteforce
 
 
 def quadratic(problem):
@@ -58,6 +59,51 @@ def test_threshold_properties(seed, dim, k):
                 for c in itertools.combinations(range(dim), k)),
                default=float(np.linalg.norm(v)))
     assert np.linalg.norm(v - t) <= best + 1e-12
+
+
+# ties in plenty, both zeros, both infinities, NaN and subnormals, as well
+# as any double
+THRESHOLD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan,
+                     5e-324, -5e-324, 1e-310]),
+    st.floats(width=64))
+
+
+@st.composite
+def vectors_and_sparsity(draw):
+    v = np.array(draw(st.lists(THRESHOLD_VALUES, min_size=1, max_size=60)))
+    return v, draw(st.integers(0, v.size))
+
+
+@settings(max_examples=400, deadline=None)
+@given(vectors_and_sparsity())
+def test_selection_matches_the_stable_sort_byte_for_byte(case):
+    v, k = case
+    assert hard_threshold(v, k).tobytes() == argsort_hard_threshold(v, k).tobytes()
+
+
+def test_selection_matches_the_stable_sort_at_n_1000():
+    rng = np.random.default_rng(19)
+    v = rng.integers(-4, 5, 1000).astype(float)  # heavy ties
+    v[rng.choice(1000, 30, replace=False)] = np.nan
+    v[rng.choice(1000, 30, replace=False)] = rng.standard_normal(30)
+    v[:4] = np.inf, -np.inf, -0.0, 5e-324
+    for k in range(1001):
+        assert hard_threshold(v, k).tobytes() == argsort_hard_threshold(v, k).tobytes()
+
+
+class TestSelectionTieAndNanOrder:
+    def test_nan_sorts_after_every_number(self):
+        out = hard_threshold(np.array([1.0, np.nan, 0.5]), 1)
+        np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
+
+    def test_nan_kept_when_too_few_numbers(self):
+        out = hard_threshold(np.array([np.nan, 1.0]), 2)
+        np.testing.assert_array_equal(out, [np.nan, 1.0])
+
+    def test_all_ties_keep_the_lowest_indices(self):
+        out = hard_threshold(np.array([-3.0, 3.0, 3.0, -3.0, 3.0]), 2)
+        np.testing.assert_array_equal(out, [-3.0, 3.0, 0.0, 0.0, 0.0])
 
 
 def iht_step(x, grad, l, k):
@@ -155,6 +201,19 @@ class TestRunIht:
         trace = run_iht(grad, None, config)
         assert trace.converged_at is not None
         assert trace.converged_at < 500
+
+    def test_truth_stop_ends_at_the_first_error_within_tol(self):
+        prob = generate_problem(40, 20, 3, 4, seed=5, ensemble="tight-frame")
+        _, _, grad, _ = quadratic(prob)
+        config = IhtConfig(l=1.0, k=3, max_iters=500, tol=0, x_init=np.zeros(40))
+        full = run_iht(grad, prob.x_star, config)
+        bound = 1e-6 * np.linalg.norm(prob.x_star)
+        first = next(i for i, e in enumerate(full.errors_vs_truth) if e <= bound)
+        config.tol = 1e-6
+        for keep in (True, False):
+            stopped = run_iht(grad, prob.x_star, config, keep_iterates=keep)
+            assert stopped.converged_at == first > 0
+            assert stopped.errors_vs_truth == full.errors_vs_truth[:first + 1]
 
 
 class TestRunInexact:
