@@ -69,9 +69,13 @@ class Links(NamedTuple):
 
 
 def directed_links(links, p: int) -> Links:
-    """Build the directed arrays of one link set; done once per period step."""
+    """Build the directed arrays of one link set; done once per period step.
+    Each agent's neighbours are listed in link order."""
     src, dst = _directed(links)
-    return Links(src, dst, [dst[src == a].tolist() for a in range(p)])
+    order = np.argsort(src, kind="stable")
+    cut = np.searchsorted(src[order], np.arange(p + 1)).tolist()
+    ordered = dst[order].tolist()
+    return Links(src, dst, [ordered[lo:hi] for lo, hi in zip(cut, cut[1:])])
 
 
 def _transition(inst: np.ndarray, active: np.ndarray, links: Links) -> tuple:

@@ -77,7 +77,7 @@ class Metrics:
 
 def write_metrics_csv(metrics: Metrics, path: str, extra_columns=()) -> None:
     cols = METRICS_COLUMNS + list(extra_columns)
-    write_csv(path, cols, ([row.get(c) for c in cols] for row in metrics.per_iteration))
+    write_csv(path, cols, columns=[metrics.columns[c] for c in cols])
 
 
 @dataclass

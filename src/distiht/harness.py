@@ -288,16 +288,22 @@ def _run_cbdiht(problem, graph, schedule, cfg) -> RunResult:
                    ("worst_err", "outer_iter", "s_k", "eps_norm_sq", "initiated_count"))
 
 
-def _run_subgrad(problem, graph, schedule, cfg) -> RunResult:
-    config = subgrad_mod.SubgradConfig(step_exponent=cfg.step_exponent,
-                                       max_iters=cfg.max_iters,
-                                       tol=min(cfg.accuracies))
-    trace, metrics = subgrad_mod.run_subgradient(
-        problem, schedule if schedule is not None else graph, config)
+def _subgrad_config(cfg: ExperimentConfig) -> subgrad_mod.SubgradConfig:
+    return subgrad_mod.SubgradConfig(step_exponent=cfg.step_exponent,
+                                     max_iters=cfg.max_iters, tol=min(cfg.accuracies))
+
+
+def _subgrad_result(problem, cfg, trace, metrics) -> RunResult:
     result = _result(problem, cfg, metrics, trace.worst_errors, trace.converged_at)
     # a long budget writes a curve of 2,000 to 4,000 rows, ending at the stop
     result.metrics = metrics.thin(max(1, cfg.max_iters // 2000))
     return result
+
+
+def _run_subgrad(problem, graph, schedule, cfg) -> RunResult:
+    trace, metrics = subgrad_mod.run_subgradient(
+        problem, schedule if schedule is not None else graph, _subgrad_config(cfg))
+    return _subgrad_result(problem, cfg, trace, metrics)
 
 
 # name -> runner(problem, graph, schedule or None, cfg) -> RunResult
@@ -305,49 +311,79 @@ ALGORITHMS = {"iht": _run_iht, "diht": _run_diht, "cbdiht": _run_cbdiht,
               "subgrad": _run_subgrad}
 
 
-def run_cell(problem: Problem, spec: GraphSpec, graph_seed: int, algorithm: str,
-             cfg: ExperimentConfig) -> RunResult:
-    """One (graph instance, algorithm) run of the grid."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+def _network(problem: Problem, spec: GraphSpec, graph_seed: int,
+             cfg: ExperimentConfig) -> tuple:
+    """A cell's graph, and its schedule when the config is time-varying."""
     graph = spec.build(problem.p, graph_seed)
     schedule = None
     if cfg.time_varying:
         schedule = gen_tv_schedule(graph, cfg.subgraph_count,
                                    graph_seed + SCHEDULE_SEED_OFFSET)
-    return ALGORITHMS[algorithm](problem, graph, schedule, cfg)
+    return graph, schedule
+
+
+def run_cell(problem: Problem, spec: GraphSpec, graph_seed: int, algorithm: str,
+             cfg: ExperimentConfig) -> RunResult:
+    """One (graph instance, algorithm) run of the grid."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return ALGORITHMS[algorithm](problem, *_network(problem, spec, graph_seed, cfg), cfg)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Execute the full (problem seed x graph x graph seed x algorithm) grid.
 
-    A run that fails on its input or its numerics is captured in its cells
-    rather than aborting the experiment; any other exception propagates.
+    The subgradient cells run last, one lockstep batch per (p, n, m_max,
+    period), with each problem's orthonormal stack built once; the others
+    run one at a time.  A run that fails on its input or its numerics is
+    captured in its cells rather than aborting the experiment; any other
+    exception propagates.
     """
     report = Report(config_hash=cfg.config_hash,
                     seeds={"problem": list(cfg.problem_seeds),
                            "graph": list(cfg.graph_seeds)})
+    # per cell: [graph label, graph seed, problem seed, algorithm, RunResult or
+    # error text]; per (orthonormal stack shape, period): [(cell, member)]
+    cells, batches = [], {}
     for pseed in cfg.problem_seeds:
         problem = generate_problem(cfg.n, cfg.m, cfg.k, cfg.p, cfg.noise_std,
                                    cfg.spectral_cap, pseed, cfg.ensemble)
+        slices = None
         for spec in cfg.graphs:
             for gseed in cfg.graph_seeds:
                 for algo in cfg.algorithms:
+                    cells.append([spec.label, gseed, pseed, algo, None])
                     try:
-                        result = run_cell(problem, spec, gseed, algo, cfg)
+                        if algo != "subgrad":
+                            cells[-1][-1] = run_cell(problem, spec, gseed, algo, cfg)
+                            continue
+                        graph, schedule = _network(problem, spec, gseed, cfg)
+                        _subgrad_config(cfg)  # a bad budget or exponent is a cell error
+                        if slices is None:
+                            slices = subgrad_mod.orthonormal_slices(problem)
                     except (ValueError, NumericFailure, AssumptionViolation) as exc:
-                        for acc in cfg.accuracies:
-                            report.cells.append(RunCell(
-                                spec.label, gseed, pseed, algo, acc, False,
-                                0, 0, 0, 0, 0, error=f"{type(exc).__name__}: {exc}"))
+                        cells[-1][-1] = f"{type(exc).__name__}: {exc}"
                         continue
-                    for acc in cfg.accuracies:
-                        hit = result.crossings.get(acc)
-                        report.cells.append(RunCell(
-                            spec.label, gseed, pseed, algo, acc, hit is not None,
-                            *(hit or result.spent)))
-                    report.curves[f"{spec.label}-g{gseed}-p{pseed}-{algo}"] = (
-                        result.metrics, result.extra_columns)
+                    schedule = schedule or static_schedule(graph)
+                    batches.setdefault((slices[0].shape, schedule.period), []).append(
+                        (cells[-1], (problem, schedule, slices)))
+    for group in batches.values():
+        runs = subgrad_mod.run_lockstep([m for _, m in group], _subgrad_config(cfg))
+        for (cell, (problem, _, _)), (trace, metrics) in zip(group, runs):
+            cell[-1] = _subgrad_result(problem, cfg, trace, metrics)
+
+    for label, gseed, pseed, algo, result in cells:
+        if isinstance(result, str):
+            report.cells.extend(RunCell(label, gseed, pseed, algo, acc, False,
+                                        0, 0, 0, 0, 0, error=result)
+                                for acc in cfg.accuracies)
+            continue
+        for acc in cfg.accuracies:
+            hit = result.crossings.get(acc)
+            report.cells.append(RunCell(label, gseed, pseed, algo, acc, hit is not None,
+                                        *(hit or result.spent)))
+        report.curves[f"{label}-g{gseed}-p{pseed}-{algo}"] = (result.metrics,
+                                                              result.extra_columns)
     return report
 
 

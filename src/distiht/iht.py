@@ -201,9 +201,11 @@ def is_l_stationary(grad_fn, x: np.ndarray, l: float, k: int,
     return StationarityReport(ok=not violations, m_k=m_k, violations=violations)
 
 
-def write_csv(path: str, header, rows) -> None:
+def write_csv(path: str, header, rows=(), columns=None) -> None:
     """Write a header and rows as CSV: floats as .17g, booleans as 0/1, None as
-    an empty field; a field holding a comma, quote or newline is quoted."""
+    an empty field; a field holding a comma, quote or newline is quoted.
+    Given `columns`, one 1-D array per header name, the rows are those
+    columns side by side, and a numeric column is formatted in one pass."""
     def cell(v):
         if v is None:
             return ""
@@ -211,10 +213,17 @@ def write_csv(path: str, header, rows) -> None:
             return int(v)
         return f"{v:.17g}" if isinstance(v, float) else v
 
+    def fields(column: np.ndarray):
+        kind = column.dtype.kind
+        fmt = "{:.17g}".format if kind == "f" else str if kind in "iu" else cell
+        return map(fmt, column.tolist())
+
+    rows = (zip(*(fields(np.asarray(c)) for c in columns)) if columns is not None
+            else ([cell(v) for v in row] for row in rows))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([cell(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def write_trace_csv(trace: IhtTrace, path: str) -> None:

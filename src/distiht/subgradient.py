@@ -8,7 +8,7 @@ periodic link schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -16,6 +16,8 @@ from .consensus import metropolis_weights
 from .diht import Metrics
 from .graphs import Graph, TvSchedule, static_schedule
 from .model import Problem, SensingSlice, padded_slices
+
+BLOCK = 4096  # steps of worst errors a lockstep batch allocates at a time
 
 
 @dataclass
@@ -51,6 +53,14 @@ class AffineProjector:
         self.orthonormal = SensingSlice(q.T, np.linalg.solve(r.T, sl.b))
 
 
+def orthonormal_slices(problem: Problem) -> tuple:
+    """Every agent's consistency set in orthonormal form: one padded
+    (p, m_max, n) stack of rows Q^T and (p, m_max) right-hand sides c.
+    Raises LinAlgError naming the first agent whose rows are rank-deficient."""
+    return padded_slices([AffineProjector(sl, agent=q).orthonormal
+                          for q, sl in enumerate(problem.slices)])
+
+
 @dataclass
 class SubgradTrace:
     worst_errors: list = field(default_factory=list)  # max over agents, per iter
@@ -60,7 +70,8 @@ class SubgradTrace:
 
 def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule],
                     config: Optional[SubgradConfig] = None) -> tuple:
-    """Run the baseline; returns (SubgradTrace, Metrics).
+    """Run the baseline; returns (SubgradTrace, Metrics).  It is a lockstep
+    batch of one.
 
     Convergence is declared when every agent's estimate is within tol of the
     ground truth, relative to its norm.  Every iteration each agent ships its
@@ -69,40 +80,76 @@ def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule
     the period, so the counters are filled in after the run from one row per
     period step.
     """
-    config = config or SubgradConfig()
     schedule = (static_schedule(graph_or_schedule)
                 if isinstance(graph_or_schedule, Graph) else graph_or_schedule)
     if schedule.p != problem.p:
         raise ValueError("network and problem disagree on the agent count")
-    ref = problem.x_star
-    ref_norm = max(float(np.linalg.norm(ref)), 1e-300)
+    return next(run_lockstep([(problem, schedule, orthonormal_slices(problem))],
+                             config or SubgradConfig()))
 
-    p, n = problem.p, problem.n
-    # every agent projects in one batch, through its slice's orthonormal form
-    q_stack, c_stack = padded_slices([AffineProjector(sl, agent=q).orthonormal
-                                      for q, sl in enumerate(problem.slices)])
-    weights = [metropolis_weights(links, p).w for links in schedule.subgraphs]
-    # per period step: an estimate crosses every link both ways, N values and
-    # one message per direction, N broadcasts per agent with a link
-    costs = np.array([(2 * len(links) * n, 2 * len(links),
-                       len({v for e in links for v in e}) * n, 1)
-                      for links in schedule.subgraphs], dtype=np.int64)
-    x = np.zeros((p, n))
-    trace = SubgradTrace()
 
-    for t in range(config.max_iters):
-        alpha = (t + 1.0) ** (-config.step_exponent)
-        y = weights[t % schedule.period] @ x - alpha * np.sign(x)
-        r = np.matmul(q_stack, y[:, :, None])[:, :, 0] - c_stack  # Q^T y - c
-        x = y - np.matmul(r[:, None, :], q_stack)[:, 0, :]
+def run_lockstep(members: list, config: SubgradConfig) -> Iterator[tuple]:
+    """Run B baselines in lockstep, each member (problem, schedule,
+    orthonormal_slices(problem)) with one p, n, m_max and period; yield each
+    one's (SubgradTrace, Metrics), in order, built only when asked for.
 
-        diffs = x - ref
-        worst = float(np.sqrt((diffs * diffs).sum(axis=1).max()))
-        trace.worst_errors.append(worst)
-        if worst <= config.tol * ref_norm:
-            trace.converged_at = t + 1
+    A step applies one run's ops to the (B, ...) stacks, each into a buffer
+    allocated once, so a member's iterates do not depend on its batch.  A
+    member that meets the tolerance stops there: the last running member
+    takes its slot, and the batch steps on over the running prefix.
+    """
+    problems, schedules, slices = zip(*members)
+    q, c = (np.stack(a) for a in zip(*slices))  # (B, p, m_max, n), (B, p, m_max)
+    (b, p, m, n), period = q.shape, schedules[0].period
+    w = np.stack([[metropolis_weights(links, p).w for links in s.subgraphs]
+                  for s in schedules], axis=1)  # one (B, p, p) stack per phase
+    ref = np.stack([pr.x_star for pr in problems])[:, None, :]
+    bound = config.tol * np.array([max(float(np.linalg.norm(pr.x_star)), 1e-300)
+                                   for pr in problems])
+    # x and Q^T y - c are held in the shapes of the products that write them
+    x4, r4 = np.zeros((b, p, 1, n)), np.empty((b, p, m, 1))
+    y, d, sq = np.empty((b, p, n)), np.empty((b, p, n)), np.empty((b, p))
+    hit, stop, converged = np.empty(b, dtype=bool), np.zeros(b, dtype=int), [None] * b
+    slot, blocks = np.arange(b), []  # the member in each slot; worst errors by step
+    t, k = 0, b
+    while k:
+        xk4, xk, rk4, rk = x4[:k], x4[:k, :, 0], r4[:k], r4[:k, :, :, 0]
+        yk, dk, sqk, qk, ck, refk = y[:k], d[:k], sq[:k], q[:k], c[:k], ref[:k]
+        wk, boundk, hitk = w[:, :k], bound[:k], hit[:k]
+        while t < config.max_iters:
+            if not t % BLOCK:
+                blocks.append(np.empty((min(BLOCK, config.max_iters - t), b)))
+            alpha = (t + 1.0) ** (-config.step_exponent)
+            np.matmul(wk[t % period], xk, out=yk)
+            np.multiply(alpha, np.sign(xk, out=dk), out=dk)
+            np.subtract(yk, dk, out=yk)
+            np.matmul(qk, yk[:, :, :, None], out=rk4)
+            np.subtract(rk, ck, out=rk)
+            np.matmul(rk[:, :, None, :], qk, out=xk4)
+            np.subtract(yk, xk, out=xk)
+            np.subtract(xk, refk, out=dk)
+            np.add.reduce(np.multiply(dk, dk, out=dk), axis=2, out=sqk)
+            worst = blocks[-1][t % BLOCK, :k]
+            np.sqrt(np.maximum.reduce(sqk, axis=1, out=worst), out=worst)
+            t += 1
+            if np.count_nonzero(np.less_equal(worst, boundk, out=hitk)):
+                break
+        else:  # the budget ran out
+            stop[slot[:k]] = t
             break
+        for j in np.flatnonzero(hitk)[::-1]:
+            k -= 1
+            stop[slot[j]] = converged[slot[j]] = t
+            for a in (x4, q, c, ref, bound, slot, w.swapaxes(0, 1),
+                      *(blk.T for blk in blocks)):
+                a[[j, k]] = a[[k, j]]
 
-    trace.estimates = x
-    steps = np.arange(len(trace.worst_errors)) % schedule.period
-    return trace, Metrics.from_costs(trace.worst_errors, costs[steps])
+    for i, j in enumerate(np.argsort(slot)):
+        errors = np.concatenate([blk[:, j] for blk in blocks])[:stop[i]].tolist()
+        # per period step: an estimate crosses every link both ways, N values
+        # and one message per direction, N broadcasts per agent with a link
+        costs = np.array([(2 * len(links) * n, 2 * len(links),
+                           len({v for e in links for v in e}) * n, 1)
+                          for links in schedules[i].subgraphs], dtype=np.int64)
+        yield (SubgradTrace(errors, converged[i], x4[j, :, 0].copy()),
+               Metrics.from_costs(errors, costs[np.arange(stop[i]) % period]))

@@ -1,13 +1,22 @@
 """Reference code that only the tests call: hard thresholding by a stable
 sort, the brute-force spark oracle that validates test instances, the
-per-iteration descent-gap inequality, and max-consensus flooding over a
-schedule."""
+per-iteration descent-gap inequality, max-consensus flooding over a
+schedule, neighbour lists by one scan per agent, the subgradient
+baseline's one-run loop, the per-cell experiment grid, and the row-wise
+curve writer."""
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional, Union
 
 import numpy as np
 
-from distiht.graphs import TvSchedule
+from distiht.consensus import _directed, metropolis_weights
+from distiht.diht import METRICS_COLUMNS, Metrics
+from distiht.graphs import AssumptionViolation, Graph, TvSchedule, static_schedule
+from distiht.harness import ExperimentConfig, Report, RunCell, run_cell
+from distiht.iht import NumericFailure, write_csv
+from distiht.model import Problem, generate_problem, padded_slices
+from distiht.subgradient import AffineProjector, SubgradConfig, SubgradTrace
 
 
 def argsort_hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
@@ -92,3 +101,99 @@ def max_consensus(schedule: TvSchedule, per_agent_values, steps: int) -> np.ndar
             new[v] = max(new[v], vals[u])
         vals = new
     return vals
+
+
+def scan_neighbours(links, p: int) -> list:
+    """Each agent's neighbours in link order, by one scan of the links per agent."""
+    src, dst = _directed(links)
+    return [dst[src == a].tolist() for a in range(p)]
+
+
+def loop_run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule],
+                         config: Optional[SubgradConfig] = None) -> tuple:
+    """One baseline run, one iteration at a time; returns (SubgradTrace, Metrics).
+
+    Convergence is declared when every agent's estimate is within tol of the
+    ground truth, relative to its norm.  Every iteration each agent ships its
+    full estimate to all neighbors present that step, which dominates the
+    value count.  The traffic of an iteration depends only on its step of
+    the period, so the counters are filled in after the run from one row per
+    period step.
+    """
+    config = config or SubgradConfig()
+    schedule = (static_schedule(graph_or_schedule)
+                if isinstance(graph_or_schedule, Graph) else graph_or_schedule)
+    if schedule.p != problem.p:
+        raise ValueError("network and problem disagree on the agent count")
+    ref = problem.x_star
+    ref_norm = max(float(np.linalg.norm(ref)), 1e-300)
+
+    p, n = problem.p, problem.n
+    # every agent projects in one batch, through its slice's orthonormal form
+    q_stack, c_stack = padded_slices([AffineProjector(sl, agent=q).orthonormal
+                                      for q, sl in enumerate(problem.slices)])
+    weights = [metropolis_weights(links, p).w for links in schedule.subgraphs]
+    # per period step: an estimate crosses every link both ways, N values and
+    # one message per direction, N broadcasts per agent with a link
+    costs = np.array([(2 * len(links) * n, 2 * len(links),
+                       len({v for e in links for v in e}) * n, 1)
+                      for links in schedule.subgraphs], dtype=np.int64)
+    x = np.zeros((p, n))
+    trace = SubgradTrace()
+
+    for t in range(config.max_iters):
+        alpha = (t + 1.0) ** (-config.step_exponent)
+        y = weights[t % schedule.period] @ x - alpha * np.sign(x)
+        r = np.matmul(q_stack, y[:, :, None])[:, :, 0] - c_stack  # Q^T y - c
+        x = y - np.matmul(r[:, None, :], q_stack)[:, 0, :]
+
+        diffs = x - ref
+        worst = float(np.sqrt((diffs * diffs).sum(axis=1).max()))
+        trace.worst_errors.append(worst)
+        if worst <= config.tol * ref_norm:
+            trace.converged_at = t + 1
+            break
+
+    trace.estimates = x
+    steps = np.arange(len(trace.worst_errors)) % schedule.period
+    return trace, Metrics.from_costs(trace.worst_errors, costs[steps])
+
+
+def percell_run_experiment(cfg: ExperimentConfig) -> Report:
+    """Execute the full (problem seed x graph x graph seed x algorithm) grid,
+    one run_cell per cell in grid order.
+
+    A run that fails on its input or its numerics is captured in its cells
+    rather than aborting the experiment; any other exception propagates.
+    """
+    report = Report(config_hash=cfg.config_hash,
+                    seeds={"problem": list(cfg.problem_seeds),
+                           "graph": list(cfg.graph_seeds)})
+    for pseed in cfg.problem_seeds:
+        problem = generate_problem(cfg.n, cfg.m, cfg.k, cfg.p, cfg.noise_std,
+                                   cfg.spectral_cap, pseed, cfg.ensemble)
+        for spec in cfg.graphs:
+            for gseed in cfg.graph_seeds:
+                for algo in cfg.algorithms:
+                    try:
+                        result = run_cell(problem, spec, gseed, algo, cfg)
+                    except (ValueError, NumericFailure, AssumptionViolation) as exc:
+                        for acc in cfg.accuracies:
+                            report.cells.append(RunCell(
+                                spec.label, gseed, pseed, algo, acc, False,
+                                0, 0, 0, 0, 0, error=f"{type(exc).__name__}: {exc}"))
+                        continue
+                    for acc in cfg.accuracies:
+                        hit = result.crossings.get(acc)
+                        report.cells.append(RunCell(
+                            spec.label, gseed, pseed, algo, acc, hit is not None,
+                            *(hit or result.spent)))
+                    report.curves[f"{spec.label}-g{gseed}-p{pseed}-{algo}"] = (
+                        result.metrics, result.extra_columns)
+    return report
+
+
+def rowwise_write_metrics_csv(metrics: Metrics, path: str, extra_columns=()) -> None:
+    """The curve file written one dict per row, one field at a time."""
+    cols = METRICS_COLUMNS + list(extra_columns)
+    write_csv(path, cols, ([row.get(c) for c in cols] for row in metrics.per_iteration))

@@ -5,8 +5,9 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import scan_neighbours
 
-from distiht.consensus import (DiffusiveConsensus, Links, WeightMatrix,
+from distiht.consensus import (DiffusiveConsensus, Links, WeightMatrix, _directed,
                                bound_constants, check_doubly_stochastic,
                                directed_links, metropolis_matrix,
                                metropolis_weights, run_diffusive_consensus,
@@ -462,3 +463,16 @@ def test_weight_matrix_invariants_property(seed):
         deg[v] += 1
     for u, v in links:
         assert w.w[u, v] >= 1.0 / (1.0 + deg.max()) - 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+                         .filter(lambda e: e[0] != e[1]).map(sorted).map(tuple),
+                         max_size=3 * p, unique=True).flatmap(st.permutations))))
+def test_directed_links_lists_neighbours_in_link_order(case):
+    p, links = case
+    got = directed_links(links, p)
+    src, dst = _directed(links)
+    assert got.src.tobytes() == src.tobytes() and got.dst.tobytes() == dst.tobytes()
+    assert got.nbrs == scan_neighbours(links, p)

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from oracles import rowwise_write_metrics_csv
 
 from distiht.diht import (Metrics, StopRule, aggregate_lipschitz, convergecast_sum,
                           distributed_step_constant, run_diht,
                           write_metrics_csv)
 from distiht.graphs import (Graph, bfs_spanning_tree, gen_barabasi_albert,
                             gen_erdos_renyi, gen_geometric)
+from distiht.harness import ExperimentConfig, GraphSpec, run_cell
 from distiht.iht import IhtConfig, run_iht
 from distiht.model import generate_problem, lipschitz_of_slice, loss_info
 
@@ -197,6 +199,31 @@ def test_metrics_csv(tmp_path):
     assert len(lines) == 6
     last = lines[-1].split(",")
     assert int(last[2]) == run.metrics.values_sent
+
+
+def curve_cases():
+    costs = np.arange(20).reshape(5, 4)
+    odd = [0.5, np.nan, np.inf, 1e-300, -0.0]
+    cbdiht = run_cell(generate_problem(30, 12, 2, 4, seed=28, ensemble="tight-frame"),
+                      GraphSpec("er", 0.7), 0, "cbdiht",
+                      ExperimentConfig(n=30, m=12, k=2, p=4, accuracies=[1e-3],
+                                       max_iters=40))
+    return {
+        "unmeasured err": (Metrics.from_costs(None, costs), ()),
+        "odd err": (Metrics.from_costs(odd, costs, extra={"flag": [True, False] * 2 + [True]}),
+                    ("flag",)),
+        "cbdiht": (cbdiht.metrics, cbdiht.extra_columns),
+        "empty curve": (Metrics.from_costs([], np.zeros((0, 4)), extra={"s_k": []}),
+                        ("s_k",)),
+    }
+
+
+@pytest.mark.parametrize("case", list(curve_cases()))
+def test_metrics_csv_matches_the_rowwise_writer(case, tmp_path):
+    metrics, extra = curve_cases()[case]
+    write_metrics_csv(metrics, str(tmp_path / "got.csv"), extra_columns=extra)
+    rowwise_write_metrics_csv(metrics, str(tmp_path / "want.csv"), extra_columns=extra)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestMetrics:
