@@ -72,9 +72,8 @@ def directed_links(links, p: int) -> Links:
     """Build the directed arrays of one link set; done once per period step.
     Each agent's neighbours are listed in link order."""
     src, dst = _directed(links)
-    order = np.argsort(src, kind="stable")
-    cut = np.searchsorted(src[order], np.arange(p + 1)).tolist()
-    ordered = dst[order].tolist()
+    cut = [0, *np.cumsum(np.bincount(src, minlength=p)).tolist()]
+    ordered = dst[np.argsort(src, kind="stable")].tolist()
     return Links(src, dst, [ordered[lo:hi] for lo, hi in zip(cut, cut[1:])])
 
 

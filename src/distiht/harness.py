@@ -301,9 +301,8 @@ def _subgrad_result(problem, cfg, trace, metrics) -> RunResult:
 
 
 def _run_subgrad(problem, graph, schedule, cfg) -> RunResult:
-    trace, metrics = subgrad_mod.run_subgradient(
-        problem, schedule if schedule is not None else graph, _subgrad_config(cfg))
-    return _subgrad_result(problem, cfg, trace, metrics)
+    return _subgrad_result(problem, cfg, *subgrad_mod.run_subgradient(
+        problem, schedule if schedule is not None else graph, _subgrad_config(cfg)))
 
 
 # name -> runner(problem, graph, schedule or None, cfg) -> RunResult
@@ -315,11 +314,9 @@ def _network(problem: Problem, spec: GraphSpec, graph_seed: int,
              cfg: ExperimentConfig) -> tuple:
     """A cell's graph, and its schedule when the config is time-varying."""
     graph = spec.build(problem.p, graph_seed)
-    schedule = None
-    if cfg.time_varying:
-        schedule = gen_tv_schedule(graph, cfg.subgraph_count,
+    return graph, (gen_tv_schedule(graph, cfg.subgraph_count,
                                    graph_seed + SCHEDULE_SEED_OFFSET)
-    return graph, schedule
+                   if cfg.time_varying else None)
 
 
 def run_cell(problem: Problem, spec: GraphSpec, graph_seed: int, algorithm: str,
@@ -333,18 +330,15 @@ def run_cell(problem: Problem, spec: GraphSpec, graph_seed: int, algorithm: str,
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Execute the full (problem seed x graph x graph seed x algorithm) grid.
 
-    The subgradient cells run last, one lockstep batch per (p, n, m_max,
-    period), with each problem's orthonormal stack built once; the others
-    run one at a time.  A run that fails on its input or its numerics is
-    captured in its cells rather than aborting the experiment; any other
-    exception propagates.
+    The subgradient cells run last, in one lockstep batch per (p, n, m_max,
+    period).  A run that fails on its input or its numerics is captured in
+    its cells rather than aborting the experiment; any other exception propagates.
     """
     report = Report(config_hash=cfg.config_hash,
                     seeds={"problem": list(cfg.problem_seeds),
                            "graph": list(cfg.graph_seeds)})
-    # per cell: [graph label, graph seed, problem seed, algorithm, RunResult or
-    # error text]; per (orthonormal stack shape, period): [(cell, member)]
-    cells, batches = [], {}
+    # cells: [label, graph seed, problem seed, algorithm, RunResult or error text]
+    cells, batches = [], {}  # (orthonormal stack shape, period) -> [(cell, member)]
     for pseed in cfg.problem_seeds:
         problem = generate_problem(cfg.n, cfg.m, cfg.k, cfg.p, cfg.noise_std,
                                    cfg.spectral_cap, pseed, cfg.ensemble)
@@ -358,9 +352,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                             cells[-1][-1] = run_cell(problem, spec, gseed, algo, cfg)
                             continue
                         graph, schedule = _network(problem, spec, gseed, cfg)
-                        _subgrad_config(cfg)  # a bad budget or exponent is a cell error
-                        if slices is None:
-                            slices = subgrad_mod.orthonormal_slices(problem)
+                        config = _subgrad_config(cfg)  # the same for every batch
+                        slices = slices or subgrad_mod.orthonormal_slices(problem)
                     except (ValueError, NumericFailure, AssumptionViolation) as exc:
                         cells[-1][-1] = f"{type(exc).__name__}: {exc}"
                         continue
@@ -368,9 +361,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                     batches.setdefault((slices[0].shape, schedule.period), []).append(
                         (cells[-1], (problem, schedule, slices)))
     for group in batches.values():
-        runs = subgrad_mod.run_lockstep([m for _, m in group], _subgrad_config(cfg))
-        for (cell, (problem, _, _)), (trace, metrics) in zip(group, runs):
-            cell[-1] = _subgrad_result(problem, cfg, trace, metrics)
+        runs = subgrad_mod.run_lockstep([member for _, member in group], config)
+        for cell, (problem, _, _) in group:
+            cell[-1] = _subgrad_result(problem, cfg, *next(runs))
 
     for label, gseed, pseed, algo, result in cells:
         if isinstance(result, str):

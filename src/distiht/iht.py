@@ -204,8 +204,7 @@ def is_l_stationary(grad_fn, x: np.ndarray, l: float, k: int,
 def write_csv(path: str, header, rows=(), columns=None) -> None:
     """Write a header and rows as CSV: floats as .17g, booleans as 0/1, None as
     an empty field; a field holding a comma, quote or newline is quoted.
-    Given `columns`, one 1-D array per header name, the rows are those
-    columns side by side, and a numeric column is formatted in one pass."""
+    Given `columns`, one array per header name, it writes them side by side."""
     def cell(v):
         if v is None:
             return ""
@@ -213,13 +212,10 @@ def write_csv(path: str, header, rows=(), columns=None) -> None:
             return int(v)
         return f"{v:.17g}" if isinstance(v, float) else v
 
-    def fields(column: np.ndarray):
-        kind = column.dtype.kind
-        fmt = "{:.17g}".format if kind == "f" else str if kind in "iu" else cell
-        return map(fmt, column.tolist())
-
-    rows = (zip(*(fields(np.asarray(c)) for c in columns)) if columns is not None
-            else ([cell(v) for v in row] for row in rows))
+    fmt = {"f": "{:.17g}".format, "i": str, "u": str}  # a numeric column in one pass
+    rows = (([cell(v) for v in row] for row in rows) if columns is None else
+            zip(*(map(fmt.get(col.dtype.kind, cell), col.tolist())
+                  for col in map(np.asarray, columns))))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

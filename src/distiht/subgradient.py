@@ -54,9 +54,8 @@ class AffineProjector:
 
 
 def orthonormal_slices(problem: Problem) -> tuple:
-    """Every agent's consistency set in orthonormal form: one padded
-    (p, m_max, n) stack of rows Q^T and (p, m_max) right-hand sides c.
-    Raises LinAlgError naming the first agent whose rows are rank-deficient."""
+    """Every agent's consistency set, (p, m_max, n) padded rows Q^T and (p, m_max)
+    right-hand sides c; LinAlgError names an agent with rank-deficient rows."""
     return padded_slices([AffineProjector(sl, agent=q).orthonormal
                           for q, sl in enumerate(problem.slices)])
 
@@ -70,8 +69,7 @@ class SubgradTrace:
 
 def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule],
                     config: Optional[SubgradConfig] = None) -> tuple:
-    """Run the baseline; returns (SubgradTrace, Metrics).  It is a lockstep
-    batch of one.
+    """Run the baseline as a lockstep batch of one; returns (SubgradTrace, Metrics).
 
     Convergence is declared when every agent's estimate is within tol of the
     ground truth, relative to its norm.  Every iteration each agent ships its
@@ -89,15 +87,10 @@ def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule
 
 
 def run_lockstep(members: list, config: SubgradConfig) -> Iterator[tuple]:
-    """Run B baselines in lockstep, each member (problem, schedule,
-    orthonormal_slices(problem)) with one p, n, m_max and period; yield each
-    one's (SubgradTrace, Metrics), in order, built only when asked for.
-
-    A step applies one run's ops to the (B, ...) stacks, each into a buffer
-    allocated once, so a member's iterates do not depend on its batch.  A
-    member that meets the tolerance stops there: the last running member
-    takes its slot, and the batch steps on over the running prefix.
-    """
+    """Run B members (problem, schedule, orthonormal_slices(problem)) of one p, n,
+    m_max and period in lockstep, every op into a buffer allocated once, so that
+    a member's iterates do not depend on its batch; yield each (SubgradTrace,
+    Metrics) in order.  A member within tol stops there, its estimate frozen."""
     problems, schedules, slices = zip(*members)
     q, c = (np.stack(a) for a in zip(*slices))  # (B, p, m_max, n), (B, p, m_max)
     (b, p, m, n), period = q.shape, schedules[0].period
@@ -108,48 +101,35 @@ def run_lockstep(members: list, config: SubgradConfig) -> Iterator[tuple]:
                                    for pr in problems])
     # x and Q^T y - c are held in the shapes of the products that write them
     x4, r4 = np.zeros((b, p, 1, n)), np.empty((b, p, m, 1))
+    x, r = x4[:, :, 0], r4[:, :, :, 0]
     y, d, sq = np.empty((b, p, n)), np.empty((b, p, n)), np.empty((b, p))
-    hit, stop, converged = np.empty(b, dtype=bool), np.zeros(b, dtype=int), [None] * b
-    slot, blocks = np.arange(b), []  # the member in each slot; worst errors by step
-    t, k = 0, b
-    while k:
-        xk4, xk, rk4, rk = x4[:k], x4[:k, :, 0], r4[:k], r4[:k, :, :, 0]
-        yk, dk, sqk, qk, ck, refk = y[:k], d[:k], sq[:k], q[:k], c[:k], ref[:k]
-        wk, boundk, hitk = w[:, :k], bound[:k], hit[:k]
-        while t < config.max_iters:
-            if not t % BLOCK:
-                blocks.append(np.empty((min(BLOCK, config.max_iters - t), b)))
-            alpha = (t + 1.0) ** (-config.step_exponent)
-            np.matmul(wk[t % period], xk, out=yk)
-            np.multiply(alpha, np.sign(xk, out=dk), out=dk)
-            np.subtract(yk, dk, out=yk)
-            np.matmul(qk, yk[:, :, :, None], out=rk4)
-            np.subtract(rk, ck, out=rk)
-            np.matmul(rk[:, :, None, :], qk, out=xk4)
-            np.subtract(yk, xk, out=xk)
-            np.subtract(xk, refk, out=dk)
-            np.add.reduce(np.multiply(dk, dk, out=dk), axis=2, out=sqk)
-            worst = blocks[-1][t % BLOCK, :k]
-            np.sqrt(np.maximum.reduce(sqk, axis=1, out=worst), out=worst)
-            t += 1
-            if np.count_nonzero(np.less_equal(worst, boundk, out=hitk)):
-                break
-        else:  # the budget ran out
-            stop[slot[:k]] = t
-            break
-        for j in np.flatnonzero(hitk)[::-1]:
-            k -= 1
-            stop[slot[j]] = converged[slot[j]] = t
-            for a in (x4, q, c, ref, bound, slot, w.swapaxes(0, 1),
-                      *(blk.T for blk in blocks)):
-                a[[j, k]] = a[[k, j]]
-
-    for i, j in enumerate(np.argsort(slot)):
-        errors = np.concatenate([blk[:, j] for blk in blocks])[:stop[i]].tolist()
+    t, converged, frozen, hit, blocks = 0, [None] * b, {}, np.empty(b, dtype=bool), []
+    while t < config.max_iters and len(frozen) < b:
+        if not t % BLOCK:  # the worst errors by step, a block at a time
+            blocks.append(np.empty((BLOCK, b)))
+        worst = blocks[-1][t % BLOCK]
+        alpha = (t + 1.0) ** (-config.step_exponent)
+        np.matmul(w[t % period], x, out=y)
+        np.subtract(y, np.multiply(alpha, np.sign(x, out=d), out=d), out=y)
+        np.matmul(q, y[:, :, :, None], out=r4)
+        np.subtract(r, c, out=r)
+        np.matmul(r[:, :, None, :], q, out=x4)
+        np.subtract(y, x, out=x)
+        np.multiply(np.subtract(x, ref, out=d), d, out=d)
+        np.sqrt(np.maximum.reduce(np.add.reduce(d, axis=2, out=sq), axis=1, out=worst),
+                out=worst)
+        t += 1
+        if np.count_nonzero(np.less_equal(worst, bound, out=hit)):
+            for j in np.flatnonzero(hit):
+                converged[j], frozen[j] = t, x[j].copy()
+                bound[j] = -1.0  # an error is never negative: j stays stopped
+    for j, s in enumerate(schedules):
         # per period step: an estimate crosses every link both ways, N values
         # and one message per direction, N broadcasts per agent with a link
         costs = np.array([(2 * len(links) * n, 2 * len(links),
                            len({v for e in links for v in e}) * n, 1)
-                          for links in schedules[i].subgraphs], dtype=np.int64)
-        yield (SubgradTrace(errors, converged[i], x4[j, :, 0].copy()),
-               Metrics.from_costs(errors, costs[np.arange(stop[i]) % period]))
+                          for links in s.subgraphs], dtype=np.int64)
+        errors = np.concatenate([blk[:, j] for blk in blocks])[:converged[j] or t].tolist()
+        yield (SubgradTrace(errors, converged[j], frozen.get(j, x[j]).copy()),
+               Metrics.from_costs(errors, costs[np.arange(len(errors)) % period]))
+        del errors  # no member's curve is held while the next one is built

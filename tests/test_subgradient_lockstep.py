@@ -75,6 +75,16 @@ def test_members_stop_at_different_iterations(period, max_iters, tol):
         assert_same_run(got, ref)
 
 
+def test_a_batch_ends_when_every_member_has_stopped():
+    # stepping on to a budget of ten million would take minutes
+    members = [member(4, 9, s, 1, zero=s == 2) for s in (2, 4, 2)]
+    config = SubgradConfig(step_exponent=0.8, max_iters=10_000_000, tol=0.05)
+    for got, (prob, schedule, _) in zip(run_lockstep(members, config), members):
+        want = loop_run_subgradient(prob, schedule, config)
+        assert want[0].converged_at is not None
+        assert_same_run(got, want)
+
+
 def test_a_run_is_a_batch_of_one():
     prob, schedule, slices = member(5, 12, 3, 3)
     config = SubgradConfig(max_iters=300, tol=0.1)
