@@ -15,9 +15,8 @@ from .graphs import (Graph, SpanningTree, TvSchedule, bfs_spanning_tree,
                      gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
                      gen_tv_schedule, static_schedule,
                      validate_connectivity_window)
-from .consensus import (WeightMatrix, BoundConstants, DiffusiveConsensus,
-                        metropolis_weights, run_diffusive_consensus,
-                        bound_constants, schedule_eta)
+from .consensus import (BoundConstants, DiffusiveConsensus, metropolis_weights,
+                        run_diffusive_consensus, bound_constants, schedule_eta)
 from .diht import (Metrics, StopRule, DihtRun, convergecast_sum,
                    aggregate_lipschitz, run_diht, write_metrics_csv)
 from .cbdiht import (CbDihtRun, consensus_steps, run_cbdiht,

@@ -93,8 +93,8 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     stop = stop or StopRule(max_iters=1000)
     if l_tv is None:
         l_tv = default_l_tv(problem)
-    elif l_tv <= 0:
-        raise ValueError("l_tv must be positive")
+    elif not 0 < l_tv < np.inf:
+        raise ValueError(f"l_tv = {l_tv} must be finite and positive")
     elif l_tv <= stacked_lipschitz(problem) / p:
         warnings.warn("l_tv at or below the stacked constant over p: "
                       "convergence is not guaranteed", RuntimeWarning)
@@ -107,8 +107,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     a, b = padded_slices(problem.slices)
     # the iterate each live instance carries; agents that never joined hold x_init
     iterates = {-1: config.x_init}
-    # the machine mixes coefficients only, over zero-width bases
-    machine, no_values = DiffusiveConsensus(p, 0, np.zeros(0)), np.empty((p, 0))
+    machine = DiffusiveConsensus(p, 0, np.zeros(0))  # it mixes coefficients only
     weights = np.ones((2, p))  # row 0: agent 0's coefficients; row 1 sums
     s_schedule, v_hats, initiated_counts, eps_norms, worst_errors = [], [], [], [], []
     costs = []  # per outer iteration: values, messages, broadcasts, time steps
@@ -118,13 +117,14 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         # a joiner contributes its own from the next step on, and agent 0's
         # row is a mix of them (an older instance's rows never reach it)
         outer = len(s_schedule)
-        machine.open(outer, 0, no_values)
+        machine.open(outer, 0)
         iterates[outer] = x
         s_k = int(s_fn(outer, x))
         s_schedule.append(s_k)
 
         sends, initiates, senders, initiators = machine.advance(periods, s_k)
         # a vector costs N values and N broadcasts per sender, an INITIATE 2K
+        # (still a message at K=0)
         costs.append((n * sends + 2 * k * initiates, sends + initiates,
                       n * senders + 2 * k * initiators, s_k))  # a step is a time step
         for i in iterates.keys() - set(machine.inst.tolist()):

@@ -18,12 +18,6 @@ from .graphs import TvSchedule
 TABLE_CAP = 4096  # transitions a DiffusiveConsensus memoises; a full table is cleared
 
 
-@dataclass
-class WeightMatrix:
-    w: np.ndarray
-    eta: float  # constructive lower bound on the nonzero entries
-
-
 def check_doubly_stochastic(w: np.ndarray, tol: float = 1e-12) -> bool:
     ones = np.ones(w.shape[0])
     return (np.all(w >= -tol)
@@ -52,11 +46,10 @@ def _directed(links) -> np.ndarray:
     return np.concatenate([e, e[:, ::-1]]).T
 
 
-def metropolis_weights(active_links, p: int) -> WeightMatrix:
-    """Metropolis-Hastings weights over the given undirected links; every
-    nonzero entry is at least eta = 1/(1 + max degree)."""
-    w, deg = metropolis_matrix(*_directed(active_links), p)
-    return WeightMatrix(w=w, eta=float(1.0 / (1.0 + deg.max(initial=0))))
+def metropolis_weights(active_links, p: int) -> np.ndarray:
+    """The (p, p) Metropolis-Hastings weights over the given undirected links;
+    every nonzero entry is at least 1/(1 + max degree)."""
+    return metropolis_matrix(*_directed(active_links), p)[0]
 
 
 class Links(NamedTuple):
@@ -155,18 +148,16 @@ def _entry(key: bytes, links: Links) -> tuple:
 class DiffusiveConsensus:
     """Lockstep state machine for initiation-gated averaging over instances.
 
-    Averaging is linear, so the machine tracks mixing coefficients, not
-    vectors.  Each live instance i has one immutable `(p, dim)` array
-    `bases[i]`, row q being what agent q contributes once it joins; agent q
-    holds the coefficient row `coef[q]`, and its value is
-    `coef[q] @ bases[inst[q]]` (`values` derives them all).  `inst[q]` is
-    the instance q joined (-1 before it joins any, whose basis is the
-    background); `active[a, q]` says that a activated its link to q.  An
-    instance opens at one agent and spreads by INITIATE messages along the
-    links each step offers; an agent adopts any fresher instance that
-    reaches it, starting from coefficient row e_q, and drops its old links.
-    Agents that have not joined, or have no same-instance active link this
-    step, hold their coefficient row bit-unchanged.  Instance numbers only
+    Averaging is linear, so the state is mixing coefficients, not vectors:
+    agent q's row `coef[q]` weighs the contributions of the instance
+    `inst[q]` it joined (-1: none yet), which the caller keeps.  Only
+    instance 0's, the background with the initiator's row replaced, are kept,
+    as `start`, so `values` is `coef @ start`.  `active[a, q]` says that a
+    activated its link to q.  An instance opens at one agent and spreads by
+    INITIATE messages along the links each step offers; an agent adopts any
+    fresher instance that reaches it, starting from row e_q, and drops its
+    old links.  Agents that have not joined, or have no same-instance active
+    link this step, hold their row bit-unchanged.  Instance numbers only
     grow; the constructor's instance 0 may be reopened before any step.
 
     A step (`_transition`) never reads the values and compares instances
@@ -178,97 +169,57 @@ class DiffusiveConsensus:
     def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
                  background: Optional[np.ndarray] = None):
         self.p = p
-        self.dim = np.atleast_1d(np.asarray(initiator_value, dtype=float)).shape[0]
-        background = np.zeros((p, self.dim)) if background is None \
+        value = np.atleast_1d(np.asarray(initiator_value, dtype=float))
+        self.start = np.zeros((p, value.shape[0])) if background is None \
             else np.array(background, dtype=float)
+        self.start[initiator] = value
         self.coef = np.eye(p)
         self.inst = np.full(p, -1, dtype=int)
         self.active = np.zeros((p, p), dtype=bool)
         self.initiated_at: list = [None] * p  # step from which each takes part
         self.step_count = 0
         self._periods, self._table = None, {}  # see advance
-        background.flags.writeable = False
-        self.bases = {-1: background}
-        first = background.copy()
-        first[initiator] = initiator_value
-        self.open(0, initiator, first)
+        self.open(0, initiator)
 
     @property
     def values(self) -> np.ndarray:
-        """Every agent's row `coef[q] @ bases[inst[q]]`, as a new array."""
-        out = np.empty((self.p, self.dim))
-        for i, basis in self.bases.items():
-            rows = self.inst == i
-            out[rows] = self.coef[rows] @ basis
-        return out
+        """`coef @ start`: instance 0's values, an unjoined agent's `start` row."""
+        return self.coef @ self.start
 
-    def open(self, instance: int, agent: int, contributions: np.ndarray) -> None:
-        """Start `instance` at `agent` over the `(p, dim)` `contributions`
-        (row q is what agent q brings when it joins); the agent contributes
-        its own row and re-activates its links from scratch.  The machine
-        keeps a read-only view, so the caller must not write to the array
-        while the instance lives."""
-        basis = np.asarray(contributions, dtype=float).view()
-        if basis.shape != (self.p, self.dim):
-            raise ValueError(f"contributions have shape {basis.shape}, "
-                             f"expected ({self.p}, {self.dim})")
-        basis.flags.writeable = False
-        self.bases[instance] = basis
+    def open(self, instance: int, agent: int) -> None:
+        """Start `instance` at `agent`, which restarts from coefficient row
+        e_agent over the instance's contributions and re-activates its links
+        from scratch."""
         self.coef[agent] = 0.0
         self.coef[agent, agent] = 1.0
         self.active[agent] = False
         self.inst[agent] = instance
         self.initiated_at[agent] = self.step_count
-        self._prune()
 
-    def _prune(self) -> None:
-        # a basis lives as long as some agent holds its instance
-        live = set(self.inst.tolist())
-        for i in [i for i in self.bases if i not in live]:
-            del self.bases[i]
-
-    def _apply(self, w: Optional[np.ndarray], joiners: np.ndarray, t: int) -> None:
-        """Step t's effect on the coefficients, for `step` and table hits
-        alike: `coef = W @ coef` (W None: the identity), then each joiner
-        restarts from row e_q and takes part from step t + 1."""
-        if w is not None:  # a row e_q keeps a finite row bit-exact
-            self.coef = w @ self.coef
-        if len(joiners):
-            self.coef[joiners] = 0.0
-            self.coef[joiners, joiners] = 1.0
-            for q in joiners.tolist():
-                self.initiated_at[q] = t + 1
-
-    def step(self, links):
-        """One synchronous step over `links` (a `Links` or a list of pairs),
-        as `_transition` describes it.  Returns each agent's value sends and
-        INITIATE fan-out.
-        """
+    def step(self, links) -> np.ndarray:
+        """`advance([links], 1)` over `links`, a `Links` or a list of pairs:
+        one step and its (sends, fan-out, senders, initiators)."""
         if not isinstance(links, Links):
             links = directed_links(links, self.p)
-        self.inst, self.active, w, joiners, sends, fanout = _transition(
-            self.inst, self.active, links)
-        self._apply(w, joiners, self.step_count)
-        self._prune()
-        self.step_count += 1
-        return sends, fanout
+        return self.advance([links], 1)
 
     def advance(self, periods: list, steps: int) -> np.ndarray:
         """Run `steps` steps, step t over `periods[t % len(periods)]` (a list
         of `Links`); return the summed (sends, fan-out, senders, initiators).
 
         The first visit to a (state, phase) runs `_transition` on the state
-        and stores what it did; every visit then applies it as `step` does.
-        The state is hashed on entry and written back on exit, so `open` and
-        `step` calls in between are fine.
+        and stores what it did; every visit then applies it: `coef = W @ coef`
+        (W None: the identity), and each joiner restarts from row e_q and
+        takes part from the next step.  The state is hashed on entry and
+        written back on exit, so `open` calls in between are fine.
         """
         total, steps = np.zeros(4, dtype=np.int64), max(steps, 0)
         if periods is not self._periods:  # a new list of links starts a new table
             self._periods, self._table = periods, {}
-        p, start = self.p, self.step_count
+        p, t0, coef = self.p, self.step_count, self.coef
         u = np.array(sorted(set(self.inst.tolist()) | {-1}))  # rank -> instance
         key = _key(np.searchsorted(u, self.inst), self.active)
-        for t in range(start, start + steps):
+        for t in range(t0, t0 + steps):
             phase = t % len(periods)
             entry = self._table.get((key, phase))
             if entry is None:
@@ -276,13 +227,17 @@ class DiffusiveConsensus:
                     self._table = {}
                 entry = self._table[key, phase] = _entry(key, periods[phase])
             key, kept, mix, joiners, row = entry
-            u = u[kept]  # W's nonzeros are scattered into a zeroed (p, p)
-            w = None if mix is None else np.bincount(*mix, minlength=p * p).reshape(p, p)
-            self._apply(w, joiners, t)
+            u = u[kept]
+            if mix is not None:  # W's nonzeros scattered into a zeroed (p, p)
+                coef = np.bincount(*mix, minlength=p * p).reshape(p, p) @ coef
+            if len(joiners):
+                coef[joiners] = 0.0
+                coef[joiners, joiners] = 1.0
+                for q in joiners.tolist():
+                    self.initiated_at[q] = t + 1
             total += row
         ranks, self.active = _decode(key, p)
-        self.inst, self.step_count = u[ranks], start + steps
-        self._prune()
+        self.inst, self.coef, self.step_count = u[ranks], coef, t0 + steps
         return total
 
 

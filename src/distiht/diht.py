@@ -131,7 +131,9 @@ def _tree_traffic(tree: SpanningTree, down: Optional[int], up: int, delay: int) 
     """(values, messages, broadcasts, time steps) of sending `down` values
     down every tree edge (None: no down sweep), then `up` values up every
     edge, each sweep taking `delay` steps; vertices with children broadcast
-    the down values, and every non-root its up values."""
+    the down values, and every non-root its up values.  A down sweep of 0
+    values (DIHT at K=0) is still sent, p-1 messages and one delay: it is
+    what starts an iteration."""
     edges, sweeps, down = tree.p - 1, 1 if down is None else 2, down or 0
     nonleaf = sum(1 for c in tree.children if c)
     return (edges * (down + up), sweeps * edges, nonleaf * down + edges * up,
@@ -199,8 +201,8 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     stop = stop or StopRule()
     if l is None:
         l = default_step_constant(problem)
-    elif l <= 0:
-        raise ValueError("l must be positive")
+    elif not 0 < l < np.inf:
+        raise ValueError(f"l = {l} must be finite and positive")
     elif l <= stacked_lipschitz(problem):
         warnings.warn("l below the stacked Lipschitz constant: descent is "
                       "not guaranteed", RuntimeWarning)

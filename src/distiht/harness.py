@@ -129,7 +129,8 @@ CONFIG_FIELDS = {("problem", "seeds"): "problem_seeds",
 def check_config(cfg: ExperimentConfig) -> None:
     """Raise a one-line ValueError naming a value the grid cannot run or report:
     an unknown algorithm or graph, a repeated grid entry, an accuracy at or
-    below 0, or a budget, subgraph count or step exponent the runs reject."""
+    below 0, a step constant l or l_tv that is set but not finite and
+    positive, or a budget, subgraph count or step exponent the runs reject."""
     unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}")
@@ -143,6 +144,9 @@ def check_config(cfg: ExperimentConfig) -> None:
             raise ValueError(f"repeated {what}: {values}")
     if not all(acc > 0 for acc in cfg.accuracies):
         raise ValueError(f"accuracies {cfg.accuracies} must be positive")
+    for key, value in [("l", cfg.l), ("l_tv", cfg.l_tv)]:
+        if value is not None and not 0 < value < np.inf:
+            raise ValueError(f"{key} = {value} must be finite and positive")
     subgrad_mod.SubgradConfig(step_exponent=cfg.step_exponent, max_iters=cfg.max_iters)
     check_subgraph_count(cfg.subgraph_count)
 

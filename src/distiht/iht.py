@@ -59,8 +59,8 @@ class IhtConfig:
     x_init: np.ndarray = None
 
     def __post_init__(self):
-        if self.l <= 0:
-            raise ValueError("l must be positive")
+        if not 0 < self.l < np.inf:
+            raise ValueError(f"l = {self.l} must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.x_init is not None:

@@ -94,7 +94,7 @@ def run_lockstep(members: list, config: SubgradConfig) -> Iterator[tuple]:
     problems, schedules, slices = zip(*members)
     q, c = (np.stack(a) for a in zip(*slices))  # (B, p, m_max, n), (B, p, m_max)
     (b, p, m, n), period = q.shape, schedules[0].period
-    w = np.stack([[metropolis_weights(links, p).w for links in s.subgraphs]
+    w = np.stack([[metropolis_weights(links, p) for links in s.subgraphs]
                   for s in schedules], axis=1)  # one (B, p, p) stack per phase
     ref = np.stack([pr.x_star for pr in problems])[:, None, :]
     bound = config.tol * np.array([max(float(np.linalg.norm(pr.x_star)), 1e-300)

@@ -125,8 +125,7 @@ def suite_consensus(out_dir=None):
         graph = gen_erdos_renyi(6, 0.5, 20 + seed)
         schedule = gen_tv_schedule(graph, 10, 30 + seed)
         validate_connectivity_window(schedule)
-        w = metropolis_weights(graph.edges, graph.p)
-        ds_ok = check_doubly_stochastic(w.w)
+        ds_ok = check_doubly_stochastic(metropolis_weights(graph.edges, graph.p))
         rng = np.random.default_rng(40 + seed)
         v0 = rng.standard_normal((6, 3))
         target = v0.mean(axis=0)

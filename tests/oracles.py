@@ -1,16 +1,18 @@
 """Reference code that only the tests call: hard thresholding by a stable
 sort, the brute-force spark oracle that validates test instances, the
 per-iteration descent-gap inequality, max-consensus flooding over a
-schedule, neighbour lists by one scan per agent, the subgradient
-baseline's one-run loop, the per-cell experiment grid, and the row-wise
-curve writer."""
+schedule, neighbour lists by one scan per agent, the diffusive machine that
+kept each instance's contributions, the subgradient baseline's one-run
+loop, the per-cell experiment grid, and the row-wise curve writer."""
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
 
-from distiht.consensus import _directed, metropolis_weights
+from distiht import consensus
+from distiht.consensus import (Links, _decode, _directed, _entry, _key, _transition,
+                               directed_links, metropolis_weights)
 from distiht.diht import METRICS_COLUMNS, Metrics
 from distiht.graphs import AssumptionViolation, Graph, TvSchedule, static_schedule
 from distiht.harness import ExperimentConfig, Report, RunCell, run_cell
@@ -109,6 +111,173 @@ def scan_neighbours(links, p: int) -> list:
     return [dst[src == a].tolist() for a in range(p)]
 
 
+# The diffusive machine before it became coefficient-only, kept verbatim (the
+# table cap read from the module) as the oracle for `DiffusiveConsensus`: it
+# keeps each live instance's contributions as an immutable basis and derives
+# every agent's value from them, and its `step` runs `_transition` itself.
+class BasisConsensus:
+    """Lockstep state machine for initiation-gated averaging over instances.
+
+    Averaging is linear, so the machine tracks mixing coefficients, not
+    vectors.  Each live instance i has one immutable `(p, dim)` array
+    `bases[i]`, row q being what agent q contributes once it joins; agent q
+    holds the coefficient row `coef[q]`, and its value is
+    `coef[q] @ bases[inst[q]]` (`values` derives them all).  `inst[q]` is
+    the instance q joined (-1 before it joins any, whose basis is the
+    background); `active[a, q]` says that a activated its link to q.  An
+    instance opens at one agent and spreads by INITIATE messages along the
+    links each step offers; an agent adopts any fresher instance that
+    reaches it, starting from coefficient row e_q, and drops its old links.
+    Agents that have not joined, or have no same-instance active link this
+    step, hold their coefficient row bit-unchanged.  Instance numbers only
+    grow; the constructor's instance 0 may be reopened before any step.
+
+    A step (`_transition`) never reads the values and compares instances
+    only for order and equality, so `advance` replays steps from a table
+    keyed on the period phase, `active` and each agent's instance rank (not
+    joined lowest).
+    """
+
+    def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
+                 background: Optional[np.ndarray] = None):
+        self.p = p
+        self.dim = np.atleast_1d(np.asarray(initiator_value, dtype=float)).shape[0]
+        background = np.zeros((p, self.dim)) if background is None \
+            else np.array(background, dtype=float)
+        self.coef = np.eye(p)
+        self.inst = np.full(p, -1, dtype=int)
+        self.active = np.zeros((p, p), dtype=bool)
+        self.initiated_at: list = [None] * p  # step from which each takes part
+        self.step_count = 0
+        self._periods, self._table = None, {}  # see advance
+        background.flags.writeable = False
+        self.bases = {-1: background}
+        first = background.copy()
+        first[initiator] = initiator_value
+        self.open(0, initiator, first)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every agent's row `coef[q] @ bases[inst[q]]`, as a new array."""
+        out = np.empty((self.p, self.dim))
+        for i, basis in self.bases.items():
+            rows = self.inst == i
+            out[rows] = self.coef[rows] @ basis
+        return out
+
+    def open(self, instance: int, agent: int, contributions: np.ndarray) -> None:
+        """Start `instance` at `agent` over the `(p, dim)` `contributions`
+        (row q is what agent q brings when it joins); the agent contributes
+        its own row and re-activates its links from scratch.  The machine
+        keeps a read-only view, so the caller must not write to the array
+        while the instance lives."""
+        basis = np.asarray(contributions, dtype=float).view()
+        if basis.shape != (self.p, self.dim):
+            raise ValueError(f"contributions have shape {basis.shape}, "
+                             f"expected ({self.p}, {self.dim})")
+        basis.flags.writeable = False
+        self.bases[instance] = basis
+        self.coef[agent] = 0.0
+        self.coef[agent, agent] = 1.0
+        self.active[agent] = False
+        self.inst[agent] = instance
+        self.initiated_at[agent] = self.step_count
+        self._prune()
+
+    def _prune(self) -> None:
+        # a basis lives as long as some agent holds its instance
+        live = set(self.inst.tolist())
+        for i in [i for i in self.bases if i not in live]:
+            del self.bases[i]
+
+    def _apply(self, w: Optional[np.ndarray], joiners: np.ndarray, t: int) -> None:
+        """Step t's effect on the coefficients, for `step` and table hits
+        alike: `coef = W @ coef` (W None: the identity), then each joiner
+        restarts from row e_q and takes part from step t + 1."""
+        if w is not None:  # a row e_q keeps a finite row bit-exact
+            self.coef = w @ self.coef
+        if len(joiners):
+            self.coef[joiners] = 0.0
+            self.coef[joiners, joiners] = 1.0
+            for q in joiners.tolist():
+                self.initiated_at[q] = t + 1
+
+    def step(self, links):
+        """One synchronous step over `links` (a `Links` or a list of pairs),
+        as `_transition` describes it.  Returns each agent's value sends and
+        INITIATE fan-out.
+        """
+        if not isinstance(links, Links):
+            links = directed_links(links, self.p)
+        self.inst, self.active, w, joiners, sends, fanout = _transition(
+            self.inst, self.active, links)
+        self._apply(w, joiners, self.step_count)
+        self._prune()
+        self.step_count += 1
+        return sends, fanout
+
+    def advance(self, periods: list, steps: int) -> np.ndarray:
+        """Run `steps` steps, step t over `periods[t % len(periods)]` (a list
+        of `Links`); return the summed (sends, fan-out, senders, initiators).
+
+        The first visit to a (state, phase) runs `_transition` on the state
+        and stores what it did; every visit then applies it as `step` does.
+        The state is hashed on entry and written back on exit, so `open` and
+        `step` calls in between are fine.
+        """
+        total, steps = np.zeros(4, dtype=np.int64), max(steps, 0)
+        if periods is not self._periods:  # a new list of links starts a new table
+            self._periods, self._table = periods, {}
+        p, start = self.p, self.step_count
+        u = np.array(sorted(set(self.inst.tolist()) | {-1}))  # rank -> instance
+        key = _key(np.searchsorted(u, self.inst), self.active)
+        for t in range(start, start + steps):
+            phase = t % len(periods)
+            entry = self._table.get((key, phase))
+            if entry is None:
+                if len(self._table) >= consensus.TABLE_CAP:
+                    self._table = {}
+                entry = self._table[key, phase] = _entry(key, periods[phase])
+            key, kept, mix, joiners, row = entry
+            u = u[kept]  # W's nonzeros are scattered into a zeroed (p, p)
+            w = None if mix is None else np.bincount(*mix, minlength=p * p).reshape(p, p)
+            self._apply(w, joiners, t)
+            total += row
+        ranks, self.active = _decode(key, p)
+        self.inst, self.step_count = u[ranks], start + steps
+        self._prune()
+        return total
+
+
+def cost_row(sends: np.ndarray, fanout: np.ndarray) -> np.ndarray:
+    """Per-agent value sends and INITIATE fan-out reduced to a step's cost row
+    (sends, fan-out, senders, initiators)."""
+    return np.array([sends.sum(), fanout.sum(), np.count_nonzero(sends),
+                     np.count_nonzero(fanout)])
+
+
+def assert_matches_basis_machine(machine, oracle: BasisConsensus) -> None:
+    """`machine`, a `DiffusiveConsensus`, equals the `oracle` bit for bit on its
+    coefficients, instances, activations, join steps and step count, so each
+    instance's values are its coefficient rows times the oracle's basis.  Its
+    `values` cover instance 0 and the background; they may differ from the
+    oracle's, which multiplies only those rows, in the last bits of BLAS's
+    row blocking, within 1e-15 of the largest contribution."""
+    assert machine.coef.tobytes() == oracle.coef.tobytes()
+    assert np.array_equal(machine.inst, oracle.inst)
+    assert np.array_equal(machine.active, oracle.active)
+    assert machine.initiated_at == oracle.initiated_at
+    assert machine.step_count == oracle.step_count
+    values = oracle.values
+    for i, basis in oracle.bases.items():
+        rows = oracle.inst == i
+        assert (machine.coef[rows] @ basis).tobytes() == values[rows].tobytes()
+    first = machine.inst <= 0
+    scale = float(np.max(np.abs(machine.start), initial=0.0))
+    np.testing.assert_allclose(machine.values[first], values[first],
+                               rtol=0, atol=1e-15 * scale)
+
+
 def loop_run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule],
                          config: Optional[SubgradConfig] = None) -> tuple:
     """One baseline run, one iteration at a time; returns (SubgradTrace, Metrics).
@@ -132,7 +301,7 @@ def loop_run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSch
     # every agent projects in one batch, through its slice's orthonormal form
     q_stack, c_stack = padded_slices([AffineProjector(sl, agent=q).orthonormal
                                       for q, sl in enumerate(problem.slices)])
-    weights = [metropolis_weights(links, p).w for links in schedule.subgraphs]
+    weights = [metropolis_weights(links, p) for links in schedule.subgraphs]
     # per period step: an estimate crosses every link both ways, N values and
     # one message per direction, N broadcasts per agent with a link
     costs = np.array([(2 * len(links) * n, 2 * len(links),

@@ -5,9 +5,10 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import scan_neighbours
+from oracles import (BasisConsensus, assert_matches_basis_machine, cost_row,
+                     scan_neighbours)
 
-from distiht.consensus import (DiffusiveConsensus, Links, WeightMatrix, _directed,
+from distiht.consensus import (DiffusiveConsensus, Links, _directed,
                                bound_constants, check_doubly_stochastic,
                                directed_links, metropolis_matrix,
                                metropolis_weights, run_diffusive_consensus,
@@ -16,8 +17,10 @@ from distiht.graphs import (Graph, TvSchedule, gen_erdos_renyi,
                             gen_tv_schedule, static_schedule)
 
 
-def reference_metropolis_weights(active_links, p: int) -> WeightMatrix:
-    """The original per-link loop, kept as the oracle for the vectorized weights."""
+def reference_metropolis_weights(active_links, p: int) -> tuple:
+    """The original per-link loop, kept as the oracle for the vectorized
+    weights; returns (w, eta), eta = 1/(1 + max degree) being the floor of
+    w's nonzero entries."""
     deg = np.zeros(p, dtype=int)
     links = [(min(u, v), max(u, v)) for u, v in active_links]
     for u, v in links:
@@ -29,13 +32,13 @@ def reference_metropolis_weights(active_links, p: int) -> WeightMatrix:
     for q in range(p):
         w[q, q] = 1.0 - w[q].sum()
     eta = 1.0 / (1.0 + max(deg.max(initial=0), 0)) if p else 1.0
-    return WeightMatrix(w=w, eta=float(eta))
+    return w, float(eta)
 
 
 def assert_weights_match_reference(links, p):
-    fast, slow = metropolis_weights(links, p), reference_metropolis_weights(links, p)
-    assert np.array_equal(fast.w, slow.w)
-    assert fast.eta == slow.eta
+    fast, (slow, eta) = metropolis_weights(links, p), reference_metropolis_weights(links, p)
+    assert np.array_equal(fast, slow)
+    assert fast[fast > 0].min(initial=1.0) >= eta - 1e-15  # the entry floor
 
 
 class TestMetropolisWeights:
@@ -45,8 +48,8 @@ class TestMetropolisWeights:
         assert_weights_match_reference([(1, 0)], 2)
         g = gen_erdos_renyi(50, 0.25, 0)  # the benchmark's paper-scale graph
         assert_weights_match_reference(g.edges, 50)
-        assert np.array_equal(metropolis_weights(iter(g.edges), 50).w,
-                              metropolis_weights(g.edges, 50).w)
+        assert np.array_equal(metropolis_weights(iter(g.edges), 50),
+                              metropolis_weights(g.edges, 50))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 70), st.integers(0, 10 ** 6), st.floats(0.0, 1.0))
@@ -59,31 +62,31 @@ class TestMetropolisWeights:
 
     def test_two_agents_single_edge(self):
         w = metropolis_weights([(0, 1)], 2)
-        np.testing.assert_allclose(w.w, [[0.5, 0.5], [0.5, 0.5]])
-        assert w.eta == pytest.approx(0.5)
+        np.testing.assert_allclose(w, [[0.5, 0.5], [0.5, 0.5]])
+        assert w[w > 0].min() == pytest.approx(1.0 / (1.0 + 1))  # max degree 1
 
     def test_no_links_is_identity(self):
         w = metropolis_weights([], 4)
-        np.testing.assert_array_equal(w.w, np.eye(4))
+        np.testing.assert_array_equal(w, np.eye(4))
 
     def test_doubly_stochastic_on_random_graphs(self):
         for seed in range(5):
             g = gen_erdos_renyi(9, 0.4, seed)
             w = metropolis_weights(g.edges, 9)
             ones = np.ones(9)
-            np.testing.assert_allclose(w.w @ ones, ones, atol=1e-12)
-            np.testing.assert_allclose(ones @ w.w, ones, atol=1e-12)
-            assert check_doubly_stochastic(w.w)
-            # entry floor holds at the constructed eta
-            nz = w.w[w.w > 0]
-            assert nz.min() >= w.eta - 1e-15
+            np.testing.assert_allclose(w @ ones, ones, atol=1e-12)
+            np.testing.assert_allclose(ones @ w, ones, atol=1e-12)
+            assert check_doubly_stochastic(w)
+            # entry floor holds at eta = 1/(1 + max degree)
+            nz = w[w > 0]
+            assert nz.min() >= 1.0 / (1.0 + g.max_degree()) - 1e-15
 
     def test_complete_graph_averages_in_one_step(self):
         g = Graph(p=5, edges=[(i, j) for i in range(5) for j in range(i + 1, 5)])
         w = metropolis_weights(g.edges, 5)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(5)
-        np.testing.assert_allclose(w.w @ v, np.full(5, v.mean()), atol=1e-12)
+        np.testing.assert_allclose(w @ v, np.full(5, v.mean()), atol=1e-12)
 
 
 class TestConsensusStep:
@@ -91,7 +94,7 @@ class TestConsensusStep:
         g = gen_erdos_renyi(6, 0.5, 1)
         w = metropolis_weights(g.edges, 6)
         v = np.full((6, 3), 2.5)
-        np.testing.assert_allclose(w.w @ v, v, atol=1e-12)
+        np.testing.assert_allclose(w @ v, v, atol=1e-12)
 
     def test_sum_conserved_over_many_steps(self):
         g = gen_erdos_renyi(8, 0.4, 2)
@@ -100,13 +103,13 @@ class TestConsensusStep:
         v = rng.standard_normal(8)
         total = v.sum()
         for _ in range(10_000):
-            v = w.w @ v
+            v = w @ v
         assert abs(v.sum() - total) <= 1e-10
 
     def test_dimension_mismatch(self):
         w = metropolis_weights([(0, 1)], 2)
         with pytest.raises(ValueError):  # values for the wrong agent count fail loudly
-            w.w @ np.zeros(3)
+            w @ np.zeros(3)
 
 
 # The original single-instance machine, kept verbatim as the oracle for the
@@ -207,13 +210,16 @@ def test_diffusive_machine_matches_reference(p, density, count, seed):
     periods = [directed_links(links, p) for links in schedule.subgraphs]
     v0 = np.random.default_rng(seed).standard_normal((p, 3))
     new = DiffusiveConsensus(p, 0, v0[0], background=v0.copy())
+    basis = BasisConsensus(p, 0, v0[0], background=v0.copy())
     old = ReferenceDiffusiveConsensus(p, 0, v0[0], background=v0.copy())
     same = True
     for t in range(60):
         same = same and all(
             new.active[q].tolist() == [r in old.active[q] for r in range(p)]
             for q in range(p))
-        new.step(periods[t % schedule.period])
+        assert np.array_equal(new.step(periods[t % schedule.period]),
+                              cost_row(*basis.step(periods[t % schedule.period])))
+        assert_matches_basis_machine(new, basis)
         old.step(schedule.edges_at(t))
         for q in range(p):
             assert all(new.active[q, r] for r in old.active[q])
@@ -221,6 +227,7 @@ def test_diffusive_machine_matches_reference(p, density, count, seed):
                 assert new.initiated_at[q] <= old.initiated_at[q]
         if same:
             assert np.max(np.abs(new.values - old.values)) <= 1e-12
+            assert np.max(np.abs(basis.values - old.values)) <= 1e-12
 
 
 # The dense machine that the coefficient machine replaced, kept verbatim as
@@ -326,26 +333,31 @@ def test_coefficient_machine_matches_dense(p, density, count, seed, dim, reopen)
     rng = np.random.default_rng(seed)
     bases = {0: rng.standard_normal((p, dim)) * 10.0 ** rng.uniform(-3, 3)}
     new = DiffusiveConsensus(p, 0, bases[0][0], background=bases[0])
+    basis = BasisConsensus(p, 0, bases[0][0], background=bases[0])
     old = DenseDiffusiveConsensus(p, 0, bases[0][0], background=bases[0].copy())
     for t in range(60):
         if rng.random() < reopen:
             fresh = len(bases)
             bases[fresh] = rng.standard_normal((p, dim)) * 10.0 ** rng.uniform(-3, 3)
-            new.open(fresh, 0, bases[fresh])
+            new.open(fresh, 0)
+            basis.open(fresh, 0, bases[fresh])
             old.open(fresh, 0, bases[fresh][0])
         got = new.step(periods[t % schedule.period])
+        mid = basis.step(periods[t % schedule.period])
         want = old.step(periods[t % schedule.period],
                         lambda q, a: bases[int(old.inst[a])][q])
-        assert all(np.array_equal(u, v) for u, v in zip(got, want))
+        assert all(np.array_equal(u, v) for u, v in zip(mid, want))
+        assert np.array_equal(got, cost_row(*want))
+        assert_matches_basis_machine(new, basis)
         assert np.array_equal(new.inst, old.inst)
         assert np.array_equal(new.active, old.active)
         assert new.initiated_at == old.initiated_at
-        assert len(new.bases) <= len(set(new.inst.tolist())) + 1
-        values = new.values
+        assert len(basis.bases) <= len(set(basis.inst.tolist())) + 1
         for i in set(new.inst.tolist()):  # the background is instance 0's basis
             rows, scale = new.inst == i, float(np.max(np.abs(bases[max(i, 0)])))
-            np.testing.assert_allclose(values[rows], old.values[rows],
-                                       rtol=1e-12, atol=1e-12 * scale)
+            for values in (new.coef[rows] @ bases[max(i, 0)], basis.values[rows]):
+                np.testing.assert_allclose(values, old.values[rows],
+                                           rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestDiffusive:
@@ -392,6 +404,17 @@ class TestDiffusive:
         assert machine.initiated_at[2] is None
         machine.step(s.edges_at(2))
         assert machine.initiated_at[2] == 3
+
+    def test_initiator_value_replaces_its_background_row(self):
+        background = np.arange(8.0).reshape(4, 2)
+        for bg in (background, None):
+            machine = DiffusiveConsensus(4, 2, [-1.0, -2.0], background=bg)
+            oracle = BasisConsensus(4, 2, [-1.0, -2.0], background=bg)
+            want = np.zeros((4, 2)) if bg is None else background.copy()
+            want[2] = [-1.0, -2.0]
+            assert machine.values.tobytes() == want.tobytes()
+            assert oracle.values.tobytes() == want.tobytes()
+        assert background[2].tolist() == [4.0, 5.0]  # the caller's array is copied
 
     def test_sum_conserved_during_partial_activation(self):
         g = gen_erdos_renyi(7, 0.4, 8)
@@ -456,13 +479,13 @@ def test_weight_matrix_invariants_property(seed):
     mask = rng.random(len(pairs)) < 0.4
     links = [pairs[i] for i in range(len(pairs)) if mask[i]]
     w = metropolis_weights(links, p)
-    assert check_doubly_stochastic(w.w)
+    assert check_doubly_stochastic(w)
     deg = np.zeros(p, dtype=int)
     for u, v in links:
         deg[u] += 1
         deg[v] += 1
     for u, v in links:
-        assert w.w[u, v] >= 1.0 / (1.0 + deg.max()) - 1e-15
+        assert w[u, v] >= 1.0 / (1.0 + deg.max()) - 1e-15
 
 
 @settings(max_examples=100, deadline=None)

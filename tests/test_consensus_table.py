@@ -1,13 +1,16 @@
-"""The diffusive machine's transition table against plain `step` calls.
+"""The diffusive machine's transition table against machines that step
+without one.
 
 `DiffusiveConsensus.advance` replays each step it has seen from a table keyed
-on the period phase, the agents' instance ranks and the activation matrix.
-Two oracles drive the same actions: a second machine stepped one `step` at
-a time, and the previous machine, whose `step` mutated its state in place
-and whose table misses ran that `step` on the machine itself from
-`coef = I`.  Each must agree with the machine bit for bit on the
-coefficients, instances, activations, join steps and traffic, with `open`
-and direct `step` calls interleaved.
+on the period phase, the agents' instance ranks and the activation matrix,
+and its `step` is `advance` over one link set.  Two oracles, both of which
+keep each instance's contributions, drive the same actions: the machine
+before it became coefficient-only, stepped one `_transition` at a time, and
+the machine before that, whose `step` mutated its state in place and whose
+table misses ran that `step` on the machine itself from `coef = I`.  Each
+must agree with the machine bit for bit on the coefficients, instances,
+activations, join steps and traffic, with `open` and direct `step` calls
+interleaved.
 """
 import pickle
 from unittest import mock
@@ -15,6 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import BasisConsensus, assert_matches_basis_machine, cost_row
 
 from distiht import cbdiht, consensus
 from distiht.cbdiht import run_cbdiht
@@ -32,26 +36,14 @@ def random_periods(rng, p: int, period: int, density: float) -> list:
             for _ in range(period)]
 
 
-def step_by_step(machine: DiffusiveConsensus, periods: list, steps: int) -> np.ndarray:
+def step_by_step(machine: BasisConsensus, periods: list, steps: int) -> np.ndarray:
     total = np.zeros(4, dtype=np.int64)
     for _ in range(steps):
-        sends, fanout = machine.step(periods[machine.step_count % len(periods)])
-        total += (sends.sum(), fanout.sum(), np.count_nonzero(sends),
-                  np.count_nonzero(fanout))
+        total += cost_row(*machine.step(periods[machine.step_count % len(periods)]))
     return total
 
 
-def assert_same_machine(fast: DiffusiveConsensus, slow: DiffusiveConsensus) -> None:
-    assert fast.coef.tobytes() == slow.coef.tobytes()
-    assert np.array_equal(fast.inst, slow.inst)
-    assert np.array_equal(fast.active, slow.active)
-    assert fast.initiated_at == slow.initiated_at
-    assert fast.step_count == slow.step_count
-    assert fast.bases.keys() == slow.bases.keys()
-    assert fast.values.tobytes() == slow.values.tobytes()
-
-
-class PreviousMachine(DiffusiveConsensus):
+class PreviousMachine(BasisConsensus):
     """The machine before its step became the pure `_transition`, with
     these methods kept verbatim (the table cap read from the module)."""
 
@@ -188,18 +180,17 @@ def drive(slow_type, slow_advance, p, period, density, seed, dim, actions, cap):
         if action == "open":  # a fresher instance at any agent
             opened += 1
             contributions = rng.standard_normal((p, dim))
-            fast.open(opened, n % p, contributions)
+            fast.open(opened, n % p)
             slow.open(opened, n % p, contributions)
-        elif action == "step":  # per-agent sends and fan-out
+        elif action == "step":  # the oracle's per-agent sends and fan-out, reduced
             links = periods[fast.step_count % period]
-            got, want = fast.step(links), slow.step(links)
-            assert all(np.array_equal(u, v) for u, v in zip(got, want))
+            assert np.array_equal(fast.step(links), cost_row(*slow.step(links)))
         else:
             with mock.patch.object(consensus, "TABLE_CAP", cap):  # 2 clears it often
                 got, want = fast.advance(periods, n), slow_advance(slow, periods, n)
             assert np.array_equal(got, want)
             assert len(fast._table) <= cap
-        assert_same_machine(fast, slow)
+        assert_matches_basis_machine(fast, slow)
 
 
 ACTIONS = given(
@@ -213,7 +204,7 @@ ACTIONS = given(
 @settings(max_examples=120, deadline=None)
 @ACTIONS
 def test_table_matches_step_by_step(p, period, density, seed, dim, actions, cap):
-    drive(DiffusiveConsensus, step_by_step, p, period, density, seed, dim, actions, cap)
+    drive(BasisConsensus, step_by_step, p, period, density, seed, dim, actions, cap)
 
 
 @settings(max_examples=120, deadline=None)
@@ -231,13 +222,13 @@ def test_entries_depend_on_ranks_not_instance_numbers():
     first = np.random.default_rng(6).standard_normal((p, 2))
     one = DiffusiveConsensus(p, 0, first[0], background=first)
     other = DiffusiveConsensus(p, 0, first[0], background=first)
-    other.open(40, 0, first)  # the constructor's instance, reopened before any step
+    other.open(40, 0)  # the constructor's instance, reopened before any step
     for instance in range(1, 7):
         one.advance(periods, 2 * period - instance % 2)
         other.advance(periods, 2 * period - instance % 2)
         assert not np.array_equal(one.inst, other.inst)
-        one.open(instance, 0, first * instance)
-        other.open(40 + 7 * instance, 0, first * instance)
+        one.open(instance, 0)
+        other.open(40 + 7 * instance, 0)
     assert len(one._table) > period
     assert one._table.keys() == other._table.keys()
     for key, entry in one._table.items():
@@ -251,9 +242,9 @@ def test_hits_replay_the_learned_step():
     periods = [directed_links([(u, v) for u in range(p) for v in range(u + 1, p)], p)]
     first = np.random.default_rng(3).standard_normal((p, 2))
     fast = DiffusiveConsensus(p, 0, first[0], background=first)
-    slow = DiffusiveConsensus(p, 0, first[0], background=first)
+    slow = BasisConsensus(p, 0, first[0], background=first)
     assert np.array_equal(fast.advance(periods, 40), step_by_step(slow, periods, 40))
-    assert_same_machine(fast, slow)
+    assert_matches_basis_machine(fast, slow)
     assert len(fast._table) <= 3
 
 
@@ -265,13 +256,13 @@ def test_reopening_replays_the_joins(seed):
     periods = random_periods(np.random.default_rng(seed), p, period, 0.5)
     first = np.random.default_rng(seed).standard_normal((p, 2))
     fast = DiffusiveConsensus(p, 0, first[0], background=first)
-    slow = DiffusiveConsensus(p, 0, first[0], background=first)
+    slow = BasisConsensus(p, 0, first[0], background=first)
     for instance in range(1, 9):
         assert np.array_equal(fast.advance(periods, 2 * period),
                               step_by_step(slow, periods, 2 * period))
-        assert_same_machine(fast, slow)
+        assert_matches_basis_machine(fast, slow)
         learned = len(fast._table)
-        fast.open(instance, 0, first * instance)
+        fast.open(instance, 0)
         slow.open(instance, 0, first * instance)
     assert len(fast._table) == learned  # the last rounds learned nothing new
 

@@ -125,6 +125,15 @@ class TestRunDiht:
             assert len(run.trace.step_deltas) == iters
             assert_agents_hold_last_broadcast(run, prob.k, x_init)
 
+    def test_k_zero_still_sends_the_down_sweep(self):
+        # the down sweep starts each iteration, so at K=0 it is sent with 0
+        # values: P-1 messages and one path delay per iteration, on top of
+        # the tree build's 2|E|-(P-1) = 5 messages
+        prob = generate_problem(20, 10, 0, 4, seed=1)
+        run = run_diht(prob, gen_erdos_renyi(4, 0.7, 1),
+                       stop=StopRule(tol=0, max_iters=3))
+        assert tuple(run.metrics.totals) == (180, 23, 180, 12)
+
     def test_exact_accounting(self):
         prob = generate_problem(64, 24, 4, 8, seed=13)
         for g in (gen_erdos_renyi(8, 0.5, 14), gen_barabasi_albert(8, 2, 15),

@@ -7,8 +7,10 @@ import pytest
 
 import distiht.cli
 import distiht.harness
+from distiht.cbdiht import run_cbdiht
 from distiht.cli import cli
-from distiht.diht import default_step_constant
+from distiht.diht import default_step_constant, run_diht
+from distiht.graphs import gen_erdos_renyi, static_schedule
 from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_config,
                              parse_config_text, parse_graph_token,
                              run_experiment, write_report)
@@ -461,6 +463,37 @@ class TestConfigChecked:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and offender in err[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["l", "l_tv"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_step_constants_must_be_finite_and_positive(self, key, value, tmp_path,
+                                                        monkeypatch, capsys):
+        # each once passed the check: -1 failed every iht and diht cell, nan
+        # went non-finite at iteration 0, and inf ran and converged nowhere
+        text = DESK_CONFIG.replace("run = diht", f"run = diht\n{key} = {value}")
+        with pytest.raises(ValueError) as raised:
+            parse_config_text(text)
+        message = str(raised.value)
+        assert "\n" not in message and message.startswith(f"{key} = ")
+        assert message.endswith("must be finite and positive")
+        monkeypatch.setattr(distiht.harness, "run_cell", must_not_run)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(text + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli(["experiment", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"ValueError: {key} = " in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_runs_reject_the_same_step_constants(self, value):
+        problem = generate_problem(20, 10, 2, 4, seed=1, ensemble="tight-frame")
+        graph = gen_erdos_renyi(4, 0.7, 1)
+        with pytest.raises(ValueError, match="^l = .* must be finite and positive$"):
+            IhtConfig(l=value, k=2)
+        with pytest.raises(ValueError, match="^l = .* must be finite and positive$"):
+            run_diht(problem, graph, l=value)
+        with pytest.raises(ValueError, match="^l_tv = .* must be finite and positive$"):
+            run_cbdiht(problem, static_schedule(graph), l_tv=value)
 
     @pytest.mark.parametrize("flags, offender", [
         (["--family", "ba", "--param", "2.5"], "ba attachment 2.5"),

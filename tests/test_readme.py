@@ -8,7 +8,8 @@ import distiht
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DELETED = ["iht_step", "affine_projection", "consensus_step",  # wrappers nothing called
            "spark_bruteforce", "SparkResult", "descent_gap_check",
-           "max_consensus"]  # test-only code, now in tests/oracles.py
+           "max_consensus",  # test-only code, now in tests/oracles.py
+           "WeightMatrix"]  # metropolis_weights returns the (p, p) matrix
 
 
 def exported() -> list:

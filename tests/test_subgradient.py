@@ -105,7 +105,7 @@ class TestRunSubgradient:
         w = metropolis_weights(g.edges, 7)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((7, 5))
-        mixed = w.w @ x
+        mixed = w @ x
         assert (np.linalg.norm(mixed, axis=1).max()
                 <= np.linalg.norm(x, axis=1).max() + 1e-12)
 

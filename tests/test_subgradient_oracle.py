@@ -115,7 +115,7 @@ def reference_run_subgradient(problem: Problem,
                                   len(touched))
         w, deg_sum, sender_count = weights_cache[key]
 
-        u = w.w @ x
+        u = w @ x
         alpha = (t + 1.0) ** (-config.step_exponent)
         y = u - alpha * np.sign(x)
         if uniform:
