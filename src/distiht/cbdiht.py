@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .consensus import DiffusiveConsensus, directed_links
-from .diht import Metrics, StopRule, default_step_constant
+from .diht import SAFETY, Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
 from .iht import IhtConfig, IhtTrace, _run
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
@@ -55,20 +55,20 @@ class CbDihtRun:
     final_estimates: list = field(default_factory=list)
 
 
-def default_l_tv(problem: Problem, safety: float = 1.005) -> float:
+def default_l_tv(problem: Problem) -> float:
     """Default step bound: the stacked smoothness constant over p, padded.
 
     This is the tightest choice that certifies convergence; large multiples
     of it slow the outer loop and invite spurious fixed points of the
     thresholded update.
     """
-    return default_step_constant(problem, safety) / problem.p
+    return default_step_constant(problem) / problem.p
 
 
-def max_consensus_l_tv(problem: Problem, safety: float = 1.005) -> float:
+def max_consensus_l_tv(problem: Problem) -> float:
     """Step bound a deployment can find without the stacked matrix: the
     largest per-agent smoothness constant dominates the per-agent average."""
-    return safety * max(lipschitz_of_slice(s) for s in problem.slices)
+    return SAFETY * max(lipschitz_of_slice(s) for s in problem.slices)
 
 
 def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = None,
@@ -83,7 +83,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     counted: N per vector per active link direction per averaging step, 2K
     per INITIATE; one schedule step is one synchronous time step.  The run
     stops when every agent's latest-joined iterate is within stop.tol of the
-    reference (after 0 outer iterations if the start is), or at the budget.
+    ground truth (after 0 outer iterations if the start is), or at the budget.
     """
     p, n, k = problem.p, problem.n, problem.k
     if schedule.p != p:
@@ -101,7 +101,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     s_fn = s_fn or consensus_steps
     config = IhtConfig(l=l_tv, k=k, max_iters=stop.max_iters, tol=stop.tol,
                        x_init=np.zeros(n) if x_init is None else x_init)
-    reference = stop.reference_vector(problem)
+    x_star = problem.x_star
 
     periods = [directed_links(links, p) for links in schedule.subgraphs]
     a, b = padded_slices(problem.slices)
@@ -137,24 +137,22 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         eps_norms.append(float(np.linalg.norm(p * v_hat - mixed[1])))
         return v_hat
 
-    rule, bound = None, 0.0  # without a reference, agent 0 stops on its step size
-    if reference is not None:
-        bound = stop.tol * max(float(np.linalg.norm(reference)), 1e-300)
+    bound = stop.tol * max(float(np.linalg.norm(x_star)), 1e-300)
 
-        def rule(x, x_prev):
-            # every agent within the tolerance: agent 0 holds x, the others
-            # the iterate of the instance they last joined
-            held = [x] + [iterates[i] for i in set(machine.inst[1:].tolist())]
-            worst = max(float(np.linalg.norm(e - reference)) for e in held)
-            if x_prev is not None:  # one record per outer iteration
-                worst_errors.append(worst)
-            return stop.tol > 0 and worst <= bound
+    def rule(x, x_prev):
+        # every agent within the tolerance: agent 0 holds x, the others
+        # the iterate of the instance they last joined
+        held = [x] + [iterates[i] for i in set(machine.inst[1:].tolist())]
+        worst = max(float(np.linalg.norm(e - x_star)) for e in held)
+        if x_prev is not None:  # one record per outer iteration
+            worst_errors.append(worst)
+        return stop.tol > 0 and worst <= bound
 
-    trace = _run(gradient, None, reference, config, None, keep_iterates, rule)
+    trace = _run(gradient, None, x_star, config, None, keep_iterates, rule)
     trace.eps_norms = eps_norms
 
     metrics = Metrics.from_costs(
-        trace.errors_vs_truth[1:] or None, costs,
+        trace.errors_vs_truth[1:], costs,
         extra={"outer_iter": np.arange(len(s_schedule)), "s_k": s_schedule,
                "eps_norm_sq": [e ** 2 for e in eps_norms],  # as Python squares them
                "initiated_count": initiated_counts})
@@ -163,7 +161,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         s_schedule=s_schedule, v_hats=v_hats, problem=problem, l_tv=l_tv,
         agent1_converged_at=next((i for i, e in enumerate(trace.errors_vs_truth)
                                   if stop.tol > 0 and e <= bound), None),
-        global_converged_at=trace.converged_at if reference is not None else None,
+        global_converged_at=trace.converged_at,
         initiated_counts=initiated_counts, worst_errors=worst_errors,
         final_estimates=[trace.final.copy()]
         + [iterates[i].copy() for i in machine.inst[1:].tolist()])

@@ -39,15 +39,13 @@ class Metrics:
 
     @classmethod
     def from_costs(cls, errors, costs, start=(0, 0, 0, 0), extra=None) -> "Metrics":
-        """The accounting kernel: the error after each iteration (None: not
-        measured) and a (T, 4) array of what each iteration cost (values,
-        messages, broadcasts, time steps) on top of what `start` spent."""
+        """The accounting kernel: the error after each iteration and a (T, 4)
+        array of what each iteration cost (values, messages, broadcasts, time
+        steps) on top of what `start` spent."""
         costs = np.asarray(costs, dtype=np.int64).reshape(-1, 4)
         cum = np.cumsum(np.vstack([start, costs]), axis=0)
-        t = len(costs)
-        columns = {"iter": np.arange(1, t + 1),
-                   "err": np.full(t, np.nan) if errors is None
-                   else np.asarray(errors, dtype=float)}
+        columns = {"iter": np.arange(1, len(costs) + 1),
+                   "err": np.asarray(errors, dtype=float)}
         columns.update(zip(METRICS_COLUMNS[2:], cum[1:].T))
         columns.update((name, np.asarray(v)) for name, v in (extra or {}).items())
         return cls(*cum[-1].tolist(), columns=columns)
@@ -82,24 +80,11 @@ def write_metrics_csv(metrics: Metrics, path: str, extra_columns=()) -> None:
 
 @dataclass
 class StopRule:
-    """When to end a run: relative error vs a reference, or budget.
-
-    reference is "truth" (the instance's ground truth), "self" (stop on the
-    relative iterate change instead), or an explicit vector.
-    """
+    """When to end a run: error relative to the ground truth within tol
+    (never when tol <= 0), or max_iters iterations spent."""
 
     tol: float = 1e-2
     max_iters: int = 200_000
-    reference: object = "truth"
-
-    def reference_vector(self, problem: Problem) -> Optional[np.ndarray]:
-        if isinstance(self.reference, str):
-            if self.reference == "truth":
-                return problem.x_star
-            if self.reference == "self":
-                return None
-            raise ValueError(f"unknown reference {self.reference!r}")
-        return np.asarray(self.reference, dtype=float)
 
 
 def _tree_sum(tree: SpanningTree, vectors) -> np.ndarray:
@@ -115,29 +100,17 @@ def _tree_sum(tree: SpanningTree, vectors) -> np.ndarray:
     return rows[tree.root]
 
 
-def _path_delay(tree: SpanningTree, delays) -> int:
-    """Worst root-to-vertex delay; equals the tree height under unit delays."""
-    if delays is None:
-        return tree.height
-    dist = [0] * tree.p
-    for v in sorted(range(tree.p), key=tree.depth.__getitem__):  # parents first
-        u = tree.parent[v]
-        if u is not None:
-            dist[v] = dist[u] + int(delays.get((min(u, v), max(u, v)), 1))
-    return max(dist)
-
-
-def _tree_traffic(tree: SpanningTree, down: Optional[int], up: int, delay: int) -> tuple:
+def _tree_traffic(tree: SpanningTree, down: Optional[int], up: int) -> tuple:
     """(values, messages, broadcasts, time steps) of sending `down` values
     down every tree edge (None: no down sweep), then `up` values up every
-    edge, each sweep taking `delay` steps; vertices with children broadcast
-    the down values, and every non-root its up values.  A down sweep of 0
-    values (DIHT at K=0) is still sent, p-1 messages and one delay: it is
-    what starts an iteration."""
+    edge, each sweep taking the tree's height in steps; vertices with children
+    broadcast the down values, and every non-root its up values.  A down
+    sweep of 0 values (DIHT at K=0) is still sent, p-1 messages and one
+    height: it is what starts an iteration."""
     edges, sweeps, down = tree.p - 1, 1 if down is None else 2, down or 0
     nonleaf = sum(1 for c in tree.children if c)
     return (edges * (down + up), sweeps * edges, nonleaf * down + edges * up,
-            sweeps * delay)
+            sweeps * tree.height)
 
 
 def convergecast_sum(tree: SpanningTree, per_agent_vectors) -> tuple:
@@ -146,7 +119,7 @@ def convergecast_sum(tree: SpanningTree, per_agent_vectors) -> tuple:
     if len(vectors) != tree.p:
         raise ValueError("need exactly one vector per agent")
     total = _tree_sum(tree, vectors)
-    return total, Metrics(*_tree_traffic(tree, None, vectors[0].shape[0], tree.height))
+    return total, Metrics(*_tree_traffic(tree, None, vectors[0].shape[0]))
 
 
 def aggregate_lipschitz(tree: SpanningTree, per_agent_lipschitz) -> tuple:
@@ -159,7 +132,7 @@ def aggregate_lipschitz(tree: SpanningTree, per_agent_lipschitz) -> tuple:
     if len(vals) != tree.p:
         raise ValueError("need exactly one constant per agent")
     total = float(_tree_sum(tree, [np.array([v]) for v in vals])[0])
-    return total, Metrics(*_tree_traffic(tree, 1, 1, tree.height))
+    return total, Metrics(*_tree_traffic(tree, 1, 1))
 
 
 @dataclass
@@ -171,14 +144,17 @@ class DihtRun:
     l: float
 
 
-def default_step_constant(problem: Problem, safety: float = 1.005) -> float:
-    """The run_diht default: safety times the stacked smoothness constant."""
-    return safety * stacked_lipschitz(problem)
+SAFETY = 1.005  # every default step constant runs this far above its bound
+
+
+def default_step_constant(problem: Problem) -> float:
+    """The run_diht default: SAFETY times the stacked smoothness constant."""
+    return SAFETY * stacked_lipschitz(problem)
 
 
 def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
              stop: Optional[StopRule] = None, x_init: Optional[np.ndarray] = None,
-             delays: Optional[dict] = None, keep_iterates: bool = True) -> DihtRun:
+             keep_iterates: bool = True) -> DihtRun:
     """Simulate distributed IHT rooted at agent 0 on a static graph.
 
     The iteration is centralized IHT whose gradient is the tree sum of the
@@ -187,7 +163,7 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     every iteration is the same closed form, so the counters are filled in
     after the run.  A run whose start meets the tolerance stops at 0 iterations.
 
-    With l unset, the step constant defaults to 1.005 times the stacked
+    With l unset, the step constant defaults to SAFETY (1.005) times the stacked
     gradient smoothness constant, mirroring the usual practice of running
     just above the tightest known bound.  A user-supplied l at or below the
     stacked constant is accepted with a warning since descent is then not
@@ -218,11 +194,10 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
         return mixed_gradients(a, b, x, sent[1][:k], ones)[0]
 
     config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
-    trace = _run(gradient, None, stop.reference_vector(problem), config, None,
-                 keep_iterates=keep_iterates)
+    trace = _run(gradient, None, problem.x_star, config, None, keep_iterates=keep_iterates)
 
-    cost = _tree_traffic(tree, 2 * k, problem.n, _path_delay(tree, delays))
-    metrics = Metrics.from_costs(trace.errors_vs_truth[1:] or None,
+    cost = _tree_traffic(tree, 2 * k, problem.n)
+    metrics = Metrics.from_costs(trace.errors_vs_truth[1:],
                                  [cost] * len(trace.step_deltas),
                                  start=(0, tree.build_messages, 0, 0))  # the tree build
 
@@ -232,10 +207,9 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
                    trace=trace, l=l)
 
 
-def distributed_step_constant(problem: Problem, tree: SpanningTree,
-                              safety: float = 1.005) -> tuple:
+def distributed_step_constant(problem: Problem, tree: SpanningTree) -> tuple:
     """Step constant an actual deployment could compute: the tree-aggregated
-    sum of per-agent constants, scaled by the safety factor."""
+    sum of per-agent constants, times SAFETY."""
     per_agent = [lipschitz_of_slice(s) for s in problem.slices]
     total, delta = aggregate_lipschitz(tree, per_agent)
-    return safety * total, delta
+    return SAFETY * total, delta

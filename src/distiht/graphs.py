@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-Edge = tuple  # (u, v) with u < v
+MAX_TRIES = 10_000  # draws a random family makes before it gives up on connectivity
 
 
 class ProtocolError(RuntimeError):
@@ -141,24 +141,24 @@ def gen_barabasi_albert(p: int, attach_m: int, seed: int) -> Graph:
     return Graph(p=p, edges=edges)
 
 
-def gen_erdos_renyi(p: int, pr: float, seed: int, max_tries: int = 10000) -> Graph:
+def gen_erdos_renyi(p: int, pr: float, seed: int) -> Graph:
     """Each pair linked independently with probability pr, resampled until connected."""
     check_graph_args("er", p, pr)
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         draws = rng.random(len(pairs))
         edges = [pairs[i] for i in range(len(pairs)) if draws[i] < pr]
         if _is_connected(p, edges):
             return Graph(p=p, edges=edges)
-    raise AssumptionViolation(f"no connected draw in {max_tries} tries (p={p}, pr={pr})")
+    raise AssumptionViolation(f"no connected draw in {MAX_TRIES} tries (p={p}, pr={pr})")
 
 
-def gen_geometric(p: int, d: float, seed: int, max_tries: int = 10000) -> Graph:
+def gen_geometric(p: int, d: float, seed: int) -> Graph:
     """Uniform points in the unit square, linked when within distance d."""
     check_graph_args("geo", p, d)
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         pts = rng.random((p, 2))
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=2))
@@ -166,7 +166,7 @@ def gen_geometric(p: int, d: float, seed: int, max_tries: int = 10000) -> Graph:
                  if dist[u, v] <= d]
         if _is_connected(p, edges):
             return Graph(p=p, edges=edges)
-    raise AssumptionViolation(f"no connected draw in {max_tries} tries (p={p}, d={d})")
+    raise AssumptionViolation(f"no connected draw in {MAX_TRIES} tries (p={p}, d={d})")
 
 
 @dataclass

@@ -128,9 +128,9 @@ CONFIG_FIELDS = {("problem", "seeds"): "problem_seeds",
 
 def check_config(cfg: ExperimentConfig) -> None:
     """Raise a one-line ValueError naming a value the grid cannot run or report:
-    an unknown algorithm or graph, a repeated grid entry, an accuracy at or
-    below 0, a step constant l or l_tv that is set but not finite and
-    positive, or a budget, subgraph count or step exponent the runs reject."""
+    an unknown algorithm or graph, a repeated grid entry, an accuracy or a
+    step constant l or l_tv (when set) that is not finite and positive, or a
+    budget, subgraph count or step exponent the runs reject."""
     unknown = [a for a in cfg.algorithms if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}")
@@ -142,8 +142,8 @@ def check_config(cfg: ExperimentConfig) -> None:
                          ("accuracies", cfg.accuracies)]:
         if len(set(values)) < len(values):
             raise ValueError(f"repeated {what}: {values}")
-    if not all(acc > 0 for acc in cfg.accuracies):
-        raise ValueError(f"accuracies {cfg.accuracies} must be positive")
+    if not all(0 < acc < np.inf for acc in cfg.accuracies):
+        raise ValueError(f"accuracies {cfg.accuracies} must be positive and finite")
     for key, value in [("l", cfg.l), ("l_tv", cfg.l_tv)]:
         if value is not None and not 0 < value < np.inf:
             raise ValueError(f"{key} = {value} must be finite and positive")
@@ -174,7 +174,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             if section != "meta":
                 setattr(cfg, CONFIG_FIELDS.get((section, key), key),
                         CONFIG_KEYS[section][key](value))
-    check_problem_args(cfg.n, cfg.m, cfg.k, cfg.p, cfg.spectral_cap, cfg.ensemble)
+    check_problem_args(cfg.n, cfg.m, cfg.k, cfg.p, cfg.noise_std, cfg.spectral_cap,
+                       cfg.ensemble)
     check_config(cfg)
     return cfg
 

@@ -85,48 +85,34 @@ class IhtTrace:
         return self.iterates[-1]
 
 
-def truth_stop(reference: np.ndarray, tol: float, errors: list):
-    """Stop once the iterate is within tol of the reference, relative to its
-    norm, reading its distance as the last entry of `errors`, the run's
-    record of ||x - reference||."""
-    bound = tol * max(float(np.linalg.norm(reference)), 1e-300)
-    return lambda x, x_prev: errors[-1] <= bound
-
-
-def self_stop(tol: float):
-    """Stop once a step, taken as the root of its square as step_deltas holds
-    it, is within tol of the previous iterate's norm (at least 1)."""
-    return lambda x, x_prev: x_prev is not None and (
-        np.sqrt(float(np.linalg.norm(x_prev - x) ** 2))
-        / max(1.0, float(np.linalg.norm(x_prev))) <= tol)
-
-
-def stop_rule(reference: Optional[np.ndarray], tol: float, errors: list):
-    """truth_stop with a reference, else self_stop; never when tol <= 0."""
+def truth_stop(x_star: np.ndarray, tol: float, errors: list):
+    """Stop once the iterate is within tol of the ground truth x_star,
+    relative to its norm, reading its distance as the last entry of `errors`,
+    the run's record of ||x - x_star||; never when tol <= 0."""
     if tol <= 0:
         return lambda x, x_prev: False
-    return self_stop(tol) if reference is None else truth_stop(reference, tol, errors)
+    bound = tol * max(float(np.linalg.norm(x_star)), 1e-300)
+    return lambda x, x_prev: errors[-1] <= bound
 
 
 def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
          keep_iterates: bool = True, stop=None) -> IhtTrace:
     """IHT's loop x <- T_k(x - g/l), g = grad_fn(x) (+ injector(k)), until
     stop(x, x_prev) holds (asked at the start with x_prev None, then after
-    every step; by default stop_rule(x_star, config.tol), reading the error
+    every step; by default truth_stop(x_star, config.tol), reading the error
     just recorded) or the budget ends."""
     if config.x_init is None:
         raise ValueError("config.x_init is required to size the run")
     x = config.x_init.copy()
     trace = IhtTrace()
-    stop = stop or stop_rule(x_star, config.tol, trace.errors_vs_truth)
+    stop = stop or truth_stop(x_star, config.tol, trace.errors_vs_truth)
 
     def record(xk):
         if keep_iterates or not trace.iterates:
             trace.iterates.append(xk)
         else:
             trace.iterates[-1] = xk
-        if x_star is not None:
-            trace.errors_vs_truth.append(float(np.linalg.norm(xk - x_star)))
+        trace.errors_vs_truth.append(float(np.linalg.norm(xk - x_star)))
         if loss_fn is not None:
             trace.f_values.append(float(loss_fn(xk)))
 
@@ -155,7 +141,7 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
 
 
 def run_iht(grad_fn: Callable[[np.ndarray], np.ndarray],
-            x_star: Optional[np.ndarray], config: IhtConfig,
+            x_star: np.ndarray, config: IhtConfig,
             loss_fn=None, keep_iterates: bool = True) -> IhtTrace:
     """Exact-gradient IHT: x <- T_k(x - grad(x)/l) until tol or budget.
 
@@ -166,7 +152,7 @@ def run_iht(grad_fn: Callable[[np.ndarray], np.ndarray],
 
 def run_inexact_iht(grad_fn: Callable[[np.ndarray], np.ndarray],
                     error_injector: Callable[[int], np.ndarray],
-                    x_star: Optional[np.ndarray], config: IhtConfig,
+                    x_star: np.ndarray, config: IhtConfig,
                     loss_fn=None) -> IhtTrace:
     """IHT where iteration k uses grad(x) + error_injector(k) in the step."""
     return _run(grad_fn, error_injector, x_star, config, loss_fn)

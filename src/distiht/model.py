@@ -168,15 +168,17 @@ def _split(a: np.ndarray, b: np.ndarray, offsets) -> list[SensingSlice]:
     return [SensingSlice(a[lo:hi], b[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def check_problem_args(n: int, m: int, k: int, p: int, spectral_cap: float,
-                       ensemble: str) -> None:
+def check_problem_args(n: int, m: int, k: int, p: int, noise_std: float,
+                       spectral_cap: float, ensemble: str) -> None:
     """Raise ValueError unless generate_problem can build this instance."""
     if k < 0 or k > n:
         raise ValueError(f"sparsity k = {k} must lie in [0, n = {n}]")
     if m < 1 or p < 1 or p > m:
         raise ValueError(f"need at least one measurement row per agent, m = {m}, p = {p}")
-    if spectral_cap <= 0:
-        raise ValueError("spectral_cap must be positive")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std = {noise_std} must be finite and at least 0")
+    if not 0 < spectral_cap < np.inf:
+        raise ValueError(f"spectral_cap = {spectral_cap} must be finite and positive")
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     if ensemble == "tight-frame" and m > n:
@@ -200,7 +202,7 @@ def generate_problem(n: int, m: int, k: int, p: int, noise_std: float = 0.0,
         which flattens the nonzero spectrum and is the well-conditioned
         choice for near-isometry-dependent recovery tests.
     """
-    check_problem_args(n, m, k, p, spectral_cap, ensemble)
+    check_problem_args(n, m, k, p, noise_std, spectral_cap, ensemble)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     if ensemble == "tight-frame":

@@ -204,6 +204,17 @@ class TestRunCbdiht:
         assert run.metrics.totals == (0, 0, 0, 0) and run.metrics.per_iteration == []
         assert all(np.array_equal(e, prob.x_star) for e in run.final_estimates)
 
+    def test_tol_zero_never_stops_even_on_an_exact_start(self):
+        # K = 0: the zero start is the ground truth, at error 0 from the start
+        prob = generate_problem(20, 10, 0, 4, seed=1)
+        sched = gen_tv_schedule(gen_erdos_renyi(4, 0.7, 1), 3, 2)
+        run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=3))
+        assert run.global_converged_at is None is run.agent1_trace.converged_at
+        assert len(run.s_schedule) == 3
+        assert run.metrics.totals == (100, 10, 100, 3)
+        run = run_cbdiht(prob, sched, stop=StopRule(tol=1e-2, max_iters=3))
+        assert run.global_converged_at == 0 and run.s_schedule == []
+
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError, match="max_iters"):
             run_cbdiht(desk_problem(23), static_schedule(complete_graph(6)),

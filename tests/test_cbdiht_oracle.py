@@ -64,7 +64,7 @@ def reference_run_cbdiht(problem: Problem, schedule: TvSchedule,
     Every transmitted value is counted: N per vector per active link
     direction per averaging step, 2K per INITIATE.  One schedule step is one
     synchronous time step.  The run stops when every agent's latest-joined
-    iterate is within stop.tol of the reference, or at the outer budget.
+    iterate is within stop.tol of the ground truth, or at the outer budget.
     """
     p, n = problem.p, problem.n
     if schedule.p != p:
@@ -87,8 +87,8 @@ def reference_run_cbdiht(problem: Problem, schedule: TvSchedule,
     x1 = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
     if np.count_nonzero(x1) > k:
         raise ValueError("x_init is not k-sparse")
-    reference = stop.reference_vector(problem)
-    ref_norm = float(np.linalg.norm(reference)) if reference is not None else None
+    reference = problem.x_star
+    ref_norm = float(np.linalg.norm(reference))
 
     # per-agent protocol state; instance -1 means "never joined anything"
     inst = np.full(p, -1, dtype=int)
@@ -99,8 +99,7 @@ def reference_run_cbdiht(problem: Problem, schedule: TvSchedule,
 
     trace = IhtTrace()
     trace.iterates.append(x1.copy())
-    if reference is not None:
-        trace.errors_vs_truth.append(float(np.linalg.norm(x1 - reference)))
+    trace.errors_vs_truth.append(float(np.linalg.norm(x1 - reference)))
     metrics = Metrics()
     run = CbDihtRun(agent1_trace=trace, per_agent_last_iter=[0] + [-1] * (p - 1),
                     metrics=metrics, s_schedule=[], v_hats=[], problem=problem,
@@ -190,7 +189,6 @@ def reference_run_cbdiht(problem: Problem, schedule: TvSchedule,
 
         x_next = hard_threshold(x1 - v_hat / l_tv, k)
         trace.step_deltas.append(float(np.linalg.norm(x1 - x_next) ** 2))
-        step_denom = max(1.0, float(np.linalg.norm(x1)))
         x1 = x_next
         estimates[0] = x1.copy()
         if keep_iterates:
@@ -198,30 +196,23 @@ def reference_run_cbdiht(problem: Problem, schedule: TvSchedule,
         else:
             trace.iterates[-1] = x1.copy()
 
-        err = None
-        if reference is not None:
-            err = float(np.linalg.norm(x1 - reference))
-            trace.errors_vs_truth.append(err)
-            if (run.agent1_converged_at is None and stop.tol > 0
-                    and err <= stop.tol * max(ref_norm, 1e-300)):
-                run.agent1_converged_at = outer + 1
-                trace.converged_at = outer + 1
-        metrics.snapshot(outer + 1, float("nan") if err is None else err,
+        err = float(np.linalg.norm(x1 - reference))
+        trace.errors_vs_truth.append(err)
+        if (run.agent1_converged_at is None and stop.tol > 0
+                and err <= stop.tol * max(ref_norm, 1e-300)):
+            run.agent1_converged_at = outer + 1
+            trace.converged_at = outer + 1
+        metrics.snapshot(outer + 1, err,
                          extra={"outer_iter": outer, "s_k": s_k,
                                 "eps_norm_sq": trace.eps_norms[-1] ** 2,
                                 "initiated_count": run.initiated_counts[-1]})
 
-        if reference is not None:
-            worst = max(float(np.linalg.norm(e - reference)) for e in estimates)
-            run.worst_errors.append(worst)
-            if stop.tol > 0 and worst <= stop.tol * max(ref_norm, 1e-300):
-                run.global_converged_at = outer + 1
-                run.global_converged_rounds = metrics.time_steps
-                break
-        elif stop.tol > 0:
-            if np.sqrt(trace.step_deltas[-1]) / step_denom <= stop.tol:
-                trace.converged_at = outer + 1
-                break
+        worst = max(float(np.linalg.norm(e - reference)) for e in estimates)
+        run.worst_errors.append(worst)
+        if stop.tol > 0 and worst <= stop.tol * max(ref_norm, 1e-300):
+            run.global_converged_at = outer + 1
+            run.global_converged_rounds = metrics.time_steps
+            break
     run.final_estimates = [e.copy() for e in estimates]
     return run
 

@@ -31,8 +31,8 @@ from hypothesis import assume, given, settings, strategies as st
 from test_diht import assert_agents_hold_last_broadcast
 from test_model import batched_gradients
 
-from distiht.diht import (DihtRun, Metrics as RunMetrics, StopRule, _path_delay,
-                          _tree_sum, default_step_constant, run_diht)
+from distiht.diht import (DihtRun, Metrics as RunMetrics, StopRule, _tree_sum,
+                          default_step_constant, run_diht)
 from distiht.graphs import (Graph, SpanningTree, bfs_spanning_tree,
                             gen_barabasi_albert, gen_erdos_renyi, gen_geometric)
 from distiht.iht import IhtConfig, IhtTrace, NumericFailure, _run, hard_threshold
@@ -107,8 +107,8 @@ class ReferenceDihtRun:
 
 def reference_run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
                        k_sparsity: Optional[int] = None, stop: Optional[StopRule] = None,
-                       x_init: Optional[np.ndarray] = None, delays: Optional[dict] = None,
-                       record_sums: bool = False, keep_iterates: bool = True) -> ReferenceDihtRun:
+                       x_init: Optional[np.ndarray] = None, record_sums: bool = False,
+                       keep_iterates: bool = True) -> ReferenceDihtRun:
     """Simulate distributed IHT rooted at agent 0 on a static graph.
 
     With l unset, the step constant defaults to 1.005 times the stacked
@@ -143,20 +143,19 @@ def reference_run_diht(problem: Problem, graph: Graph, l: Optional[float] = None
     x = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
     if np.count_nonzero(x) > k:
         raise ValueError("x_init is not k-sparse")
-    reference = stop.reference_vector(problem)
-    ref_norm = float(np.linalg.norm(reference)) if reference is not None else None
+    reference = problem.x_star
+    ref_norm = float(np.linalg.norm(reference))
 
     trace = IhtTrace()
     trace.iterates.append(x.copy())
-    if reference is not None:
-        trace.errors_vs_truth.append(float(np.linalg.norm(x - reference)))
+    trace.errors_vs_truth.append(float(np.linalg.norm(x - reference)))
     sums = [] if record_sums else None
     agent_estimates = [x.copy() for _ in range(problem.p)]
 
     nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
     down_values = (problem.p - 1) * 2 * k
     up_values = (problem.p - 1) * n
-    iter_time = 2 * _path_delay(tree, delays)
+    iter_time = 2 * tree.height
 
     for it in range(stop.max_iters):
         # broadcast phase: every agent adopts the root iterate, then
@@ -180,24 +179,17 @@ def reference_run_diht(problem: Problem, graph: Graph, l: Optional[float] = None
 
         delta_sq = float(np.linalg.norm(x - x_next) ** 2)
         trace.step_deltas.append(delta_sq)
-        step_denom = max(1.0, float(np.linalg.norm(x)))
         x = x_next
         if keep_iterates:
             trace.iterates.append(x.copy())
         else:
             trace.iterates[-1] = x.copy()
-        err = None
-        if reference is not None:
-            err = float(np.linalg.norm(x - reference))
-            trace.errors_vs_truth.append(err)
-        metrics.snapshot(it + 1, float("nan") if err is None else err)
+        err = float(np.linalg.norm(x - reference))
+        trace.errors_vs_truth.append(err)
+        metrics.snapshot(it + 1, err)
 
-        if reference is not None and stop.tol > 0:
+        if stop.tol > 0:
             if err <= stop.tol * max(ref_norm, 1e-300):
-                trace.converged_at = it + 1
-                break
-        elif stop.tol > 0:
-            if np.sqrt(delta_sq) / step_denom <= stop.tol:
                 trace.converged_at = it + 1
                 break
 
@@ -229,13 +221,13 @@ def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule,
         return _tree_sum(tree, batched_gradients(a, b, estimates))
 
     config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
-    trace = _run(gradient, None, stop.reference_vector(problem), config, None)
+    trace = _run(gradient, None, problem.x_star, config, None)
 
     nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
     up_values = (problem.p - 1) * problem.n
     cost = ((problem.p - 1) * 2 * k + up_values, 2 * (problem.p - 1),
             2 * k * nonleaf + up_values, 2 * tree.height)
-    metrics = RunMetrics.from_costs(trace.errors_vs_truth[1:] or None,
+    metrics = RunMetrics.from_costs(trace.errors_vs_truth[1:],
                                     [cost] * len(trace.step_deltas),
                                     start=(0, tree.build_messages, 0, 0))  # the tree build
 
@@ -282,32 +274,27 @@ def draw_graph(family, p, seed):
 @settings(max_examples=80, deadline=None)
 @given(p=st.integers(1, 7), family=st.sampled_from(["er", "ba", "geo"]),
        seed=st.integers(0, 10 ** 6),
-       reference=st.sampled_from(["truth", "self", "vector"]),
        tol=st.sampled_from([0.0, 1e-1, 1e-2, 1e-5]), keep_iterates=st.booleans(),
-       delayed=st.booleans(), start=st.booleans(), scaled_l=st.booleans(),
-       max_iters=st.integers(1, 40))
-def test_matches_reference_loop(p, family, seed, reference, tol, keep_iterates,
-                                delayed, start, scaled_l, max_iters):
+       start=st.booleans(), scaled_l=st.booleans(), max_iters=st.integers(1, 40))
+def test_matches_reference_loop(p, family, seed, tol, keep_iterates, start, scaled_l,
+                                max_iters):
     rng = np.random.default_rng(seed)
     n, m, k = (int(rng.integers(8, 30)), int(rng.integers(p, 3 * p + 6)),
                int(rng.integers(1, 4)))
     ensemble = "tight-frame" if m <= n and rng.random() < 0.5 else "gaussian"
     prob = generate_problem(n, m, k, p, seed=seed, ensemble=ensemble)
     graph = draw_graph(family, p, seed)
-    if reference == "vector":
-        reference = rng.standard_normal(n)
     x_init = None
     if start:
         x_init = np.zeros(n)
         x_init[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
-    ref = StopRule(reference=reference).reference_vector(prob)
-    if ref is not None and tol > 0:
+    if tol > 0:
         x0 = np.zeros(n) if x_init is None else x_init
+        ref = prob.x_star
         # the shared loop stops at a start that already meets the tolerance
         assume(np.linalg.norm(x0 - ref) > tol * max(np.linalg.norm(ref), 1e-300))
-    delays = ({e: int(rng.integers(1, 4)) for e in graph.edges} if delayed else None)
-    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters, reference=reference),
-                  x_init=x_init, delays=delays, keep_iterates=keep_iterates,
+    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters),
+                  x_init=x_init, keep_iterates=keep_iterates,
                   l=1.5 * loss_info(prob).lipschitz_global if scaled_l else None)
     fast = run_diht(prob, graph, **kwargs)
     assert_runs_equal(fast, reference_run_diht(prob, graph, **kwargs))
@@ -344,11 +331,10 @@ def test_tree_sum_matches_list_loop_bit_for_bit(p, family, seed, n):
 @settings(max_examples=80, deadline=None)
 @given(p=st.integers(1, 8), family=st.sampled_from(["er", "ba", "geo"]),
        seed=st.integers(0, 10 ** 6), n=st.integers(1, 60), data=st.data(),
-       reference=st.sampled_from(["truth", "self"]),
        tol=st.sampled_from([0.0, 1e-2, 1e-5]), start=st.booleans(),
        max_iters=st.integers(1, 40))
-def test_k_column_gradient_matches_dense_decode(p, family, seed, n, data, reference,
-                                                tol, start, max_iters):
+def test_k_column_gradient_matches_dense_decode(p, family, seed, n, data, tol, start,
+                                                max_iters):
     k = data.draw(st.integers(1, n), label="k")
     m = data.draw(st.integers(p, 3 * p + 6), label="m")
     prob = generate_problem(n, m, k, p, seed=seed)
@@ -362,8 +348,7 @@ def test_k_column_gradient_matches_dense_decode(p, family, seed, n, data, refere
         x_init[0] = rng.standard_normal()
         x_init[rng.choice(np.arange(1, n), size=count - 1, replace=False)] = (
             rng.standard_normal(count - 1))
-    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters, reference=reference),
-                  x_init=x_init)
+    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters), x_init=x_init)
     fast, slow = run_diht(prob, graph, **kwargs), dense_run_diht(prob, graph, **kwargs)
     assert fast.l == slow.l
     x0 = np.zeros(n) if x_init is None else x_init

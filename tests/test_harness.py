@@ -446,12 +446,22 @@ class TestConfigChecked:
         ("run = diht", "run = diht, iht, diht", "repeated algorithms"),
         ("1e-1, 1e-2", "1e-1, 0.1", "repeated accuracies"),
         ("1e-1, 1e-2", "-1", "accuracies [-1.0] must be positive"),
+        ("1e-1, 1e-2", "inf", "ValueError: accuracies [inf] must be positive and finite"),
+        ("p = 5", "p = 5\nspectral_cap = nan",
+         "ValueError: spectral_cap = nan must be finite and positive"),
+        ("p = 5", "p = 5\nspectral_cap = inf",
+         "ValueError: spectral_cap = inf must be finite and positive"),
+        ("p = 5", "p = 5\nnoise_std = -0.01",
+         "ValueError: noise_std = -0.01 must be finite and at least 0"),
+        ("p = 5", "p = 5\nnoise_std = nan",
+         "ValueError: noise_std = nan must be finite and at least 0"),
         ("max_iters = 300", "max_iters = 0", "max_iters 0"),
         ("max_iters = 300", "max_iters = 300\nsubgraph_count = 0", "subgraph count 0"),
         ("run = diht", "run = diht\nstep_exponent = 0.5", "step_exponent 0.5"),
     ], ids=["unknown-family", "ba-fraction", "ba-at-p", "er-above-1", "geo-zero",
             "graph-label", "problem-seed", "graph-seed", "algorithm", "accuracy",
-            "negative-accuracy", "zero-budget", "zero-subgraphs", "step-exponent"])
+            "negative-accuracy", "inf-accuracy", "nan-cap", "inf-cap", "negative-noise",
+            "nan-noise", "zero-budget", "zero-subgraphs", "step-exponent"])
     def test_rejected_before_any_cell_runs(self, old, new, offender, tmp_path,
                                            monkeypatch, capsys):
         assert old in DESK_CONFIG
@@ -499,6 +509,7 @@ class TestConfigChecked:
         (["--family", "ba", "--param", "2.5"], "ba attachment 2.5"),
         (["--tol", "-1"], "must be positive"),
         (["--subgraphs", "0"], "subgraph count 0"),
+        (["--tol", "inf"], "accuracies [inf] must be positive and finite"),
     ])
     def test_run_rejects_before_the_cell(self, flags, offender, monkeypatch, capsys):
         monkeypatch.setattr(distiht.cli, "run_cell", must_not_run)
@@ -511,6 +522,18 @@ class TestConfigChecked:
         assert cli(["gen-graph", "--family", "ba", "--p", "8", "--param", "2.5",
                     "--out", str(out)]) == 2
         assert "ba attachment 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, offender", [
+        (["--noise-std", "-1"], "noise_std = -1.0 must be finite and at least 0"),
+        (["--cap", "inf"], "spectral_cap = inf must be finite and positive"),
+    ])
+    def test_gen_problem_rejects_out_of_range_values(self, flags, offender, tmp_path,
+                                                     capsys):
+        out = tmp_path / "p.npz"
+        assert cli(["gen-problem", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and offender in err[0]
         assert not out.exists()
 
     def test_run_defaults_are_the_config_defaults(self, monkeypatch):

@@ -190,17 +190,8 @@ class TestRunIht:
 
         config = IhtConfig(l=1.0, k=1, max_iters=10, tol=0, x_init=np.zeros(4))
         with pytest.raises(NumericFailure) as exc:
-            run_iht(bad_grad, None, config)
+            run_iht(bad_grad, np.zeros(4), config)
         assert exc.value.iteration == 2
-
-    def test_reference_free_stop(self):
-        prob = generate_problem(40, 20, 3, 4, seed=5, ensemble="tight-frame")
-        _, _, grad, _ = quadratic(prob)
-        config = IhtConfig(l=1.0, k=3, max_iters=500, tol=1e-9,
-                           x_init=np.zeros(40))
-        trace = run_iht(grad, None, config)
-        assert trace.converged_at is not None
-        assert trace.converged_at < 500
 
     def test_truth_stop_ends_at_the_first_error_within_tol(self):
         prob = generate_problem(40, 20, 3, 4, seed=5, ensemble="tight-frame")
@@ -214,6 +205,16 @@ class TestRunIht:
             stopped = run_iht(grad, prob.x_star, config, keep_iterates=keep)
             assert stopped.converged_at == first > 0
             assert stopped.errors_vs_truth == full.errors_vs_truth[:first + 1]
+
+    def test_tol_zero_never_stops_even_on_an_exact_start(self):
+        # K = 0: the zero start is the ground truth, at error 0 from the start
+        prob = generate_problem(20, 10, 0, 4, seed=1)
+        _, _, grad, _ = quadratic(prob)
+        for tol, converged_at, steps in ((0.0, None, 3), (1e-2, 0, 0)):
+            config = IhtConfig(l=2.0, k=0, max_iters=3, tol=tol, x_init=np.zeros(20))
+            trace = run_iht(grad, prob.x_star, config)
+            assert trace.converged_at == converged_at
+            assert len(trace.step_deltas) == steps
 
 
 class TestRunInexact:

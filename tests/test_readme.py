@@ -9,7 +9,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DELETED = ["iht_step", "affine_projection", "consensus_step",  # wrappers nothing called
            "spark_bruteforce", "SparkResult", "descent_gap_check",
            "max_consensus",  # test-only code, now in tests/oracles.py
-           "WeightMatrix"]  # metropolis_weights returns the (p, p) matrix
+           "WeightMatrix",  # metropolis_weights returns the (p, p) matrix
+           "self_stop", "stop_rule", "reference_vector",  # every run stops on the truth
+           "_path_delay"]  # a DIHT sweep takes the tree height
 
 
 def exported() -> list:
