@@ -19,7 +19,7 @@ import numpy as np
 from .consensus import DiffusiveConsensus, directed_links
 from .diht import SAFETY, Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
-from .iht import IhtConfig, IhtTrace, _run
+from .iht import IhtConfig, IhtTrace, _run, truth_bound
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
 from .model import (Problem, lipschitz_of_slice, mixed_gradients, padded_slices,
                     stacked_lipschitz)
@@ -102,6 +102,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     config = IhtConfig(l=l_tv, k=k, max_iters=stop.max_iters, tol=stop.tol,
                        x_init=np.zeros(n) if x_init is None else x_init)
     x_star = problem.x_star
+    bound = truth_bound(x_star, stop.tol)
 
     periods = [directed_links(links, p) for links in schedule.subgraphs]
     a, b = padded_slices(problem.slices)
@@ -137,19 +138,15 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         eps_norms.append(float(np.linalg.norm(p * v_hat - mixed[1])))
         return v_hat
 
-    bound = stop.tol * max(float(np.linalg.norm(x_star)), 1e-300)
-
-    def rule(x, x_prev):
-        # every agent within the tolerance: agent 0 holds x, the others
-        # the iterate of the instance they last joined
+    def worst_error(x):
+        # agent 0 holds x, the others the iterate of the instance they last joined
         held = [x] + [iterates[i] for i in set(machine.inst[1:].tolist())]
-        worst = max(float(np.linalg.norm(e - x_star)) for e in held)
-        if x_prev is not None:  # one record per outer iteration
-            worst_errors.append(worst)
-        return stop.tol > 0 and worst <= bound
+        worst_errors.append(max(float(np.linalg.norm(e - x_star)) for e in held))
+        return worst_errors[-1]
 
-    trace = _run(gradient, None, x_star, config, None, keep_iterates, rule)
+    trace = _run(gradient, None, x_star, config, None, keep_iterates, worst_error)
     trace.eps_norms = eps_norms
+    del worst_errors[0]  # the start's: one record per outer iteration
 
     metrics = Metrics.from_costs(
         trace.errors_vs_truth[1:], costs,
@@ -160,7 +157,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         agent1_trace=trace, per_agent_last_iter=machine.inst.tolist(), metrics=metrics,
         s_schedule=s_schedule, v_hats=v_hats, problem=problem, l_tv=l_tv,
         agent1_converged_at=next((i for i, e in enumerate(trace.errors_vs_truth)
-                                  if stop.tol > 0 and e <= bound), None),
+                                  if e <= bound), None),
         global_converged_at=trace.converged_at,
         initiated_counts=initiated_counts, worst_errors=worst_errors,
         final_estimates=[trace.final.copy()]

@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=defaults.graphs[0].family)
     sp.add_argument("--param", type=float, default=defaults.graphs[0].param)
     sp.add_argument("--graph-seed", type=int, default=0)
-    sp.add_argument("--tv", action="store_true", help="run on a 10-subgraph schedule")
+    sp.add_argument("--tv", action="store_true",
+                    help="run on a periodic schedule of --subgraphs subgraphs")
     sp.add_argument("--subgraphs", type=int, default=defaults.subgraph_count)
     sp.add_argument("--l", type=float, default=None)
     sp.add_argument("--l-tv", type=float, default=None)

@@ -22,7 +22,7 @@ from .diht import (METRICS_COLUMNS, Metrics, StopRule, default_step_constant,
 from .graphs import (AssumptionViolation, Graph, check_graph_args, check_subgraph_count,
                      gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
                      gen_tv_schedule, static_schedule)
-from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht, write_csv
+from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht, truth_bound, write_csv
 from .model import Problem, check_problem_args, generate_problem, mixed_gradients
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
@@ -249,7 +249,7 @@ def _result(problem: Problem, cfg: ExperimentConfig, metrics: Metrics, errors,
     else:
         # an error first reaches a target where its running minimum does
         best = np.minimum.accumulate(np.nan_to_num(errors, nan=np.inf))
-        targets = np.asarray(cfg.accuracies) * float(np.linalg.norm(problem.x_star))
+        targets = np.array([truth_bound(problem.x_star, acc) for acc in cfg.accuracies])
         hits = np.searchsorted(-best, -targets)
         counters = [metrics.columns[c] for c in METRICS_COLUMNS if c != "err"]
         crossings = {acc: tuple(int(col[hit]) for col in counters)

@@ -85,27 +85,27 @@ class IhtTrace:
         return self.iterates[-1]
 
 
-def truth_stop(x_star: np.ndarray, tol: float, errors: list):
-    """Stop once the iterate is within tol of the ground truth x_star,
-    relative to its norm, reading its distance as the last entry of `errors`,
-    the run's record of ||x - x_star||; never when tol <= 0."""
-    if tol <= 0:
-        return lambda x, x_prev: False
-    bound = tol * max(float(np.linalg.norm(x_star)), 1e-300)
-    return lambda x, x_prev: errors[-1] <= bound
+def truth_bound(x_star: np.ndarray, tol: float) -> float:
+    """The largest error ||x - x_star|| within tol of the ground truth x_star,
+    relative to its norm; -1.0, which no error meets, when tol <= 0.  A NaN
+    or infinite tol raises ValueError."""
+    if not -np.inf < tol < np.inf:
+        raise ValueError(f"tol = {tol} must be finite")
+    return tol * max(float(np.linalg.norm(x_star)), 1e-300) if tol > 0 else -1.0
 
 
 def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
-         keep_iterates: bool = True, stop=None) -> IhtTrace:
+         keep_iterates: bool = True, measure=None) -> IhtTrace:
     """IHT's loop x <- T_k(x - g/l), g = grad_fn(x) (+ injector(k)), until
-    stop(x, x_prev) holds (asked at the start with x_prev None, then after
-    every step; by default truth_stop(x_star, config.tol), reading the error
-    just recorded) or the budget ends."""
+    measure(x) is within truth_bound(x_star, config.tol) (asked of the start,
+    then after every step; by default the error ||x - x_star|| just recorded)
+    or the budget ends."""
     if config.x_init is None:
         raise ValueError("config.x_init is required to size the run")
+    bound = truth_bound(x_star, config.tol)
     x = config.x_init.copy()
     trace = IhtTrace()
-    stop = stop or truth_stop(x_star, config.tol, trace.errors_vs_truth)
+    measure = measure or (lambda _: trace.errors_vs_truth[-1])
 
     def record(xk):
         if keep_iterates or not trace.iterates:
@@ -117,7 +117,7 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
             trace.f_values.append(float(loss_fn(xk)))
 
     record(x)
-    if stop(x, None):
+    if measure(x) <= bound:
         trace.converged_at = 0
         return trace
     for k in range(config.max_iters):
@@ -133,8 +133,8 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
             raise NumericFailure(k, "iterate")
         trace.step_deltas.append(float(np.linalg.norm(x - x_next) ** 2))
         record(x_next)
-        x_prev, x = x, x_next
-        if stop(x, x_prev):
+        x = x_next
+        if measure(x) <= bound:
             trace.converged_at = k + 1
             break
     return trace

@@ -15,6 +15,7 @@ import numpy as np
 from .consensus import metropolis_weights
 from .diht import Metrics
 from .graphs import Graph, TvSchedule, static_schedule
+from .iht import truth_bound
 from .model import Problem, SensingSlice, padded_slices
 
 BLOCK = 4096  # steps of worst errors a lockstep batch allocates at a time
@@ -97,8 +98,7 @@ def run_lockstep(members: list, config: SubgradConfig) -> Iterator[tuple]:
     w = np.stack([[metropolis_weights(links, p) for links in s.subgraphs]
                   for s in schedules], axis=1)  # one (B, p, p) stack per phase
     ref = np.stack([pr.x_star for pr in problems])[:, None, :]
-    bound = config.tol * np.array([max(float(np.linalg.norm(pr.x_star)), 1e-300)
-                                   for pr in problems])
+    bound = np.array([truth_bound(pr.x_star, config.tol) for pr in problems])
     # x and Q^T y - c are held in the shapes of the products that write them
     x4, r4 = np.zeros((b, p, 1, n)), np.empty((b, p, m, 1))
     x, r = x4[:, :, 0], r4[:, :, :, 0]

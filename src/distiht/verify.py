@@ -84,7 +84,7 @@ def suite_accounting(out_dir=None):
     for gseed in (0, 1):
         graph = gen_erdos_renyi(6, 0.5, gseed)
         run = run_diht(problem, graph, stop=StopRule(tol=0, max_iters=20))
-        iters = len(run.metrics.per_iteration)
+        iters = len(run.trace.step_deltas)
         expected_vals = iters * (problem.p - 1) * (2 * problem.k + problem.n)
         expected_msgs = run.tree.build_messages + iters * 2 * (problem.p - 1)
         v_ok = run.metrics.values_sent == expected_vals

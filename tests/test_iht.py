@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distiht.cbdiht import run_cbdiht
+from distiht.diht import StopRule, run_diht
+from distiht.graphs import gen_erdos_renyi, static_schedule
 from distiht.iht import (IhtConfig, NumericFailure, hard_threshold,
                          is_l_stationary, run_iht, run_inexact_iht,
                          write_trace_csv)
 from distiht.model import generate_problem, loss_info
+from distiht.subgradient import SubgradConfig, orthonormal_slices, run_lockstep, run_subgradient
 from oracles import argsort_hard_threshold, descent_gap_check, spark_bruteforce
 
 
@@ -215,6 +219,31 @@ class TestRunIht:
             trace = run_iht(grad, prob.x_star, config)
             assert trace.converged_at == converged_at
             assert len(trace.step_deltas) == steps
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["run_iht", "run_inexact_iht", "run_diht", "run_cbdiht",
+                                   "run_subgradient", "run_lockstep"])
+def test_a_nonfinite_tol_is_rejected_at_every_run_entry(entry, tol):
+    prob = generate_problem(20, 10, 2, 4, seed=1)
+    graph = gen_erdos_renyi(4, 0.7, 1)
+    _, _, grad, _ = quadratic(prob)
+    config = IhtConfig(l=2.0, k=2, max_iters=5, tol=tol, x_init=np.zeros(20))
+    stop = StopRule(tol=tol, max_iters=5)
+    subgrad = SubgradConfig(max_iters=5, tol=tol)
+    start = {
+        "run_iht": lambda: run_iht(grad, prob.x_star, config),
+        "run_inexact_iht": lambda: run_inexact_iht(grad, lambda k: np.zeros(20),
+                                                   prob.x_star, config),
+        "run_diht": lambda: run_diht(prob, graph, stop=stop),
+        "run_cbdiht": lambda: run_cbdiht(prob, static_schedule(graph), stop=stop),
+        "run_subgradient": lambda: run_subgradient(prob, graph, subgrad),
+        # a generator: it raises on its first next()
+        "run_lockstep": lambda: next(run_lockstep(
+            [(prob, static_schedule(graph), orthonormal_slices(prob))], subgrad)),
+    }[entry]
+    with pytest.raises(ValueError, match="^tol = .* must be finite$"):
+        start()
 
 
 class TestRunInexact:

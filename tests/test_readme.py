@@ -11,6 +11,7 @@ DELETED = ["iht_step", "affine_projection", "consensus_step",  # wrappers nothin
            "max_consensus",  # test-only code, now in tests/oracles.py
            "WeightMatrix",  # metropolis_weights returns the (p, p) matrix
            "self_stop", "stop_rule", "reference_vector",  # every run stops on the truth
+           "truth_stop",  # truth_bound is the one accuracy rule
            "_path_delay"]  # a DIHT sweep takes the tree height
 
 

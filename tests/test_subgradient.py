@@ -88,6 +88,14 @@ class TestRunSubgradient:
         trace, _ = run_subgradient(prob, g, SubgradConfig(max_iters=20, tol=0.0))
         np.testing.assert_array_equal(trace.estimates, np.zeros((2, 12)))
 
+    def test_tol_zero_never_stops_even_on_an_exact_start(self):
+        # K = 0: the zero start is the ground truth, so every error is 0
+        prob = generate_problem(20, 10, 0, 4, seed=1)
+        g = gen_erdos_renyi(4, 0.7, 1)
+        trace, metrics = run_subgradient(prob, g, SubgradConfig(max_iters=3, tol=0.0))
+        assert trace.converged_at is None
+        assert trace.worst_errors == [0.0, 0.0, 0.0] and metrics.time_steps == 3
+
     def test_feasibility_after_every_checkpoint(self):
         g = gen_erdos_renyi(5, 0.6, seed=5)
         for m, rows in ((20, [4] * 5), (22, [4, 4, 4, 5, 5])):

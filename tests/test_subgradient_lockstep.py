@@ -85,6 +85,17 @@ def test_a_batch_ends_when_every_member_has_stopped():
         assert_same_run(got, want)
 
 
+def test_tol_zero_never_stops_a_member():
+    # the K = 0 member's errors are all 0; the K = 2 member's are positive
+    schedule = static_schedule(gen_erdos_renyi(4, 0.7, 1))
+    members = [(prob, schedule, orthonormal_slices(prob))
+               for prob in (generate_problem(20, 10, k, 4, seed=1) for k in (0, 2))]
+    runs = list(run_lockstep(members, SubgradConfig(max_iters=3, tol=0.0)))
+    assert [trace.converged_at for trace, _ in runs] == [None, None]
+    assert [len(trace.worst_errors) for trace, _ in runs] == [3, 3]
+    assert runs[0][0].worst_errors == [0.0, 0.0, 0.0]
+
+
 def test_a_run_is_a_batch_of_one():
     prob, schedule, slices = member(5, 12, 3, 3)
     config = SubgradConfig(max_iters=300, tol=0.1)
