@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .consensus import DiffusiveConsensus, directed_links
 from .diht import SAFETY, Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
-from .iht import IhtConfig, IhtTrace, _run, truth_bound
+from .iht import IhtConfig, IhtTrace, run_iht, truth_bound
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
 from .model import (Problem, lipschitz_of_slice, mixed_gradients, padded_slices,
                     stacked_lipschitz)
@@ -71,10 +71,8 @@ def max_consensus_l_tv(problem: Problem) -> float:
     return SAFETY * max(lipschitz_of_slice(s) for s in problem.slices)
 
 
-def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = None,
-               stop: Optional[StopRule] = None, x_init: Optional[np.ndarray] = None,
-               s_fn: Optional[Callable[[int, np.ndarray], int]] = None,
-               keep_iterates: bool = True, validate_schedule: bool = True) -> CbDihtRun:
+def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = None, *,
+               stop: StopRule, keep_iterates: bool = True) -> CbDihtRun:
     """Simulate the consensus-based algorithm on a periodic link schedule.
 
     The outer loop is inexact IHT: agent 0 steps along its consensus estimate
@@ -82,15 +80,14 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     gradient error is p * v_hat - grad f(x_k).  Every transmitted value is
     counted: N per vector per active link direction per averaging step, 2K
     per INITIATE; one schedule step is one synchronous time step.  The run
-    stops when every agent's latest-joined iterate is within stop.tol of the
-    ground truth (after 0 outer iterations if the start is), or at the budget.
+    starts at zero and stops when every agent's latest-joined iterate is
+    within stop.tol of the ground truth (after 0 outer iterations if the
+    start is), or at the budget.
     """
     p, n, k = problem.p, problem.n, problem.k
     if schedule.p != p:
         raise ValueError("schedule and problem disagree on the agent count")
-    if validate_schedule:
-        validate_connectivity_window(schedule)  # raises AssumptionViolation
-    stop = stop or StopRule(max_iters=1000)
+    validate_connectivity_window(schedule)  # raises AssumptionViolation
     if l_tv is None:
         l_tv = default_l_tv(problem)
     elif not 0 < l_tv < np.inf:
@@ -98,16 +95,14 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     elif l_tv <= stacked_lipschitz(problem) / p:
         warnings.warn("l_tv at or below the stacked constant over p: "
                       "convergence is not guaranteed", RuntimeWarning)
-    s_fn = s_fn or consensus_steps
-    config = IhtConfig(l=l_tv, k=k, max_iters=stop.max_iters, tol=stop.tol,
-                       x_init=np.zeros(n) if x_init is None else x_init)
+    config = IhtConfig(l=l_tv, k=k, max_iters=stop.max_iters, tol=stop.tol)
     x_star = problem.x_star
     bound = truth_bound(x_star, stop.tol)
 
     periods = [directed_links(links, p) for links in schedule.subgraphs]
     a, b = padded_slices(problem.slices)
-    # the iterate each live instance carries; agents that never joined hold x_init
-    iterates = {-1: config.x_init}
+    # the iterate each live instance carries; agents that never joined hold the start
+    iterates = {-1: np.zeros(n)}
     machine = DiffusiveConsensus(p, 0, np.zeros(0))  # it mixes coefficients only
     weights = np.ones((2, p))  # row 0: agent 0's coefficients; row 1 sums
     s_schedule, v_hats, initiated_counts, eps_norms, worst_errors = [], [], [], [], []
@@ -120,7 +115,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         outer = len(s_schedule)
         machine.open(outer, 0)
         iterates[outer] = x
-        s_k = int(s_fn(outer, x))
+        s_k = int(consensus_steps(outer, x))
         s_schedule.append(s_k)
 
         sends, initiates, senders, initiators = machine.advance(periods, s_k)
@@ -144,7 +139,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         worst_errors.append(max(float(np.linalg.norm(e - x_star)) for e in held))
         return worst_errors[-1]
 
-    trace = _run(gradient, None, x_star, config, None, keep_iterates, worst_error)
+    trace = run_iht(gradient, x_star, config, keep_iterates, worst_error)
     trace.eps_norms = eps_norms
     del worst_errors[0]  # the start's: one record per outer iteration
 

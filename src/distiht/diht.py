@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph, SpanningTree, bfs_spanning_tree
-from .iht import IhtConfig, IhtTrace, _run, write_csv
+from .iht import IhtConfig, IhtTrace, run_iht, write_csv
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
 from .model import (Problem, lipschitz_of_slice, mixed_gradients, padded_slices,
                     stacked_lipschitz)
@@ -152,16 +152,16 @@ def default_step_constant(problem: Problem) -> float:
     return SAFETY * stacked_lipschitz(problem)
 
 
-def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
-             stop: Optional[StopRule] = None, x_init: Optional[np.ndarray] = None,
-             keep_iterates: bool = True) -> DihtRun:
+def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None, *,
+             stop: StopRule, keep_iterates: bool = True) -> DihtRun:
     """Simulate distributed IHT rooted at agent 0 on a static graph.
 
     The iteration is centralized IHT whose gradient is the tree sum of the
     agents' local gradients, taken as one unit-weighted product over the
     stacked slices, so it equals the tree sum up to rounding; the traffic of
     every iteration is the same closed form, so the counters are filled in
-    after the run.  A run whose start meets the tolerance stops at 0 iterations.
+    after the run.  The run starts at zero, and stops at 0 iterations if that
+    start meets the tolerance.
 
     With l unset, the step constant defaults to SAFETY (1.005) times the stacked
     gradient smoothness constant, mirroring the usual practice of running
@@ -174,7 +174,6 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
     if not graph.is_connected():
         raise ValueError("graph must be connected")
     k = problem.k
-    stop = stop or StopRule()
     if l is None:
         l = default_step_constant(problem)
     elif not 0 < l < np.inf:
@@ -184,17 +183,16 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None,
                       "not guaranteed", RuntimeWarning)
 
     tree = bfs_spanning_tree(graph, root=0)
-    x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
     a, b = padded_slices(problem.slices)
     ones = np.ones((1, problem.p))  # the convergecast's sum as one weighted product
-    sent = [x0, np.flatnonzero(x0)]  # the last x broadcast and its nonzeros
+    sent = [np.zeros(problem.n), np.zeros(0, int)]  # the last x broadcast, its nonzeros
 
     def gradient(x):  # every agent decodes the same pairs: x at its first k nonzeros
         sent[:] = x, np.flatnonzero(x)
         return mixed_gradients(a, b, x, sent[1][:k], ones)[0]
 
-    config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
-    trace = _run(gradient, None, problem.x_star, config, None, keep_iterates=keep_iterates)
+    config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol)
+    trace = run_iht(gradient, problem.x_star, config, keep_iterates)
 
     cost = _tree_traffic(tree, 2 * k, problem.n)
     metrics = Metrics.from_costs(trace.errors_vs_truth[1:],

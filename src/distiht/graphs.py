@@ -62,6 +62,8 @@ class Graph:
     adjacency: list = field(init=False)
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"p = {self.p} must be at least 1")
         self.edges = _normalize_edges(self.edges)
         for u, v in self.edges:
             if not (0 <= u < self.p and 0 <= v < self.p):
@@ -112,8 +114,10 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
 
 
 def check_graph_args(family: str, p: int, param: float) -> None:
-    """Raise ValueError unless the generator of `family` takes `param` on p
+    """Raise ValueError unless the generator of `family` takes `param` on p >= 1
     vertices: "ba" an integer in [1, p), "er" one in (0, 1], "geo" one above 0."""
+    if p < 1:
+        raise ValueError(f"p = {p} must be at least 1")
     if family == "ba" and not (float(param).is_integer() and 1 <= param < p):
         raise ValueError(f"ba attachment {param:g} must be an integer in [1, p = {p})")
     if family == "er" and not 0 < param <= 1:

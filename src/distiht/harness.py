@@ -19,9 +19,9 @@ from . import cbdiht as cbdiht_mod
 from . import subgradient as subgrad_mod
 from .diht import (METRICS_COLUMNS, Metrics, StopRule, default_step_constant,
                    run_diht, write_metrics_csv)
-from .graphs import (AssumptionViolation, Graph, check_graph_args, check_subgraph_count,
-                     gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
-                     gen_tv_schedule, static_schedule)
+from .graphs import (AssumptionViolation, Graph, TvSchedule, check_graph_args,
+                     check_subgraph_count, gen_barabasi_albert, gen_erdos_renyi,
+                     gen_geometric, gen_tv_schedule, static_schedule)
 from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht, truth_bound, write_csv
 from .model import Problem, check_problem_args, generate_problem, mixed_gradients
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
@@ -261,11 +261,10 @@ def _stop(cfg: ExperimentConfig) -> StopRule:
     return StopRule(tol=min(cfg.accuracies), max_iters=cfg.max_iters)
 
 
-def _run_iht(problem, graph, schedule, cfg) -> RunResult:
+def _run_iht(problem, schedule, cfg) -> RunResult:
     a, b = (v[None] for v in problem.stacked())  # one slice; x is K-sparse
     l = cfg.l if cfg.l is not None else default_step_constant(problem)
-    config = IhtConfig(l=l, k=problem.k, max_iters=cfg.max_iters,
-                       tol=min(cfg.accuracies), x_init=np.zeros(problem.n))
+    config = IhtConfig(l=l, k=problem.k, max_iters=cfg.max_iters, tol=min(cfg.accuracies))
     ones = np.ones((1, 1))
     trace = run_iht(lambda x: mixed_gradients(a, b, x, np.flatnonzero(x), ones)[0],
                     problem.x_star, config, keep_iterates=False)
@@ -274,18 +273,17 @@ def _run_iht(problem, graph, schedule, cfg) -> RunResult:
     return _result(problem, cfg, metrics, errors, trace.converged_at, trace=trace)
 
 
-def _run_diht(problem, graph, schedule, cfg) -> RunResult:
-    if schedule is not None:
+def _run_diht(problem, schedule, cfg) -> RunResult:
+    if cfg.time_varying:
         raise ValueError("the tree-based algorithm needs a static network")
-    run = run_diht(problem, graph, l=cfg.l, stop=_stop(cfg), keep_iterates=False)
+    run = run_diht(problem, schedule.base, l=cfg.l, stop=_stop(cfg), keep_iterates=False)
     return _result(problem, cfg, run.metrics, run.trace.errors_vs_truth[1:],
                    run.trace.converged_at)
 
 
-def _run_cbdiht(problem, graph, schedule, cfg) -> RunResult:
-    run = cbdiht_mod.run_cbdiht(
-        problem, schedule if schedule is not None else static_schedule(graph),
-        l_tv=cfg.l_tv, stop=_stop(cfg), keep_iterates=False)
+def _run_cbdiht(problem, schedule, cfg) -> RunResult:
+    run = cbdiht_mod.run_cbdiht(problem, schedule, l_tv=cfg.l_tv, stop=_stop(cfg),
+                                keep_iterates=False)
     # err is agent 0's error; the crossings are the worst agent's
     run.metrics.columns["worst_err"] = np.asarray(run.worst_errors, dtype=float)
     return _result(problem, cfg, run.metrics, run.worst_errors,
@@ -305,23 +303,23 @@ def _subgrad_result(problem, cfg, trace, metrics) -> RunResult:
     return result
 
 
-def _run_subgrad(problem, graph, schedule, cfg) -> RunResult:
+def _run_subgrad(problem, schedule, cfg) -> RunResult:
     return _subgrad_result(problem, cfg, *subgrad_mod.run_subgradient(
-        problem, schedule if schedule is not None else graph, _subgrad_config(cfg)))
+        problem, schedule, _subgrad_config(cfg)))
 
 
-# name -> runner(problem, graph, schedule or None, cfg) -> RunResult
+# name -> runner(problem, schedule, cfg) -> RunResult
 ALGORITHMS = {"iht": _run_iht, "diht": _run_diht, "cbdiht": _run_cbdiht,
               "subgrad": _run_subgrad}
 
 
 def _network(problem: Problem, spec: GraphSpec, graph_seed: int,
-             cfg: ExperimentConfig) -> tuple:
-    """A cell's graph, and its schedule when the config is time-varying."""
+             cfg: ExperimentConfig) -> TvSchedule:
+    """A cell's network: a periodic schedule drawn from its graph when the
+    config is time-varying, else the graph as a one-phase schedule."""
     graph = spec.build(problem.p, graph_seed)
-    return graph, (gen_tv_schedule(graph, cfg.subgraph_count,
-                                   graph_seed + SCHEDULE_SEED_OFFSET)
-                   if cfg.time_varying else None)
+    return (gen_tv_schedule(graph, cfg.subgraph_count, graph_seed + SCHEDULE_SEED_OFFSET)
+            if cfg.time_varying else static_schedule(graph))
 
 
 def run_cell(problem: Problem, spec: GraphSpec, graph_seed: int, algorithm: str,
@@ -329,7 +327,7 @@ def run_cell(problem: Problem, spec: GraphSpec, graph_seed: int, algorithm: str,
     """One (graph instance, algorithm) run of the grid."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return ALGORITHMS[algorithm](problem, *_network(problem, spec, graph_seed, cfg), cfg)
+    return ALGORITHMS[algorithm](problem, _network(problem, spec, graph_seed, cfg), cfg)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -356,13 +354,12 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                         if algo != "subgrad":
                             cells[-1][-1] = run_cell(problem, spec, gseed, algo, cfg)
                             continue
-                        graph, schedule = _network(problem, spec, gseed, cfg)
+                        schedule = _network(problem, spec, gseed, cfg)
                         config = _subgrad_config(cfg)  # the same for every batch
                         slices = slices or subgrad_mod.orthonormal_slices(problem)
                     except (ValueError, NumericFailure, AssumptionViolation) as exc:
                         cells[-1][-1] = f"{type(exc).__name__}: {exc}"
                         continue
-                    schedule = schedule or static_schedule(graph)
                     batches.setdefault((slices[0].shape, schedule.period), []).append(
                         (cells[-1], (problem, schedule, slices)))
     for group in batches.values():

@@ -56,7 +56,7 @@ class IhtConfig:
     k: int
     max_iters: int = 1000
     tol: float = 0.0
-    x_init: np.ndarray = None
+    x_init: np.ndarray = None  # None: the zero start
 
     def __post_init__(self):
         if not 0 < self.l < np.inf:
@@ -77,7 +77,6 @@ class IhtTrace:
     errors_vs_truth: list = field(default_factory=list)
     eps_norms: list = field(default_factory=list)
     step_deltas: list = field(default_factory=list)  # ||x^k - x^{k+1}||^2
-    f_values: list = field(default_factory=list)
     converged_at: Optional[int] = None
 
     @property
@@ -94,16 +93,17 @@ def truth_bound(x_star: np.ndarray, tol: float) -> float:
     return tol * max(float(np.linalg.norm(x_star)), 1e-300) if tol > 0 else -1.0
 
 
-def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
-         keep_iterates: bool = True, measure=None) -> IhtTrace:
-    """IHT's loop x <- T_k(x - g/l), g = grad_fn(x) (+ injector(k)), until
-    measure(x) is within truth_bound(x_star, config.tol) (asked of the start,
-    then after every step; by default the error ||x - x_star|| just recorded)
-    or the budget ends."""
-    if config.x_init is None:
-        raise ValueError("config.x_init is required to size the run")
+def run_iht(grad_fn: Callable[[np.ndarray], np.ndarray], x_star: np.ndarray,
+            config: IhtConfig, keep_iterates: bool = True, measure=None) -> IhtTrace:
+    """IHT's one loop, x <- T_k(x - g/l) with g = grad_fn(x), from config.x_init
+    (the zero start if unset), until measure(x) is within truth_bound(x_star,
+    config.tol) (asked of the start, then after every step; by default the
+    error ||x - x_star|| just recorded) or the budget ends.
+
+    With keep_iterates off, the trace holds only the last iterate.
+    """
     bound = truth_bound(x_star, config.tol)
-    x = config.x_init.copy()
+    x = np.zeros(len(x_star)) if config.x_init is None else config.x_init.copy()
     trace = IhtTrace()
     measure = measure or (lambda _: trace.errors_vs_truth[-1])
 
@@ -113,8 +113,6 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
         else:
             trace.iterates[-1] = xk
         trace.errors_vs_truth.append(float(np.linalg.norm(xk - x_star)))
-        if loss_fn is not None:
-            trace.f_values.append(float(loss_fn(xk)))
 
     record(x)
     if measure(x) <= bound:
@@ -124,10 +122,6 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
         g = np.asarray(grad_fn(x), dtype=float)
         if not np.all(np.isfinite(g)):
             raise NumericFailure(k, "gradient")
-        if injector is not None:
-            eps = np.asarray(injector(k), dtype=float)
-            trace.eps_norms.append(float(np.linalg.norm(eps)))
-            g = g + eps
         x_next = hard_threshold(x - g / config.l, config.k)
         if not np.all(np.isfinite(x_next)):
             raise NumericFailure(k, "iterate")
@@ -140,22 +134,21 @@ def _run(grad_fn, injector, x_star, config: IhtConfig, loss_fn,
     return trace
 
 
-def run_iht(grad_fn: Callable[[np.ndarray], np.ndarray],
-            x_star: np.ndarray, config: IhtConfig,
-            loss_fn=None, keep_iterates: bool = True) -> IhtTrace:
-    """Exact-gradient IHT: x <- T_k(x - grad(x)/l) until tol or budget.
-
-    With keep_iterates off, the trace holds only the last iterate.
-    """
-    return _run(grad_fn, None, x_star, config, loss_fn, keep_iterates)
-
-
 def run_inexact_iht(grad_fn: Callable[[np.ndarray], np.ndarray],
-                    error_injector: Callable[[int], np.ndarray],
-                    x_star: np.ndarray, config: IhtConfig,
-                    loss_fn=None) -> IhtTrace:
-    """IHT where iteration k uses grad(x) + error_injector(k) in the step."""
-    return _run(grad_fn, error_injector, x_star, config, loss_fn)
+                    error_fn: Callable[[int], np.ndarray],
+                    x_star: np.ndarray, config: IhtConfig) -> IhtTrace:
+    """IHT where iteration k steps along grad(x) + error_fn(k): run_iht with a
+    gradient oracle that adds the error and records its norm in eps_norms."""
+    eps_norms = []
+
+    def gradient(x):
+        eps = np.asarray(error_fn(len(eps_norms)), dtype=float)
+        eps_norms.append(float(np.linalg.norm(eps)))
+        return np.asarray(grad_fn(x), dtype=float) + eps
+
+    trace = run_iht(gradient, x_star, config)
+    trace.eps_norms = eps_norms
+    return trace
 
 
 @dataclass
@@ -211,12 +204,11 @@ def write_csv(path: str, header, rows=(), columns=None) -> None:
 def write_trace_csv(trace: IhtTrace, path: str) -> None:
     """Dump a run as CSV with one row per iterate, kept or not.
 
-    Columns: iter, err_vs_truth, f_value, eps_norm, step_delta_sq.  Fields
-    that were not recorded are left empty.  eps_norm and step_delta_sq on
-    row i describe the step from iterate i to i+1.
+    Columns: iter, err_vs_truth, eps_norm, step_delta_sq.  Fields that were
+    not recorded are left empty.  eps_norm and step_delta_sq on row i
+    describe the step from iterate i to i+1.
     """
-    columns = (trace.errors_vs_truth, trace.f_values, trace.eps_norms,
-               trace.step_deltas)
-    write_csv(path, ["iter", "err_vs_truth", "f_value", "eps_norm", "step_delta_sq"],
+    columns = (trace.errors_vs_truth, trace.eps_norms, trace.step_deltas)
+    write_csv(path, ["iter", "err_vs_truth", "eps_norm", "step_delta_sq"],
               ([i] + [seq[i] if i < len(seq) else None for seq in columns]
                for i in range(len(trace.step_deltas) + 1)))

@@ -69,7 +69,7 @@ class SubgradTrace:
 
 
 def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule],
-                    config: Optional[SubgradConfig] = None) -> tuple:
+                    config: SubgradConfig) -> tuple:
     """Run the baseline as a lockstep batch of one; returns (SubgradTrace, Metrics).
 
     Convergence is declared when every agent's estimate is within tol of the
@@ -84,7 +84,7 @@ def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule
     if schedule.p != problem.p:
         raise ValueError("network and problem disagree on the agent count")
     return next(run_lockstep([(problem, schedule, orthonormal_slices(problem))],
-                             config or SubgradConfig()))
+                             config))
 
 
 def run_lockstep(members: list, config: SubgradConfig) -> Iterator[tuple]:

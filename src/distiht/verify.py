@@ -196,11 +196,12 @@ SUITES = {
 
 def run_suites(names=None, out_dir=None) -> bool:
     names = list(names) if names else list(SUITES)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:  # before any suite runs or writes
+        raise ValueError(f"unknown suite {unknown[0]!r}; choose from "
+                         f"{', '.join(sorted(SUITES))}")
     all_ok = True
     for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from "
-                             f"{', '.join(sorted(SUITES))}")
         ok, detail = SUITES[name](out_dir)
         all_ok &= ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -3,14 +3,17 @@ sort, the brute-force spark oracle that validates test instances, the
 per-iteration descent-gap inequality, max-consensus flooding over a
 schedule, neighbour lists by one scan per agent, the diffusive machine that
 kept each instance's contributions, the subgradient baseline's one-run
-loop, the per-cell experiment grid, and the row-wise curve writer."""
+loop, the per-cell experiment grid, the row-wise curve writer, and the
+CB-DIHT settings that no product path changes."""
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
+from unittest import mock
 
 import numpy as np
 
-from distiht import consensus
+from distiht import cbdiht, consensus
 from distiht.consensus import (Links, _decode, _directed, _entry, _key, _transition,
                                directed_links, metropolis_weights)
 from distiht.diht import METRICS_COLUMNS, Metrics
@@ -366,3 +369,17 @@ def rowwise_write_metrics_csv(metrics: Metrics, path: str, extra_columns=()) -> 
     """The curve file written one dict per row, one field at a time."""
     cols = METRICS_COLUMNS + list(extra_columns)
     write_csv(path, cols, ([row.get(c) for c in cols] for row in metrics.per_iteration))
+
+
+@contextmanager
+def cbdiht_settings(steps=None, checked=True):
+    """Inside the block, run_cbdiht grants outer iteration k steps(k, x_k)
+    averaging steps (None: consensus_steps), and with checked off it runs on
+    a schedule that validate_connectivity_window would reject."""
+    with ExitStack() as stack:
+        if steps is not None:
+            stack.enter_context(mock.patch.object(cbdiht, "consensus_steps", steps))
+        if not checked:
+            stack.enter_context(mock.patch.object(
+                cbdiht, "validate_connectivity_window", lambda schedule: 0))
+        yield

@@ -224,14 +224,14 @@ def test_criterion_8_descent_and_step_sum_checks():
         l = 1.25 * l_f
         eps = [0.6 ** k * rng.standard_normal(40) for k in range(150)]
         config = IhtConfig(l=l, k=3, max_iters=150, tol=0, x_init=np.zeros(40))
-        exact = run_iht(grad, prob.x_star, config, loss_fn=loss)
-        inexact = run_inexact_iht(grad, lambda k: eps[k], prob.x_star, config,
-                                  loss_fn=loss)
+        exact = run_iht(grad, prob.x_star, config)
+        inexact = run_inexact_iht(grad, lambda k: eps[k], prob.x_star, config)
         for tr, errs in ((exact, None), (inexact, eps)):
+            f_values = [loss(x) for x in tr.iterates]
             for k in range(len(tr.step_deltas)):
                 delta = tr.iterates[k] - tr.iterates[k + 1]
                 e_k = None if errs is None else errs[k]
-                ok &= descent_gap_check((tr.f_values[k], tr.f_values[k + 1]),
+                ok &= descent_gap_check((f_values[k], f_values[k + 1]),
                                         delta, e_k, l, l_f)
             deltas = np.array(tr.step_deltas)
             ok &= bool(np.isfinite(deltas.sum()))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from distiht.graphs import (AssumptionViolation, Graph, TvSchedule,
 from distiht.iht import IhtConfig, NumericFailure, hard_threshold, run_iht
 from distiht.model import (generate_problem, lipschitz_of_slice,
                            loss_gradient, loss_info)
-from oracles import max_consensus
+from oracles import cbdiht_settings, max_consensus
 
 
 def complete_graph(p):
@@ -80,8 +82,8 @@ class TestRunCbdiht:
     def test_exact_average_limit_tracks_centralized(self):
         prob = desk_problem(2)
         sched = static_schedule(complete_graph(6))
-        run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=30),
-                         s_fn=lambda k, x: 120)
+        with cbdiht_settings(steps=lambda k, x: 120):
+            run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=30))
         eps_sq = epsilon_series(run)
         assert eps_sq.max() <= 1e-12
         # with a vanishing error the evolution is centralized IHT at p * l_tv
@@ -136,11 +138,12 @@ class TestRunCbdiht:
                                             keep_iterates=False))
         np.testing.assert_allclose(compact, full, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("s_fn", [None, lambda k, x: 1, lambda k, x: 120])
-    def test_eps_record_matches_recompute(self, s_fn):
+    @pytest.mark.parametrize("steps", [None, lambda k, x: 1, lambda k, x: 120])
+    def test_eps_record_matches_recompute(self, steps):
         prob = desk_problem(9)
         sched = gen_tv_schedule(gen_erdos_renyi(6, 0.5, 10), 10, 11)
-        run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=60), s_fn=s_fn)
+        with cbdiht_settings(steps=steps):
+            run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=60))
         # eps is a difference of nearly equal terms, and near the optimum so is
         # every slice gradient 2 a^T a x - 2 a^T b: it agrees within 1e-12 of
         # their size, p ||v_hat|| + sum_q (||2 a_q^T a_q x_k|| + ||2 a_q^T b_q||)
@@ -156,8 +159,8 @@ class TestRunCbdiht:
         prob = desk_problem(12)
         g = gen_erdos_renyi(6, 0.5, 13)
         sched = gen_tv_schedule(g, 10, 14)
-        run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=50),
-                         s_fn=lambda k, x: 1)
+        with cbdiht_settings(steps=lambda k, x: 1):
+            run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=50))
         assert np.all(np.isfinite(epsilon_series(run)))
 
     def test_instance_numbers_monotone_and_joined(self):
@@ -188,16 +191,15 @@ class TestRunCbdiht:
         prob = desk_problem(20)
         sched = static_schedule(complete_graph(6))
         with pytest.raises(Exception):
-            run_cbdiht(prob, sched, l_tv=-1.0)
+            run_cbdiht(prob, sched, l_tv=-1.0, stop=StopRule())
         with pytest.warns(RuntimeWarning):
             run_cbdiht(prob, sched, l_tv=1e-9,
                        stop=StopRule(tol=0, max_iters=1))
 
     def test_start_within_tolerance_stops_at_zero_iterations(self):
-        prob = desk_problem(22)
+        prob = dataclasses.replace(desk_problem(22), x_star=np.zeros(50))
         sched = gen_tv_schedule(gen_erdos_renyi(6, 0.6, 3), 4, seed=4)
-        run = run_cbdiht(prob, sched, stop=StopRule(tol=1e-2, max_iters=50),
-                         x_init=prob.x_star)
+        run = run_cbdiht(prob, sched, stop=StopRule(tol=1e-2, max_iters=50))
         assert run.global_converged_at == 0 == run.agent1_trace.converged_at
         assert run.agent1_converged_at == 0
         assert run.s_schedule == [] and run.v_hats == [] and run.worst_errors == []
@@ -245,8 +247,8 @@ class TestValueAccounting:
     def test_initiate_and_vector_counting_two_agents(self):
         prob = generate_problem(10, 4, 2, 2, seed=22)
         sched = static_schedule(Graph(p=2, edges=[(0, 1)]))
-        run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=1),
-                         s_fn=lambda k, x: 3)
+        with cbdiht_settings(steps=lambda k, x: 3):
+            run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=1))
         # step 0: one INITIATE (2k values); steps 1-2: both ship n-vectors
         k, n = prob.k, prob.n
         assert run.metrics.values_sent == 2 * k + 2 * n + 2 * n
@@ -257,8 +259,8 @@ class TestValueAccounting:
         base = Graph(p=3, edges=[(0, 1), (1, 2)])
         sched = TvSchedule(base=base, subgraphs=[[(0, 1)], [(0, 1), (1, 2)]])
         prob = generate_problem(12, 6, 2, 3, seed=23)
-        run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=1),
-                         s_fn=lambda k, x: 1)
+        with cbdiht_settings(steps=lambda k, x: 1):
+            run = run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=1))
         # only the initiate from agent 0 to agent 1 was sent in step 0
         assert run.metrics.values_sent == 2 * prob.k
         assert run.metrics.messages_sent == 1

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from oracles import cbdiht_settings
 
 from distiht.cbdiht import CbDihtRun, consensus_steps, default_l_tv, run_cbdiht
 from distiht.diht import StopRule
@@ -281,10 +282,11 @@ def test_matches_reference_loop(p, seed, count, retain, steps, tol, max_iters):
     prob = generate_problem(40, 4 * p, 3, p, seed=seed, ensemble="tight-frame")
     sched = random_schedule(p, seed, count, retain)
     s_fn = None if steps is None else (lambda k, x: steps)
-    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters), s_fn=s_fn,
-                  validate_schedule=False)
-    assert_runs_equal(run_cbdiht(prob, sched, **kwargs),
-                      reference_run_cbdiht(prob, sched, **kwargs))
+    stop = StopRule(tol=tol, max_iters=max_iters)
+    with cbdiht_settings(steps=s_fn, checked=False):
+        fast = run_cbdiht(prob, sched, stop=stop)
+    assert_runs_equal(fast, reference_run_cbdiht(prob, sched, stop=stop, s_fn=s_fn,
+                                                 validate_schedule=False))
 
 
 def test_matches_reference_with_stale_instances():
@@ -293,9 +295,10 @@ def test_matches_reference_with_stale_instances():
     prob = generate_problem(40, 32, 3, p, seed=5, ensemble="tight-frame")
     ring = Graph(p=p, edges=[(i, (i + 1) % p) for i in range(p)])
     sched = TvSchedule(base=ring, subgraphs=[ring.edges[:4], ring.edges[4:]])
-    kwargs = dict(stop=StopRule(tol=0, max_iters=15), s_fn=lambda k, x: 1)
-    fast = run_cbdiht(prob, sched, **kwargs)
-    assert_runs_equal(fast, reference_run_cbdiht(prob, sched, **kwargs))
+    stop, s_fn = StopRule(tol=0, max_iters=15), lambda k, x: 1
+    with cbdiht_settings(steps=s_fn):
+        fast = run_cbdiht(prob, sched, stop=stop)
+    assert_runs_equal(fast, reference_run_cbdiht(prob, sched, stop=stop, s_fn=s_fn))
     assert min(fast.per_agent_last_iter) < fast.per_agent_last_iter[0] - 1
 
 
@@ -308,9 +311,10 @@ def test_metrics_rows_match_reference_loop(p, seed, count, steps, tol, max_iters
     prob = generate_problem(40, 4 * p, 3, p, seed=seed, ensemble="tight-frame")
     sched = random_schedule(p, seed, count, 0.5)
     s_fn = None if steps is None else (lambda k, x: steps)
-    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters), s_fn=s_fn,
-                  validate_schedule=False, keep_iterates=False)
-    fast = run_cbdiht(prob, sched, **kwargs)
+    stop = StopRule(tol=tol, max_iters=max_iters)
+    with cbdiht_settings(steps=s_fn, checked=False):
+        fast = run_cbdiht(prob, sched, stop=stop, keep_iterates=False)
+    kwargs = dict(stop=stop, s_fn=s_fn, validate_schedule=False, keep_iterates=False)
     slow = reference_run_cbdiht(prob, sched, **kwargs)
     # the same reference run with every iterate kept sizes the eps bound
     scales = eps_scales(reference_run_cbdiht(prob, sched,

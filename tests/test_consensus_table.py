@@ -18,7 +18,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import BasisConsensus, assert_matches_basis_machine, cost_row
+from oracles import (BasisConsensus, assert_matches_basis_machine, cbdiht_settings,
+                     cost_row)
 
 from distiht import cbdiht, consensus
 from distiht.cbdiht import run_cbdiht
@@ -299,8 +300,9 @@ def test_table_stops_growing_with_an_agent_cut_off(machines):
     problem = generate_problem(30, 12, 2, p, seed=6, ensemble="tight-frame")
     sizes = []
     for budget in (60, 240):
-        run = run_cbdiht(problem, schedule, stop=StopRule(tol=1e-9, max_iters=budget),
-                         keep_iterates=False, validate_schedule=False)
+        with cbdiht_settings(checked=False):
+            run = run_cbdiht(problem, schedule, stop=StopRule(tol=1e-9, max_iters=budget),
+                             keep_iterates=False)
         assert len(run.s_schedule) == budget and run.per_agent_last_iter[-1] == -1
         sizes.append(len(machines[-1]._table))
     assert sizes[0] == sizes[1] <= consensus.TABLE_CAP

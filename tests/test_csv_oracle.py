@@ -9,7 +9,6 @@ byte for byte, whenever no field needs quoting.
 import csv
 import os
 
-import numpy as np
 import pytest
 
 from distiht import verify
@@ -121,10 +120,10 @@ def reference_write_trace_csv(trace: IhtTrace, path: str) -> None:
         return f"{seq[i]:.17g}" if i < len(seq) else ""
 
     with open(path, "w") as fh:
-        fh.write("iter,err_vs_truth,f_value,eps_norm,step_delta_sq\n")
+        fh.write("iter,err_vs_truth,eps_norm,step_delta_sq\n")
         for i in range(len(trace.step_deltas) + 1):
             fh.write(",".join([str(i), cell(trace.errors_vs_truth, i),
-                               cell(trace.f_values, i), cell(trace.eps_norms, i),
+                               cell(trace.eps_norms, i),
                                cell(trace.step_deltas, i)]) + "\n")
 
 
@@ -176,9 +175,9 @@ def test_metrics_and_trace_match_reference(algorithm, tmp_path):
               extra_columns=result.extra_columns)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     if algorithm == "iht":
-        # columns of three lengths: every row, all but the last, the first two
+        # columns of three lengths: every row, all but the last (the step
+        # deltas), the first two
         trace = result.trace
-        trace.f_values = [float(v) for v in np.linspace(1.0, 0.0, len(trace.step_deltas))]
         trace.eps_norms = [0.1, 1e-300]
         write_trace_csv(trace, str(tmp_path / "got-trace.csv"))
         reference_write_trace_csv(trace, str(tmp_path / "want-trace.csv"))

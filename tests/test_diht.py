@@ -117,12 +117,11 @@ class TestRunDiht:
         prob = generate_problem(40, 20, 3, 5, seed=11)
         g = gen_barabasi_albert(5, 2, seed=12)
         x_init = np.zeros(prob.n)
-        x_init[[0, 7]] = [-1.25, 0.5]  # fewer than k nonzeros, index 0 among them
         for iters in (0, 1, 15):
             # a start equal to the ground truth stops before any broadcast
             start = dataclasses.replace(prob, x_star=x_init) if iters == 0 else prob
             stop = StopRule(tol=1e-2) if iters == 0 else StopRule(tol=0, max_iters=iters)
-            run = run_diht(start, g, stop=stop, x_init=x_init)
+            run = run_diht(start, g, stop=stop)
             assert len(run.trace.step_deltas) == iters
             assert_agents_hold_last_broadcast(run, prob.k, x_init)
 
@@ -188,7 +187,7 @@ class TestRunDiht:
     def test_graph_problem_mismatch(self):
         prob = generate_problem(30, 12, 2, 4, seed=26)
         with pytest.raises(ValueError):
-            run_diht(prob, gen_erdos_renyi(5, 0.5, 27))
+            run_diht(prob, gen_erdos_renyi(5, 0.5, 27), stop=StopRule())
 
 
 def test_metrics_csv(tmp_path):

@@ -23,7 +23,7 @@ bit.  Every agent's copy is, byte for byte, the decode of the last
 iterate broadcast.
 """
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ from distiht.diht import (DihtRun, Metrics as RunMetrics, StopRule, _tree_sum,
                           default_step_constant, run_diht)
 from distiht.graphs import (Graph, SpanningTree, bfs_spanning_tree,
                             gen_barabasi_albert, gen_erdos_renyi, gen_geometric)
-from distiht.iht import IhtConfig, IhtTrace, NumericFailure, _run, hard_threshold
+from distiht.iht import IhtConfig, IhtTrace, NumericFailure, hard_threshold, run_iht
 from distiht.model import Problem, generate_problem, loss_gradient, loss_info, padded_slices
 
 
@@ -197,8 +197,7 @@ def reference_run_diht(problem: Problem, graph: Graph, l: Optional[float] = None
                    metrics=metrics, trace=trace, l=l)
 
 
-def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule,
-                   x_init: Optional[np.ndarray] = None) -> DihtRun:
+def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule) -> DihtRun:
     """run_diht on the shared loop, with every agent's decoded copy of the
     iterate held as one row of a (p, n) block and the batched gradients
     taken at the rows."""
@@ -206,9 +205,8 @@ def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule,
     l = default_step_constant(problem)
 
     tree = bfs_spanning_tree(graph, root=0)
-    x0 = np.zeros(problem.n) if x_init is None else np.asarray(x_init, dtype=float)
     a, b = padded_slices(problem.slices)
-    estimates = np.tile(x0, (problem.p, 1))  # row q: agent q's copy of the iterate
+    estimates = np.zeros((problem.p, problem.n))  # row q: agent q's copy of the iterate
 
     def gradient(x):
         # broadcast phase: the iterate travels down the tree as at most k
@@ -220,8 +218,8 @@ def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule,
         estimates[:, support] = x[support]
         return _tree_sum(tree, batched_gradients(a, b, estimates))
 
-    config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol, x_init=x0)
-    trace = _run(gradient, None, problem.x_star, config, None)
+    config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol)
+    trace = run_iht(gradient, problem.x_star, config)
 
     nonleaf = sum(1 for v in range(tree.p) if tree.children[v])
     up_values = (problem.p - 1) * problem.n
@@ -275,46 +273,41 @@ def draw_graph(family, p, seed):
 @given(p=st.integers(1, 7), family=st.sampled_from(["er", "ba", "geo"]),
        seed=st.integers(0, 10 ** 6),
        tol=st.sampled_from([0.0, 1e-1, 1e-2, 1e-5]), keep_iterates=st.booleans(),
-       start=st.booleans(), scaled_l=st.booleans(), max_iters=st.integers(1, 40))
-def test_matches_reference_loop(p, family, seed, tol, keep_iterates, start, scaled_l,
-                                max_iters):
+       scaled_l=st.booleans(), max_iters=st.integers(1, 40))
+def test_matches_reference_loop(p, family, seed, tol, keep_iterates, scaled_l, max_iters):
     rng = np.random.default_rng(seed)
     n, m, k = (int(rng.integers(8, 30)), int(rng.integers(p, 3 * p + 6)),
                int(rng.integers(1, 4)))
     ensemble = "tight-frame" if m <= n and rng.random() < 0.5 else "gaussian"
     prob = generate_problem(n, m, k, p, seed=seed, ensemble=ensemble)
     graph = draw_graph(family, p, seed)
-    x_init = None
-    if start:
-        x_init = np.zeros(n)
-        x_init[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
     if tol > 0:
-        x0 = np.zeros(n) if x_init is None else x_init
         ref = prob.x_star
         # the shared loop stops at a start that already meets the tolerance
-        assume(np.linalg.norm(x0 - ref) > tol * max(np.linalg.norm(ref), 1e-300))
+        assume(np.linalg.norm(ref) > tol * max(np.linalg.norm(ref), 1e-300))
     kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters),
-                  x_init=x_init, keep_iterates=keep_iterates,
+                  keep_iterates=keep_iterates,
                   l=1.5 * loss_info(prob).lipschitz_global if scaled_l else None)
     fast = run_diht(prob, graph, **kwargs)
     assert_runs_equal(fast, reference_run_diht(prob, graph, **kwargs))
     if keep_iterates:  # else the last broadcast iterate is not kept
-        assert_agents_hold_last_broadcast(fast, k, np.zeros(n) if x_init is None else x_init)
+        assert_agents_hold_last_broadcast(fast, k, np.zeros(n))
 
 
 def test_start_within_tolerance_stops_at_zero_iterations():
     prob = generate_problem(40, 20, 3, 5, seed=3, ensemble="tight-frame")
     graph = gen_erdos_renyi(5, 0.6, 4)
-    kwargs = dict(stop=StopRule(tol=1e-2, max_iters=50), x_init=prob.x_star)
-    run = run_diht(prob, graph, **kwargs)
+    stop = StopRule(tol=1e-2, max_iters=50)
+    run = run_diht(replace(prob, x_star=np.zeros(40)), graph, stop=stop)
     assert run.trace.converged_at == 0
     assert run.trace.step_deltas == [] and run.metrics.per_iteration == []
     assert len(run.trace.iterates) == 1
-    assert_agents_hold_last_broadcast(run, prob.k, prob.x_star)
+    assert_agents_hold_last_broadcast(run, prob.k, np.zeros(40))
     assert run.metrics.values_sent == 0
     assert run.metrics.messages_sent == run.tree.build_messages
     # the old loop always took one step before testing the tolerance
-    assert reference_run_diht(prob, graph, **kwargs).trace.converged_at == 1
+    assert reference_run_diht(prob, graph, stop=stop,
+                              x_init=prob.x_star).trace.converged_at == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,27 +324,16 @@ def test_tree_sum_matches_list_loop_bit_for_bit(p, family, seed, n):
 @settings(max_examples=80, deadline=None)
 @given(p=st.integers(1, 8), family=st.sampled_from(["er", "ba", "geo"]),
        seed=st.integers(0, 10 ** 6), n=st.integers(1, 60), data=st.data(),
-       tol=st.sampled_from([0.0, 1e-2, 1e-5]), start=st.booleans(),
-       max_iters=st.integers(1, 40))
-def test_k_column_gradient_matches_dense_decode(p, family, seed, n, data, tol, start,
-                                                max_iters):
+       tol=st.sampled_from([0.0, 1e-2, 1e-5]), max_iters=st.integers(1, 40))
+def test_k_column_gradient_matches_dense_decode(p, family, seed, n, data, tol, max_iters):
     k = data.draw(st.integers(1, n), label="k")
     m = data.draw(st.integers(p, 3 * p + 6), label="m")
     prob = generate_problem(n, m, k, p, seed=seed)
     graph = draw_graph(family, p, seed)
-    x_init = None
-    if start:
-        # fewer than k nonzeros where k allows it, index 0 among them
-        rng = np.random.default_rng(seed)
-        count = int(rng.integers(1, k)) if k > 1 else 1
-        x_init = np.zeros(n)
-        x_init[0] = rng.standard_normal()
-        x_init[rng.choice(np.arange(1, n), size=count - 1, replace=False)] = (
-            rng.standard_normal(count - 1))
-    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters), x_init=x_init)
-    fast, slow = run_diht(prob, graph, **kwargs), dense_run_diht(prob, graph, **kwargs)
+    stop = StopRule(tol=tol, max_iters=max_iters)
+    fast, slow = run_diht(prob, graph, stop=stop), dense_run_diht(prob, graph, stop)
     assert fast.l == slow.l
-    x0 = np.zeros(n) if x_init is None else x_init
+    x0 = np.zeros(n)
     assert_agents_hold_last_broadcast(fast, k, x0)
     assert_agents_hold_last_broadcast(slow, k, x0)
     assert fast.trace.converged_at == slow.trace.converged_at

@@ -212,6 +212,16 @@ def test_graph_rejects_self_loops_and_range():
         Graph(p=3, edges=[(0, 5)])
 
 
+@pytest.mark.parametrize("parse, text", [
+    (graph_from_text, "# p=-3\n"),
+    (graph_from_text, "# p=0\n"),
+    (schedule_from_text, "# p=0\n# t=0\n"),
+])
+def test_fewer_than_one_vertex_rejected(parse, text):
+    with pytest.raises(ValueError, match="^p = -?[03] must be at least 1$"):
+        parse(text)
+
+
 def test_schedule_edge_before_first_block_rejected():
     with pytest.raises(ValueError, match="line 2.*before the first '# t='"):
         schedule_from_text("# p=3\n0 1\n# t=0\n1 2\n")

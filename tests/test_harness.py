@@ -9,7 +9,7 @@ import distiht.cli
 import distiht.harness
 from distiht.cbdiht import run_cbdiht
 from distiht.cli import cli
-from distiht.diht import default_step_constant, run_diht
+from distiht.diht import StopRule, default_step_constant, run_diht
 from distiht.graphs import gen_erdos_renyi, static_schedule
 from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_config,
                              parse_config_text, parse_graph_token,
@@ -186,6 +186,14 @@ class TestCli:
     def test_verify_unknown_suite(self):
         assert cli(["verify", "--suite", "nope"]) == 2
 
+    def test_verify_rejects_an_unknown_suite_before_any_runs(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert cli(["verify", "--suite", "thresholding", "--suite", "bogus",
+                    "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and "unknown suite 'bogus'" in captured.err
+        assert not out.exists()
+
     def test_missing_experiment_config(self, capsys):
         assert cli(["experiment", "missing.ini"]) == 2
         assert "not found" in capsys.readouterr().err
@@ -243,7 +251,7 @@ class TestConfigRejects:
 
 class TestRegistry:
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(problem, graph, schedule, cfg):
+        def broken(problem, schedule, cfg):
             raise TypeError("bug")
 
         monkeypatch.setitem(ALGORITHMS, "diht", broken)
@@ -501,9 +509,9 @@ class TestConfigChecked:
         with pytest.raises(ValueError, match="^l = .* must be finite and positive$"):
             IhtConfig(l=value, k=2)
         with pytest.raises(ValueError, match="^l = .* must be finite and positive$"):
-            run_diht(problem, graph, l=value)
+            run_diht(problem, graph, l=value, stop=StopRule())
         with pytest.raises(ValueError, match="^l_tv = .* must be finite and positive$"):
-            run_cbdiht(problem, static_schedule(graph), l_tv=value)
+            run_cbdiht(problem, static_schedule(graph), l_tv=value, stop=StopRule())
 
     @pytest.mark.parametrize("flags, offender", [
         (["--family", "ba", "--param", "2.5"], "ba attachment 2.5"),
@@ -516,6 +524,17 @@ class TestConfigChecked:
         assert cli(["run", "diht", *SMALL, *flags]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and offender in err[0]
+
+    @pytest.mark.parametrize("family, p, param", [("er", "0", "0.5"), ("er", "-2", "0.5"),
+                                                  ("geo", "-2", "0.5"), ("ba", "0", "1")])
+    def test_gen_graph_rejects_fewer_than_one_vertex(self, family, p, param, tmp_path,
+                                                     capsys):
+        out = tmp_path / "g.txt"
+        assert cli(["gen-graph", "--family", family, "--p", p, "--param", param,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"gen-graph: ValueError: p = {p} must be at least 1"]
+        assert not out.exists()
 
     def test_gen_graph_rejects_a_fractional_attachment(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
@@ -585,7 +604,7 @@ def test_iht_cell_takes_the_forward_product_on_the_support(monkeypatch):
         return mixed_gradients(a, b, x, support, weights)
 
     monkeypatch.setattr(distiht.harness, "mixed_gradients", spy)
-    got = ALGORITHMS["iht"](problem, None, None,
+    got = ALGORITHMS["iht"](problem, None,
                             ExperimentConfig(accuracies=[1e-2, 1e-9], max_iters=400))
     a, b = problem.stacked()
     config = IhtConfig(l=default_step_constant(problem), k=4, max_iters=400, tol=1e-9,

@@ -274,6 +274,18 @@ class TestRunInexact:
         assert deltas[quarter:].sum() < 0.10 * deltas.sum()
         assert deltas[-1] < 1e-20
 
+    def test_nonfinite_error_aborts_at_its_iteration(self):
+        # the NaN sits at an entry that thresholding drops, so the iterate
+        # stays finite and only the gradient check can see it
+        prob = generate_problem(40, 20, 3, 4, seed=1)
+        _, _, grad, _ = quadratic(prob)
+        eps = np.zeros(40)
+        eps[5] = np.nan
+        config = IhtConfig(l=1.005 * loss_info(prob).lipschitz_global, k=3, max_iters=30,
+                           tol=0, x_init=np.zeros(40))
+        with pytest.raises(NumericFailure, match="^non-finite gradient at iteration 0$"):
+            run_inexact_iht(grad, lambda k: eps, prob.x_star, config)
+
     def test_limit_is_stationary_on_spark_general_instance(self):
         prob = generate_problem(20, 10, 3, 2, seed=9, ensemble="tight-frame")
         a, _, grad, _ = quadratic(prob)
@@ -325,12 +337,13 @@ class TestDescentGap:
         info = loss_info(prob)
         l = 1.005 * info.lipschitz_global
         config = IhtConfig(l=l, k=3, max_iters=60, tol=0, x_init=np.zeros(40))
-        trace = run_iht(grad, prob.x_star, config, loss_fn=loss)
+        trace = run_iht(grad, prob.x_star, config)
+        f_values = [loss(x) for x in trace.iterates]
         for k in range(len(trace.step_deltas)):
             delta = trace.iterates[k] - trace.iterates[k + 1]
-            assert descent_gap_check((trace.f_values[k], trace.f_values[k + 1]),
+            assert descent_gap_check((f_values[k], f_values[k + 1]),
                                      delta, None, l, info.lipschitz_global)
-            assert trace.f_values[k + 1] <= trace.f_values[k] + 1e-9
+            assert f_values[k + 1] <= f_values[k] + 1e-9
 
     def test_null_step(self):
         assert descent_gap_check((1.0, 1.0), np.zeros(3), None, 2.0, 1.0)
@@ -344,11 +357,11 @@ class TestDescentGap:
         rng = np.random.default_rng(16)
         eps = [0.5 ** k * rng.standard_normal(40) for k in range(120)]
         config = IhtConfig(l=l, k=3, max_iters=120, tol=0, x_init=np.zeros(40))
-        trace = run_inexact_iht(grad, lambda k: eps[k], prob.x_star, config,
-                                loss_fn=loss)
+        trace = run_inexact_iht(grad, lambda k: eps[k], prob.x_star, config)
+        f_values = [loss(x) for x in trace.iterates]
         for k in range(len(trace.step_deltas)):
             delta = trace.iterates[k] - trace.iterates[k + 1]
-            assert descent_gap_check((trace.f_values[k], trace.f_values[k + 1]),
+            assert descent_gap_check((f_values[k], f_values[k + 1]),
                                      delta, eps[k], l, info.lipschitz_global)
 
 
@@ -376,22 +389,22 @@ class TestSpark:
 
 def test_trace_csv(tmp_path):
     prob = generate_problem(30, 15, 3, 3, seed=18)
-    _, _, grad, loss = quadratic(prob)
+    _, _, grad, _ = quadratic(prob)
     config = IhtConfig(l=2.0, k=3, max_iters=10, tol=0, x_init=np.zeros(30))
-    trace = run_iht(grad, prob.x_star, config, loss_fn=loss)
+    trace = run_iht(grad, prob.x_star, config)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, str(path))
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,err_vs_truth,f_value,eps_norm,step_delta_sq"
+    assert lines[0] == "iter,err_vs_truth,eps_norm,step_delta_sq"
     assert len(lines) == len(trace.iterates) + 1
 
 
 def test_trace_csv_does_not_need_the_iterates(tmp_path):
     prob = generate_problem(30, 15, 3, 3, seed=18)
-    _, _, grad, loss = quadratic(prob)
+    _, _, grad, _ = quadratic(prob)
     config = IhtConfig(l=2.0, k=3, max_iters=10, tol=0, x_init=np.zeros(30))
-    kept = run_iht(grad, prob.x_star, config, loss_fn=loss)
-    dropped = run_iht(grad, prob.x_star, config, loss_fn=loss, keep_iterates=False)
+    kept = run_iht(grad, prob.x_star, config)
+    dropped = run_iht(grad, prob.x_star, config, keep_iterates=False)
     assert len(kept.iterates) == 11 and len(dropped.iterates) == 1
     np.testing.assert_array_equal(dropped.final, kept.final)
     write_trace_csv(kept, str(tmp_path / "kept.csv"))

@@ -151,7 +151,7 @@ def reference_run_subgradient(problem: Problem,
     return trace, metrics
 
 
-def run_through_harness(problem, graph, schedule, cfg):
+def run_through_harness(problem, schedule, cfg):
     """The harness runner's result, and the (trace, metrics) its run returned."""
     real, seen = subgradient.run_subgradient, []
 
@@ -160,7 +160,7 @@ def run_through_harness(problem, graph, schedule, cfg):
         return seen[-1]
 
     with mock.patch.object(subgradient, "run_subgradient", spy):
-        result = _run_subgrad(problem, graph, schedule, cfg)
+        result = _run_subgrad(problem, schedule, cfg)
     return (result, *seen[0])
 
 
@@ -179,7 +179,8 @@ def test_matches_reference_loop(p, rows, uneven, seed, time_varying, max_iters,
     schedule = gen_tv_schedule(graph, 3, seed + 1) if time_varying else None
     cfg = ExperimentConfig(step_exponent=exponent, max_iters=max_iters,
                            accuracies=accuracies)
-    result, trace, metrics = run_through_harness(prob, graph, schedule, cfg)
+    result, trace, metrics = run_through_harness(
+        prob, schedule if time_varying else static_schedule(graph), cfg)
     every = max_iters // 2000
     assert every >= 2
     ref_trace, ref_metrics = reference_run_subgradient(
