@@ -16,8 +16,7 @@ import numpy as np
 from .graphs import Graph, SpanningTree, bfs_spanning_tree
 from .iht import IhtConfig, IhtTrace, run_iht, write_csv
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import (Problem, lipschitz_of_slice, mixed_gradients, padded_slices,
-                    stacked_lipschitz)
+from .model import Problem, lipschitz_of_slice, stacked_lipschitz, support_gradient
 from .model import loss_gradient, loss_info  # noqa: F401  rebound by perfbench
 
 
@@ -156,12 +155,11 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None, *,
              stop: StopRule, keep_iterates: bool = True) -> DihtRun:
     """Simulate distributed IHT rooted at agent 0 on a static graph.
 
-    The iteration is centralized IHT whose gradient is the tree sum of the
-    agents' local gradients, taken as one unit-weighted product over the
-    stacked slices, so it equals the tree sum up to rounding; the traffic of
-    every iteration is the same closed form, so the counters are filled in
-    after the run.  The run starts at zero, and stops at 0 iterations if that
-    start meets the tolerance.
+    The iteration is centralized IHT whose gradient, the tree sum of the agents'
+    local gradients at the K broadcast pairs, comes from cached columns of
+    2 A^T A (model.support_gradient) up to rounding; one closed form gives every
+    iteration's traffic, so the counters are filled in after the run.  It starts
+    at zero, and stops at 0 iterations if that start meets the tolerance.
 
     With l unset, the step constant defaults to SAFETY (1.005) times the stacked
     gradient smoothness constant, mirroring the usual practice of running
@@ -183,13 +181,12 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None, *,
                       "not guaranteed", RuntimeWarning)
 
     tree = bfs_spanning_tree(graph, root=0)
-    a, b = padded_slices(problem.slices)
-    ones = np.ones((1, problem.p))  # the convergecast's sum as one weighted product
-    sent = [np.zeros(problem.n), np.zeros(0, int)]  # the last x broadcast, its nonzeros
+    tree_gradient = support_gradient(problem)  # the convergecast's sum, to rounding
+    sent = [np.zeros(problem.n), np.zeros(0, int)]  # the last x broadcast, its indices
 
     def gradient(x):  # every agent decodes the same pairs: x at its first k nonzeros
-        sent[:] = x, np.flatnonzero(x)
-        return mixed_gradients(a, b, x, sent[1][:k], ones)[0]
+        sent[:] = x, np.flatnonzero(x)[:k]
+        return tree_gradient(x, sent[1])
 
     config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol)
     trace = run_iht(gradient, problem.x_star, config, keep_iterates)
@@ -200,7 +197,7 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None, *,
                                  start=(0, tree.build_messages, 0, 0))  # the tree build
 
     estimates = np.zeros((problem.p, problem.n))  # row q: agent q's decoded copy
-    estimates[:, sent[1][:k]] = sent[0][sent[1][:k]]
+    estimates[:, sent[1]] = sent[0][sent[1]]
     return DihtRun(tree=tree, agent_estimates=list(estimates), metrics=metrics,
                    trace=trace, l=l)
 

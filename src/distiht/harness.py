@@ -23,7 +23,7 @@ from .graphs import (AssumptionViolation, Graph, TvSchedule, check_graph_args,
                      check_subgraph_count, gen_barabasi_albert, gen_erdos_renyi,
                      gen_geometric, gen_tv_schedule, static_schedule)
 from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht, truth_bound, write_csv
-from .model import Problem, check_problem_args, generate_problem, mixed_gradients
+from .model import Problem, check_problem_args, generate_problem, support_gradient
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
 CONFIG_SCHEMA_VERSION = 1
@@ -262,12 +262,11 @@ def _stop(cfg: ExperimentConfig) -> StopRule:
 
 
 def _run_iht(problem, schedule, cfg) -> RunResult:
-    a, b = (v[None] for v in problem.stacked())  # one slice; x is K-sparse
     l = cfg.l if cfg.l is not None else default_step_constant(problem)
     config = IhtConfig(l=l, k=problem.k, max_iters=cfg.max_iters, tol=min(cfg.accuracies))
-    ones = np.ones((1, 1))
-    trace = run_iht(lambda x: mixed_gradients(a, b, x, np.flatnonzero(x), ones)[0],
-                    problem.x_star, config, keep_iterates=False)
+    gradient = support_gradient(problem)  # x is K-sparse
+    trace = run_iht(lambda x: gradient(x, np.flatnonzero(x)), problem.x_star, config,
+                    keep_iterates=False)
     errors = trace.errors_vs_truth[1:]  # error after each iteration
     metrics = Metrics.from_costs(errors, np.zeros((len(errors), 4)))  # nothing is sent
     return _result(problem, cfg, metrics, errors, trace.converged_at, trace=trace)

@@ -5,6 +5,7 @@ Also houses the stationarity certificate and the package's one CSV writer.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,7 +33,7 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if k < 0 or k > v.size:
         raise ValueError(f"sparsity {k} out of range for dimension {v.size}")
-    out = np.zeros_like(v)
+    out = np.zeros(v.shape)
     if k == 0:
         return out
     neg = -np.abs(v)
@@ -108,11 +109,10 @@ def run_iht(grad_fn: Callable[[np.ndarray], np.ndarray], x_star: np.ndarray,
     measure = measure or (lambda _: trace.errors_vs_truth[-1])
 
     def record(xk):
-        if keep_iterates or not trace.iterates:
-            trace.iterates.append(xk)
-        else:
-            trace.iterates[-1] = xk
-        trace.errors_vs_truth.append(float(np.linalg.norm(xk - x_star)))
+        if not keep_iterates:
+            trace.iterates.clear()
+        trace.iterates.append(xk)
+        trace.errors_vs_truth.append(math.sqrt((d := xk - x_star).dot(d)))
 
     record(x)
     if measure(x) <= bound:
@@ -125,7 +125,7 @@ def run_iht(grad_fn: Callable[[np.ndarray], np.ndarray], x_star: np.ndarray,
         x_next = hard_threshold(x - g / config.l, config.k)
         if not np.all(np.isfinite(x_next)):
             raise NumericFailure(k, "iterate")
-        trace.step_deltas.append(float(np.linalg.norm(x - x_next) ** 2))
+        trace.step_deltas.append(math.sqrt((d := x - x_next).dot(d)) ** 2)
         record(x_next)
         x = x_next
         if measure(x) <= bound:

@@ -155,6 +155,20 @@ def mixed_gradients(a: np.ndarray, b: np.ndarray, x: np.ndarray, support: np.nda
     return wr.reshape(len(wr), -1) @ a.reshape(-1, a.shape[2])
 
 
+def support_gradient(problem: Problem):
+    """g(x, support): the gradient 2 A^T (A x - b) at an x zero off S = support, as
+    2 (A^T A)[:, S] x_S - 2 A^T b to rounding; g.columns caches each column by index."""
+    a, b = problem.stacked()
+    atb, columns = 2.0 * (b @ a), {}
+
+    def g(x, support):
+        columns.update((j, 2.0 * (a[:, j] @ a)) for j in support if j not in columns)
+        return x[support] @ np.array([columns[j] for j in support]) - atb
+
+    g.columns = columns
+    return g
+
+
 def _row_counts(m: int, p: int) -> list[int]:
     # trailing agents absorb the remainder, one extra row each
     base, extra = divmod(m, p)

@@ -1,42 +1,48 @@
-"""Differential oracles for run_diht: the original loop, kept verbatim, and
-the dense gradient path that the K-column one replaced.
+"""Differential oracles for run_diht: the original loop, kept verbatim, the
+dense gradient path that the K-column one replaced, and the K-column path
+that the cached Gram columns replaced.
 
 The library runs DIHT on centralized IHT's loop with a tree-summed gradient
 oracle and fills the counters from their closed form.  The tree sum of
-the agents' gradients is taken as one weighted product over the stacked
-slices (model.mixed_gradients with unit weights) on the K columns the
-down sweep sends, so no (p, n) block of agent gradients is formed during
-the run.  This file keeps the loop that had its own copy of the stop
-rule, record-keeping and counting, the post-order tree sum, the
-list-based tree sum that the in-place `_tree_sum` replaced (that one still
-serves convergecast_sum and aggregate_lipschitz), and the shared-loop run
-that decoded the sent pairs into one (p, n) row per agent, took the dense
-batched gradients at the rows (test_model.batched_gradients) and summed
-them up the tree.
+the agents' gradients at the K pairs the down sweep sends is taken as
+2 (A^T A)[:, S] x_S - 2 A^T b (model.support_gradient), each column of
+2 A^T A built the first time its index is sent, so no iteration reads all
+of A and no (p, n) block of agent gradients is formed.  This file keeps
+the loop that had its own copy of the stop rule, record-keeping and
+counting, the post-order tree sum, the list-based tree sum that the
+in-place `_tree_sum` replaced (that one still serves convergecast_sum and
+aggregate_lipschitz), the shared-loop run that decoded the sent pairs
+into one (p, n) row per agent, took the dense batched gradients at the
+rows (test_model.batched_gradients) and summed them up the tree, and the
+run that took the sum as one unit-weighted model.mixed_gradients product
+over the padded slice stack on the K columns sent.
 
-Both reference paths round differently from the one product here, so the
+Every reference path rounds differently from the cached columns, so the
 iterates, errors, step sizes and estimates agree to float64 drift (1e-12
 of each series' largest magnitude) rather than bit for bit.  The step
-constant, the stop index, every counter and, against the dense path,
-every iterate's support agree exactly, and the tree sums agree bit for
-bit.  Every agent's copy is, byte for byte, the decode of the last
-iterate broadcast.
+constant, the stop index, every counter and, against the dense and the
+K-column paths, every iterate's support agree exactly, and the tree sums
+agree bit for bit.  Every agent's copy is, byte for byte, the decode of
+the last iterate broadcast.
 """
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from test_diht import assert_agents_hold_last_broadcast
 from test_model import batched_gradients
 
+from distiht import diht
 from distiht.diht import (DihtRun, Metrics as RunMetrics, StopRule, _tree_sum,
                           default_step_constant, run_diht)
 from distiht.graphs import (Graph, SpanningTree, bfs_spanning_tree,
                             gen_barabasi_albert, gen_erdos_renyi, gen_geometric)
 from distiht.iht import IhtConfig, IhtTrace, NumericFailure, hard_threshold, run_iht
-from distiht.model import Problem, generate_problem, loss_gradient, loss_info, padded_slices
+from distiht.model import (Problem, generate_problem, loss_gradient, loss_info,
+                           mixed_gradients, padded_slices)
 
 
 @dataclass
@@ -233,6 +239,21 @@ def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule) -> DihtRun:
                    trace=trace, l=l)
 
 
+def padded_support_gradient(problem: Problem):
+    """The gradient oracle run_diht took before the cached Gram columns: the
+    convergecast's sum as one unit-weighted mixed_gradients product over the
+    padded slice stack, its forward product on the K columns sent."""
+    a, b = padded_slices(problem.slices)
+    ones = np.ones((1, problem.p))
+    return lambda x, support: mixed_gradients(a, b, x, support, ones)[0]
+
+
+def k_column_run_diht(problem: Problem, graph: Graph, **kwargs) -> DihtRun:
+    """run_diht with its gradient taken on the padded slice stack."""
+    with mock.patch.object(diht, "support_gradient", padded_support_gradient):
+        return run_diht(problem, graph, **kwargs)
+
+
 RTOL = 1e-12
 
 
@@ -349,3 +370,37 @@ def test_k_column_gradient_matches_dense_decode(p, family, seed, n, data, tol, m
     assert_close(fast.metrics.columns["err"], slow.metrics.columns["err"])
     assert_close(fast.trace.step_deltas, slow.trace.step_deltas)
     assert_close(fast.agent_estimates, slow.agent_estimates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 8), family=st.sampled_from(["er", "ba", "geo"]),
+       seed=st.integers(0, 10 ** 6), n=st.integers(1, 60), data=st.data(),
+       ensemble=st.sampled_from(["gaussian", "tight-frame"]),
+       tol=st.sampled_from([0.0, 1e-2, 1e-5]), max_iters=st.integers(1, 40),
+       keep_iterates=st.booleans(), scaled_l=st.booleans())
+def test_cached_columns_match_k_column_product(p, family, seed, n, data, ensemble, tol,
+                                               max_iters, keep_iterates, scaled_l):
+    assume(ensemble == "gaussian" or p <= n)  # a tight frame has m <= n rows
+    k = data.draw(st.integers(0, n), label="k")
+    m = data.draw(st.integers(p, n if ensemble == "tight-frame" else 3 * p + 6), label="m")
+    prob = generate_problem(n, m, k, p, seed=seed, ensemble=ensemble)
+    graph = draw_graph(family, p, seed)
+    kwargs = dict(stop=StopRule(tol=tol, max_iters=max_iters), keep_iterates=keep_iterates,
+                  l=1.5 * loss_info(prob).lipschitz_global if scaled_l else None)
+    fast, slow = run_diht(prob, graph, **kwargs), k_column_run_diht(prob, graph, **kwargs)
+    assert fast.l == slow.l
+    assert fast.trace.converged_at == slow.trace.converged_at
+    assert fast.metrics.totals == slow.metrics.totals
+    assert list(fast.metrics.columns) == list(slow.metrics.columns)
+    for name, col in fast.metrics.columns.items():
+        if name != "err":
+            np.testing.assert_array_equal(col, slow.metrics.columns[name])
+    assert len(fast.trace.iterates) == len(slow.trace.iterates)
+    for u, v in zip(fast.trace.iterates, slow.trace.iterates):
+        np.testing.assert_array_equal(np.flatnonzero(u), np.flatnonzero(v))
+    for series in ("iterates", "errors_vs_truth", "step_deltas"):
+        assert_close(getattr(fast.trace, series), getattr(slow.trace, series))
+    assert_close(fast.metrics.columns["err"], slow.metrics.columns["err"])
+    assert_close(fast.agent_estimates, slow.agent_estimates)
+    if keep_iterates:
+        assert_agents_hold_last_broadcast(fast, k, np.zeros(n))

@@ -15,7 +15,7 @@ from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_confi
                              parse_config_text, parse_graph_token,
                              run_experiment, write_report)
 from distiht.iht import IhtConfig, run_iht
-from distiht.model import generate_problem, mixed_gradients
+from distiht.model import generate_problem, stacked_lipschitz, support_gradient
 
 DESK_CONFIG = """
 [meta]
@@ -594,23 +594,32 @@ def test_incomplete_problem_file_exits_2(content, tmp_path):
 
 
 def test_iht_cell_takes_the_forward_product_on_the_support(monkeypatch):
-    # the centralized IHT cell computes 2 A^T (A[:, s] x[s] - b) with s the
-    # iterate's nonzeros; it follows the dense gradient to rounding
+    # the centralized IHT cell computes 2 (A^T A)[:, s] x[s] - 2 A^T b with s
+    # the iterate's nonzeros, and builds a column of A^T A only for an index
+    # of some iterate's support; it follows the dense gradient to rounding
     problem = generate_problem(80, 40, 4, 4, seed=5, ensemble="tight-frame")
-    supports = []
+    oracles, supports = [], set()
 
-    def spy(a, b, x, support, weights):
-        supports.append(len(support))
-        return mixed_gradients(a, b, x, support, weights)
+    def spy(prob):
+        oracles.append(support_gradient(prob))
 
-    monkeypatch.setattr(distiht.harness, "mixed_gradients", spy)
+        def gradient(x, support):
+            np.testing.assert_array_equal(support, np.flatnonzero(x))
+            assert len(support) <= 4
+            supports.update(support.tolist())
+            return oracles[-1](x, support)
+
+        return gradient
+
+    monkeypatch.setattr(distiht.harness, "support_gradient", spy)
     got = ALGORITHMS["iht"](problem, None,
                             ExperimentConfig(accuracies=[1e-2, 1e-9], max_iters=400))
     a, b = problem.stacked()
     config = IhtConfig(l=default_step_constant(problem), k=4, max_iters=400, tol=1e-9,
                        x_init=np.zeros(80))
     want = run_iht(lambda x: 2.0 * (a.T @ (a @ x - b)), problem.x_star, config)
-    assert supports and max(supports) <= 4
+    assert len(oracles) == 1 and supports
+    assert set(oracles[0].columns) == supports
     assert got.converged_at == want.converged_at is not None
     scale = max(want.errors_vs_truth)
     np.testing.assert_allclose(got.trace.errors_vs_truth, want.errors_vs_truth,
@@ -618,3 +627,34 @@ def test_iht_cell_takes_the_forward_product_on_the_support(monkeypatch):
     assert np.array_equal(np.flatnonzero(got.trace.final), np.flatnonzero(want.final))
     np.testing.assert_allclose(got.trace.final, want.final, rtol=1e-12,
                                atol=1e-12 * float(np.max(np.abs(want.final))))
+
+
+@pytest.mark.parametrize("scale", [None, 1.5], ids=["default-l", "l=1.5L"])
+def test_iht_cell_and_diht_take_one_gradient(scale, monkeypatch):
+    # both take 2 A^T (A x - b) from model.support_gradient at the iterate's
+    # nonzeros, so at one step constant their iterates agree bit for bit
+    problem = generate_problem(80, 40, 4, 4, seed=5, ensemble="tight-frame")
+    l = None if scale is None else scale * stacked_lipschitz(problem)
+    points = []
+
+    def spy(prob):
+        oracle = support_gradient(prob)
+
+        def gradient(x, support):
+            points.append(x)
+            return oracle(x, support)
+
+        return gradient
+
+    monkeypatch.setattr(distiht.harness, "support_gradient", spy)
+    cell = ALGORITHMS["iht"](problem, None, ExperimentConfig(
+        accuracies=[1e-2, 1e-9], max_iters=400, l=l))
+    run = run_diht(problem, gen_erdos_renyi(4, 0.5, 0), l=l,
+                   stop=StopRule(tol=1e-9, max_iters=400))
+    assert cell.converged_at == run.trace.converged_at is not None
+    cell_iterates = points + [cell.trace.final]
+    assert len(cell_iterates) == len(run.trace.iterates)
+    for u, v in zip(cell_iterates, run.trace.iterates):
+        assert u.tobytes() == v.tobytes()
+    assert cell.trace.errors_vs_truth == run.trace.errors_vs_truth
+    assert cell.trace.step_deltas == run.trace.step_deltas

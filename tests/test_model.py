@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from distiht import model
 from distiht.cbdiht import run_cbdiht
@@ -12,7 +12,7 @@ from distiht.graphs import (gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
 from distiht.model import (SensingSlice, _split, generate_problem, lipschitz_of_slice,
                            load_problem, loss_gradient, loss_info, loss_value,
                            mixed_gradients, padded_slices, save_problem, spectral_norm,
-                           stacked_lipschitz)
+                           stacked_lipschitz, support_gradient)
 
 
 def slice_of(a, b):
@@ -331,6 +331,61 @@ def test_mixed_gradients_match_weighted_slice_sums(case, nonzeros, j, tmp_path):
     total = mixed_gradients(a, b, x, support, np.ones((1, prob.p)))[0]
     np.testing.assert_allclose(total, 2.0 * (a_full.T @ (a_full @ x - b_full)),
                                rtol=1e-12, atol=1e-12 * np.max(np.abs(total)))
+
+
+def support_case(case, tmp_path):
+    if case == "k=0":  # a zero signal: b is all noise
+        return generate_problem(40, 20, 0, 5, noise_std=0.1, seed=14)
+    if case == "tight-frame":
+        return generate_problem(40, 20, 3, 5, noise_std=0.1, seed=17, ensemble="tight-frame")
+    return gradient_case(case, tmp_path)
+
+
+def assert_stacked_gradient(got, prob, x):
+    """got is 2 A^T (A x - b) and the sum of the slice gradients, within 1e-12."""
+    a, b = prob.stacked()
+    for want in (2.0 * (a.T @ (a @ x - b)), sum(loss_gradient(sl, x) for sl in prob.slices)):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("nonzeros", [3, 0])  # 0: x = 0, an empty support
+@pytest.mark.parametrize("case", ["uniform", "uneven", "one-agent", "k=0", "tight-frame"])
+def test_support_gradient_matches_stacked_and_slice_gradients(case, nonzeros, tmp_path):
+    prob = support_case(case, tmp_path)
+    rng = np.random.default_rng(18)
+    x = np.zeros(prob.n)
+    support = rng.choice(prob.n, size=nonzeros, replace=False)  # in no particular order
+    x[support] = rng.standard_normal(nonzeros)
+    g = support_gradient(prob)
+    got = g(x, support)
+    assert got.shape == (prob.n,)
+    assert_stacked_gradient(got, prob, x)
+    assert sorted(g.columns) == sorted(support.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(supports=st.lists(st.lists(st.integers(0, 39), unique=True, max_size=6), max_size=8),
+       ensemble=st.sampled_from(["gaussian", "tight-frame"]))
+@example(supports=[[], [3], [3, 7], [7, 3, 11, 2], [11], [2, 3], [5, 2, 7], [7, 5, 2], []],
+         ensemble="gaussian")  # grows, shrinks and reorders
+def test_support_gradient_builds_each_column_once(supports, ensemble):
+    prob = generate_problem(40, 20, 3, 5, noise_std=0.1, seed=19, ensemble=ensemble)
+    a = prob.stacked()[0]
+    values = np.random.default_rng(20).standard_normal(prob.n)
+    g = support_gradient(prob)
+    seen, built = set(), {}
+    for support in (np.array(s, dtype=int) for s in supports):
+        x = np.zeros(prob.n)
+        x[support] = values[support]
+        assert_stacked_gradient(g(x, support), prob, x)
+        seen.update(support.tolist())
+        assert set(g.columns) == seen  # a column for every index sent, and no other
+        assert all(g.columns[j] is col for j, col in built.items())  # none rebuilt
+        built = dict(g.columns)
+    for j, col in built.items():
+        np.testing.assert_allclose(col, 2.0 * (a.T @ a[:, j]), rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(col)))
 
 
 def split_as_generated(a, b, row_counts):
