@@ -52,23 +52,37 @@ class Problem:
     p: int
     x_star: np.ndarray
     noise: np.ndarray
-    slices: list[SensingSlice]
+    a: np.ndarray  # (m, n) and (m,), the stacked system, stored once; slice i
+    b: np.ndarray  # is the row view of both from offsets[i] to the next offset
+    offsets: np.ndarray  # (p,)
     seed: int
+    slices: list[SensingSlice] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.a, self.b = np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float)
+        n, m, p = self.n, self.m, self.p
+        for name, shape in (("x_star", (n,)), ("noise", (m,)), ("a", (m, n)), ("b", (m,))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape} for n={n}, m={m}")
+        offsets = self.offsets = np.asarray(self.offsets)
+        if (offsets.shape != (p,) or p < 1 or offsets[0] != 0
+                or np.any(np.diff(offsets) < 0) or offsets[-1] > m):
+            raise ValueError(f"offsets {offsets.tolist()} are not {p} non-decreasing "
+                             f"row starts from 0 to at most m={m}")
         if np.count_nonzero(self.x_star) > self.k:
             raise ValueError("ground truth exceeds the sparsity budget")
-        if sum(s.m_p for s in self.slices) != self.m:
-            raise ValueError("slice rows do not add up to m")
+        self.slices = _split(self.a, self.b, offsets)
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reassemble the full (A, b) from the slices."""
-        return (np.vstack([s.a for s in self.slices]),
-                np.concatenate([s.b for s in self.slices]))
+        """The stored (A, b) as read-only views: no copy, and a write raises."""
+        a, b = self.a.view(), self.b.view()
+        a.flags.writeable = b.flags.writeable = False
+        return a, b
 
     @cached_property
     def _stacked_lipschitz(self) -> float:  # not a field: == and repr skip it
-        return 2.0 * spectral_norm(self.stacked()[0]) ** 2
+        return 2.0 * spectral_norm(self.a) ** 2
 
 
 @dataclass
@@ -233,8 +247,8 @@ def generate_problem(n: int, m: int, k: int, p: int, noise_std: float = 0.0,
     b = a @ x_star + noise
 
     offsets = np.cumsum([0] + _row_counts(m, p))[:-1]
-    return Problem(n=n, m=m, k=k, p=p, x_star=x_star, noise=noise,
-                   slices=_split(a, b, offsets), seed=seed)
+    return Problem(n=n, m=m, k=k, p=p, x_star=x_star, noise=noise, a=a, b=b,
+                   offsets=offsets, seed=seed)
 
 
 def save_problem(problem: Problem, path: str) -> None:
@@ -242,15 +256,12 @@ def save_problem(problem: Problem, path: str) -> None:
 
     Layout (format version 1): scalar fields n, m, k, p, seed and
     format_version; `offsets` gives the first row of each slice in the
-    stacked row-major float64 matrix `a` and vector `b`; `x_star` and
-    `noise` complete the instance.
+    stacked float64 matrix `a` (in the memory order it is stored in) and
+    vector `b`; `x_star` and `noise` complete the instance.
     """
-    a, b = problem.stacked()
-    offsets = np.cumsum([0] + [s.m_p for s in problem.slices])[:-1]
     np.savez(path, format_version=PROBLEM_FORMAT_VERSION,
              n=problem.n, m=problem.m, k=problem.k, p=problem.p,
-             seed=problem.seed, offsets=offsets,
-             a=np.ascontiguousarray(a), b=b,
+             seed=problem.seed, offsets=problem.offsets, a=problem.a, b=problem.b,
              x_star=problem.x_star, noise=problem.noise)
 
 
@@ -267,12 +278,5 @@ def load_problem(path: str) -> Problem:
         raise ValueError(f"not a complete problem archive: {exc}") from None
     if version != PROBLEM_FORMAT_VERSION:
         raise ValueError(f"unsupported problem format version {version}")
-    if a.shape != (m, n) or b.shape != (m,) or x_star.shape != (n,):
-        raise ValueError(f"a {a.shape}, b {b.shape} and x_star {x_star.shape} "
-                         f"do not fit n={n}, m={m}")
-    if (offsets.shape != (p,) or p < 1 or offsets[0] != 0
-            or np.any(np.diff(offsets) < 0) or offsets[-1] > m):
-        raise ValueError(f"offsets {offsets.tolist()} are not {p} non-decreasing "
-                         f"row starts from 0 to at most m={m}")
-    return Problem(n=n, m=m, k=k, p=p, x_star=x_star, noise=noise,
-                   slices=_split(a, b, offsets), seed=seed)
+    return Problem(n=n, m=m, k=k, p=p, x_star=x_star, noise=noise, a=a, b=b,
+                   offsets=offsets, seed=seed)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -247,8 +248,9 @@ def test_problem_roundtrip(tmp_path):
     ("a", lambda v: v[:, :-1]),
     ("b", lambda v: v[:-1]),
     ("x_star", lambda v: np.append(v, 0.0)),
+    ("noise", lambda v: v[:-1]),
 ], ids=["too-few-offsets", "offset-start", "offsets-decrease", "offset-past-m",
-        "a-columns", "b-rows", "x_star-length"])
+        "a-columns", "b-rows", "x_star-length", "noise-length"])
 def test_load_rejects_tampered_container(tmp_path, field, tamper):
     path = str(tmp_path / "prob.npz")
     save_problem(generate_problem(30, 14, 3, 4, seed=11), path)
@@ -258,6 +260,90 @@ def test_load_rejects_tampered_container(tmp_path, field, tamper):
     np.savez(path, **arrays)
     with pytest.raises(ValueError):
         load_problem(path)
+
+
+def stacked_by_copy(prob):
+    """The (A, b) that Problem.stacked rebuilt from the slices on every call
+    before it returned the stored pair; kept as an oracle."""
+    return (np.vstack([s.a for s in prob.slices]),
+            np.concatenate([s.b for s in prob.slices]))
+
+
+def stacked_case(case, tmp_path):
+    if case == "loaded-uneven":
+        prob = uneven_problem(tmp_path)
+        assert [s.m_p for s in prob.slices] == [1, 5, 2, 6]
+        return prob
+    prob = generate_problem(30, 16 if case == "uniform" else 14, 3, 4, noise_std=0.1,
+                            seed=21, ensemble="tight-frame")
+    if case == "loaded":
+        path = str(tmp_path / "prob.npz")
+        save_problem(prob, path)
+        return load_problem(path)
+    return replace(prob, seed=22) if case == "replaced" else prob
+
+
+@pytest.mark.parametrize("case", ["uniform", "uneven", "loaded", "loaded-uneven",
+                                  "replaced"])
+def test_stacked_returns_read_only_views_of_the_stored_pair(case, tmp_path):
+    prob = stacked_case(case, tmp_path)
+    a, b = prob.stacked()
+    want_a, want_b = stacked_by_copy(prob)
+    np.testing.assert_array_equal(a, want_a)
+    np.testing.assert_array_equal(b, want_b)
+    assert all(np.shares_memory(a, s.a) and np.shares_memory(b, s.b) for s in prob.slices)
+    assert not a.flags.writeable and not b.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        b[0] = 1.0
+    # a write into a slice shows through the next stacked() call
+    prob.slices[-1].a[-1, 0] = 7.0
+    prob.slices[-1].b[-1] = np.nan
+    a, b = prob.stacked()
+    assert a[-1, 0] == 7.0 and np.isnan(b[-1])
+
+
+def test_a_saved_problem_runs_as_the_generated_one(tmp_path):
+    # the file keeps the stored matrix's memory order, so a run on the loaded
+    # problem takes the same BLAS paths and repeats every bit
+    prob = generate_problem(40, 20, 3, 5, seed=23, ensemble="tight-frame")
+    path = str(tmp_path / "prob.npz")
+    save_problem(prob, path)
+    back = load_problem(path)
+    assert back.stacked()[0].flags.f_contiguous == prob.stacked()[0].flags.f_contiguous
+    graph, stop = gen_erdos_renyi(5, 0.6, 4), StopRule(tol=1e-5, max_iters=200)
+    runs = [run_diht(q, graph, stop=stop) for q in (prob, back)]
+    assert runs[0].trace.converged_at is not None
+    assert runs[0].trace.errors_vs_truth == runs[1].trace.errors_vs_truth
+    assert runs[0].trace.step_deltas == runs[1].trace.step_deltas
+    assert runs[0].metrics == runs[1].metrics
+
+
+@pytest.mark.parametrize("change", [{"x_star": np.zeros(41)}, {"n": 50}, {"m": 21},
+                                    {"p": 5}], ids=["x_star-length", "n", "m", "p"])
+def test_replace_rejects_inconsistent_fields(change):
+    # the constructor's checks are load_problem's, which the tampered-file
+    # cases cover field by field
+    with pytest.raises(ValueError):
+        replace(generate_problem(40, 20, 3, 4, seed=5), **change)
+
+
+def test_no_run_path_copies_a():
+    prob = generate_problem(1000, 80, 3, 8, seed=3, ensemble="tight-frame")
+    a = prob.stacked()[0]
+    assert a.nbytes >= 2 ** 19
+    graph = gen_erdos_renyi(8, 0.5, 1)
+    tracemalloc.start()
+    try:
+        support_gradient(prob)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_diht(prob, graph, stop=StopRule(tol=0, max_iters=3))
+        ran = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < a.nbytes / 2 and ran < a.nbytes / 2, (built, ran, a.nbytes)
 
 
 def uneven_problem(tmp_path):
