@@ -155,11 +155,11 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None, *,
              stop: StopRule, keep_iterates: bool = True) -> DihtRun:
     """Simulate distributed IHT rooted at agent 0 on a static graph.
 
-    The iteration is centralized IHT whose gradient, the tree sum of the agents'
-    local gradients at the K broadcast pairs, comes from cached columns of
-    2 A^T A (model.support_gradient) up to rounding; one closed form gives every
-    iteration's traffic, so the counters are filled in after the run.  It starts
-    at zero, and stops at 0 iterations if that start meets the tolerance.
+    The iteration is the problem's iht_trajectory, shared by all its graphs: its
+    gradient is the tree sum of the agents' gradients at the K broadcast pairs,
+    to rounding.  One closed form gives each iteration's traffic on this tree,
+    so the counters are filled in after the run.  It starts at zero, and stops
+    at 0 iterations if that start meets the tolerance.
 
     With l unset, the step constant defaults to SAFETY (1.005) times the stacked
     gradient smoothness constant, mirroring the usual practice of running
@@ -171,7 +171,6 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None, *,
         raise ValueError("graph and problem disagree on the agent count")
     if not graph.is_connected():
         raise ValueError("graph must be connected")
-    k = problem.k
     if l is None:
         l = default_step_constant(problem)
     elif not 0 < l < np.inf:
@@ -181,25 +180,42 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None, *,
                       "not guaranteed", RuntimeWarning)
 
     tree = bfs_spanning_tree(graph, root=0)
-    tree_gradient = support_gradient(problem)  # the convergecast's sum, to rounding
-    sent = [np.zeros(problem.n), np.zeros(0, int)]  # the last x broadcast, its indices
-
-    def gradient(x):  # every agent decodes the same pairs: x at its first k nonzeros
-        sent[:] = x, np.flatnonzero(x)[:k]
-        return tree_gradient(x, sent[1])
-
-    config = IhtConfig(l=l, k=k, max_iters=stop.max_iters, tol=stop.tol)
-    trace = run_iht(gradient, problem.x_star, config, keep_iterates)
-
-    cost = _tree_traffic(tree, 2 * k, problem.n)
+    trace, (x, support) = iht_trajectory(problem, l, stop, keep_iterates)
+    cost = _tree_traffic(tree, 2 * problem.k, problem.n)
     metrics = Metrics.from_costs(trace.errors_vs_truth[1:],
                                  [cost] * len(trace.step_deltas),
                                  start=(0, tree.build_messages, 0, 0))  # the tree build
 
     estimates = np.zeros((problem.p, problem.n))  # row q: agent q's decoded copy
-    estimates[:, sent[1]] = sent[0][sent[1]]
+    estimates[:, support] = x[support]
     return DihtRun(tree=tree, agent_estimates=list(estimates), metrics=metrics,
                    trace=trace, l=l)
+
+
+def iht_trajectory(problem: Problem, l: float, stop: StopRule,
+                   keep_iterates: bool) -> tuple[IhtTrace, tuple]:
+    """Centralized IHT from zero, its gradient from cached columns of 2 A^T A
+    (model.support_gradient), and the last (x, indices) pairs broadcast: x at its
+    first k nonzeros.  No network enters it, so the problem keeps the last one
+    asked, which a repeat call returns: the trace's lists are the caller's own,
+    its arrays read-only.  A run that raises keeps nothing."""
+    key = (l, stop.tol, stop.max_iters, keep_iterates)
+    if problem._trajectory is None or problem._trajectory[0] != key:
+        config = IhtConfig(l=l, k=problem.k, max_iters=stop.max_iters, tol=stop.tol)
+        tree_gradient = support_gradient(problem)  # the convergecast's sum, to rounding
+        sent = [np.zeros(problem.n), np.zeros(0, int)]
+
+        def gradient(x):
+            sent[:] = x, np.flatnonzero(x)[:config.k]
+            return tree_gradient(x, sent[1])
+
+        trace = run_iht(gradient, problem.x_star, config, keep_iterates)
+        for array in trace.iterates + sent:
+            array.flags.writeable = False
+        problem._trajectory = key, trace, tuple(sent)
+    _, trace, sent = problem._trajectory
+    return replace(trace, **{name: list(v) for name, v in vars(trace).items()
+                             if isinstance(v, list)}), sent
 
 
 def distributed_step_constant(problem: Problem, tree: SpanningTree) -> tuple:

@@ -18,12 +18,13 @@ import numpy as np
 from . import cbdiht as cbdiht_mod
 from . import subgradient as subgrad_mod
 from .diht import (METRICS_COLUMNS, Metrics, StopRule, default_step_constant,
-                   run_diht, write_metrics_csv)
+                   iht_trajectory, run_diht, write_metrics_csv)
 from .graphs import (AssumptionViolation, Graph, TvSchedule, check_graph_args,
                      check_subgraph_count, gen_barabasi_albert, gen_erdos_renyi,
                      gen_geometric, gen_tv_schedule, static_schedule)
-from .iht import IhtConfig, IhtTrace, NumericFailure, run_iht, truth_bound, write_csv
-from .model import Problem, check_problem_args, generate_problem, support_gradient
+from .iht import IhtTrace, NumericFailure, truth_bound, write_csv
+from .iht import run_iht  # noqa: F401  rebound by perfbench's traced pass
+from .model import Problem, check_problem_args, generate_problem
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
 CONFIG_SCHEMA_VERSION = 1
@@ -263,10 +264,7 @@ def _stop(cfg: ExperimentConfig) -> StopRule:
 
 def _run_iht(problem, schedule, cfg) -> RunResult:
     l = cfg.l if cfg.l is not None else default_step_constant(problem)
-    config = IhtConfig(l=l, k=problem.k, max_iters=cfg.max_iters, tol=min(cfg.accuracies))
-    gradient = support_gradient(problem)  # x is K-sparse
-    trace = run_iht(lambda x: gradient(x, np.flatnonzero(x)), problem.x_star, config,
-                    keep_iterates=False)
+    trace, _ = iht_trajectory(problem, l, _stop(cfg), keep_iterates=False)  # DIHT's
     errors = trace.errors_vs_truth[1:]  # error after each iteration
     metrics = Metrics.from_costs(errors, np.zeros((len(errors), 4)))  # nothing is sent
     return _result(problem, cfg, metrics, errors, trace.converged_at, trace=trace)

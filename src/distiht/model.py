@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -42,9 +42,9 @@ class SensingSlice:
         return self.a.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class Problem:
-    """A distributed sparse recovery instance over p agents, not to be mutated."""
+    """A distributed sparse recovery instance over p agents: read-only, == by value."""
 
     n: int
     m: int
@@ -59,12 +59,14 @@ class Problem:
     slices: list[SensingSlice] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.a, self.b = np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float)
         n, m, p = self.n, self.m, self.p
         for name, shape in (("x_star", (n,)), ("noise", (m,)), ("a", (m, n)), ("b", (m,))):
-            got = np.shape(getattr(self, name))
-            if got != shape:
-                raise ValueError(f"{name} has shape {got}, expected {shape} for n={n}, m={m}")
+            view = np.asarray(getattr(self, name), dtype=float).view()  # not a copy
+            view.flags.writeable = False
+            setattr(self, name, view)
+            if view.shape != shape:
+                raise ValueError(f"{name} has shape {view.shape}, expected {shape} "
+                                 f"for n={n}, m={m}")
         offsets = self.offsets = np.asarray(self.offsets)
         if (offsets.shape != (p,) or p < 1 or offsets[0] != 0
                 or np.any(np.diff(offsets) < 0) or offsets[-1] > m):
@@ -73,12 +75,16 @@ class Problem:
         if np.count_nonzero(self.x_star) > self.k:
             raise ValueError("ground truth exceeds the sparsity budget")
         self.slices = _split(self.a, self.b, offsets)
+        self._trajectory = None  # diht.iht_trajectory's last (key, trace, broadcast)
+
+    def __eq__(self, other):
+        return type(other) is Problem and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
+            for f in fields(self) if f.compare)
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored (A, b) as read-only views: no copy, and a write raises."""
-        a, b = self.a.view(), self.b.view()
-        a.flags.writeable = b.flags.writeable = False
-        return a, b
+        """The stored (A, b): read-only, so no copy is needed."""
+        return self.a, self.b
 
     @cached_property
     def _stacked_lipschitz(self) -> float:  # not a field: == and repr skip it

@@ -224,7 +224,9 @@ class TestRunCbdiht:
 
     def test_non_finite_consensus_average_names_the_gradient(self):
         prob = desk_problem(24)
-        prob.slices[0].b[0] = np.nan
+        b = prob.b.copy()
+        b[0] = np.nan  # in slice 0
+        prob = dataclasses.replace(prob, b=b)
         with pytest.raises(NumericFailure, match="non-finite gradient at iteration 0"):
             run_cbdiht(prob, static_schedule(complete_graph(6)),
                        stop=StopRule(max_iters=5))

@@ -249,9 +249,24 @@ def padded_support_gradient(problem: Problem):
 
 
 def k_column_run_diht(problem: Problem, graph: Graph, **kwargs) -> DihtRun:
-    """run_diht with its gradient taken on the padded slice stack."""
-    with mock.patch.object(diht, "support_gradient", padded_support_gradient):
-        return run_diht(problem, graph, **kwargs)
+    """run_diht with its gradient taken on the padded slice stack.  It runs on
+    a fresh copy of the problem, which keeps no trajectory of an earlier run,
+    and checks that the padded gradient served every step."""
+    steps = []
+
+    def oracle(prob):
+        gradient = padded_support_gradient(prob)
+
+        def counted(x, support):
+            steps.append(x)
+            return gradient(x, support)
+
+        return counted
+
+    with mock.patch.object(diht, "support_gradient", oracle):
+        run = run_diht(replace(problem), graph, **kwargs)
+    assert len(steps) == len(run.trace.step_deltas)
+    return run
 
 
 RTOL = 1e-12

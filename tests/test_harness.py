@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import distiht.cli
+import distiht.diht
 import distiht.harness
 from distiht.cbdiht import run_cbdiht
 from distiht.cli import cli
@@ -596,7 +598,8 @@ def test_incomplete_problem_file_exits_2(content, tmp_path):
 def test_iht_cell_takes_the_forward_product_on_the_support(monkeypatch):
     # the centralized IHT cell computes 2 (A^T A)[:, s] x[s] - 2 A^T b with s
     # the iterate's nonzeros, and builds a column of A^T A only for an index
-    # of some iterate's support; it follows the dense gradient to rounding
+    # of some iterate's support; it follows the dense gradient to rounding.
+    # The cell runs on a fresh problem, which keeps no earlier trajectory.
     problem = generate_problem(80, 40, 4, 4, seed=5, ensemble="tight-frame")
     oracles, supports = [], set()
 
@@ -611,8 +614,8 @@ def test_iht_cell_takes_the_forward_product_on_the_support(monkeypatch):
 
         return gradient
 
-    monkeypatch.setattr(distiht.harness, "support_gradient", spy)
-    got = ALGORITHMS["iht"](problem, None,
+    monkeypatch.setattr(distiht.diht, "support_gradient", spy)
+    got = ALGORITHMS["iht"](replace(problem), None,
                             ExperimentConfig(accuracies=[1e-2, 1e-9], max_iters=400))
     a, b = problem.stacked()
     config = IhtConfig(l=default_step_constant(problem), k=4, max_iters=400, tol=1e-9,
@@ -632,29 +635,32 @@ def test_iht_cell_takes_the_forward_product_on_the_support(monkeypatch):
 @pytest.mark.parametrize("scale", [None, 1.5], ids=["default-l", "l=1.5L"])
 def test_iht_cell_and_diht_take_one_gradient(scale, monkeypatch):
     # both take 2 A^T (A x - b) from model.support_gradient at the iterate's
-    # nonzeros, so at one step constant their iterates agree bit for bit
+    # nonzeros, so at one step constant their iterates agree bit for bit; each
+    # runs on its own fresh problem, so each builds and calls its own oracle
     problem = generate_problem(80, 40, 4, 4, seed=5, ensemble="tight-frame")
     l = None if scale is None else scale * stacked_lipschitz(problem)
-    points = []
+    points = []  # one list of gradient points per oracle built
 
     def spy(prob):
-        oracle = support_gradient(prob)
+        oracle, points_here = support_gradient(prob), []
+        points.append(points_here)
 
         def gradient(x, support):
-            points.append(x)
+            points_here.append(x)
             return oracle(x, support)
 
         return gradient
 
-    monkeypatch.setattr(distiht.harness, "support_gradient", spy)
-    cell = ALGORITHMS["iht"](problem, None, ExperimentConfig(
+    monkeypatch.setattr(distiht.diht, "support_gradient", spy)
+    cell = ALGORITHMS["iht"](replace(problem), None, ExperimentConfig(
         accuracies=[1e-2, 1e-9], max_iters=400, l=l))
-    run = run_diht(problem, gen_erdos_renyi(4, 0.5, 0), l=l,
+    run = run_diht(replace(problem), gen_erdos_renyi(4, 0.5, 0), l=l,
                    stop=StopRule(tol=1e-9, max_iters=400))
     assert cell.converged_at == run.trace.converged_at is not None
-    cell_iterates = points + [cell.trace.final]
+    assert len(points) == 2 and len(points[1]) == len(run.trace.step_deltas)
+    cell_iterates = points[0] + [cell.trace.final]
     assert len(cell_iterates) == len(run.trace.iterates)
-    for u, v in zip(cell_iterates, run.trace.iterates):
-        assert u.tobytes() == v.tobytes()
+    for u, v, w in zip(cell_iterates, run.trace.iterates, points[1]):
+        assert u.tobytes() == v.tobytes() == w.tobytes()
     assert cell.trace.errors_vs_truth == run.trace.errors_vs_truth
     assert cell.trace.step_deltas == run.trace.step_deltas

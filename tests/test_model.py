@@ -297,11 +297,11 @@ def test_stacked_returns_read_only_views_of_the_stored_pair(case, tmp_path):
         a[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         b[0] = 1.0
-    # a write into a slice shows through the next stacked() call
-    prob.slices[-1].a[-1, 0] = 7.0
-    prob.slices[-1].b[-1] = np.nan
-    a, b = prob.stacked()
-    assert a[-1, 0] == 7.0 and np.isnan(b[-1])
+    # a write into a slice raises too: every array of a Problem is read-only
+    with pytest.raises(ValueError, match="read-only"):
+        prob.slices[-1].a[-1, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        prob.slices[-1].b[-1] = np.nan
 
 
 def test_a_saved_problem_runs_as_the_generated_one(tmp_path):
@@ -318,6 +318,37 @@ def test_a_saved_problem_runs_as_the_generated_one(tmp_path):
     assert runs[0].trace.errors_vs_truth == runs[1].trace.errors_vs_truth
     assert runs[0].trace.step_deltas == runs[1].trace.step_deltas
     assert runs[0].metrics == runs[1].metrics
+
+
+def test_problems_compare_by_value(tmp_path):
+    # the arrays of a loaded problem are not the generated one's; the memos
+    # and the slices take no part in ==
+    prob = generate_problem(20, 10, 2, 2, seed=1)
+    path = str(tmp_path / "prob.npz")
+    save_problem(prob, path)
+    back = load_problem(path)
+    assert not np.shares_memory(prob.a, back.a)
+    stacked_lipschitz(prob)
+    run_diht(prob, gen_erdos_renyi(2, 1.0, 0), stop=StopRule(tol=1e-5, max_iters=5))
+    assert (prob == back) is True and (prob != back) is False
+    assert (prob == generate_problem(20, 10, 2, 2, seed=2)) is False
+    assert (prob == replace(prob, seed=2)) is False
+    b = prob.b.copy()
+    b[-1] += 1e-12
+    assert (prob == replace(prob, b=b)) is False
+    assert (prob == "prob") is False
+
+
+def test_a_problem_is_read_only_and_leaves_its_inputs_writeable():
+    prob = generate_problem(20, 10, 2, 2, noise_std=0.1, seed=1)
+    for name in ("x_star", "noise", "a", "b"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prob, name)[0] = 1.0
+    b = prob.b.copy()
+    nan_prob = replace(prob, b=b)
+    assert b.flags.writeable and np.shares_memory(nan_prob.b, b)
+    with pytest.raises(ValueError, match="read-only"):
+        nan_prob.slices[0].b[0] = np.nan
 
 
 @pytest.mark.parametrize("change", [{"x_star": np.zeros(41)}, {"n": 50}, {"m": 21},
