@@ -129,14 +129,14 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         mixed = mixed_gradients(a, b, x, np.flatnonzero(x), weights)
         v_hat = mixed[0].copy()  # a row view would keep both rows alive
         v_hats.append(v_hat)
-        initiated_counts.append(int(np.sum(machine.inst == outer)))
-        eps_norms.append(float(np.linalg.norm(p * v_hat - mixed[1])))
+        initiated_counts.append(int(np.count_nonzero(machine.inst == outer)))
+        eps_norms.append(math.sqrt((d := p * v_hat - mixed[1]).dot(d)))
         return v_hat
 
     def worst_error(x):
         # agent 0 holds x, the others the iterate of the instance they last joined
         held = [x] + [iterates[i] for i in set(machine.inst[1:].tolist())]
-        worst_errors.append(max(float(np.linalg.norm(e - x_star)) for e in held))
+        worst_errors.append(max(math.sqrt((d := e - x_star).dot(d)) for e in held))
         return worst_errors[-1]
 
     trace = run_iht(gradient, x_star, config, keep_iterates, worst_error)

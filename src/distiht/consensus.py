@@ -70,79 +70,105 @@ def directed_links(links, p: int) -> Links:
     return Links(src, dst, [ordered[lo:hi] for lo, hi in zip(cut, cut[1:])])
 
 
-def _transition(inst: np.ndarray, active: np.ndarray, links: Links) -> tuple:
-    """One synchronous step from the instances `inst` (negative: not joined)
-    and activations `active` over `links`; mutates nothing.
-
-    Values first move over the links their sender had activated, and agents
-    average with same-instance neighbours under Metropolis weights.  Then
-    the INITIATE wave runs in agent-index order; an agent that joins from a
-    lower-indexed sender forwards in this step.  Returns the next `inst` and
-    `active`, the mixing matrix W (None: the identity; an agent that
-    averages nothing has row e_q), the joiners, and each agent's value sends
-    and INITIATE fan-out.
-    """
-    src, dst, nbrs = links
-    p = len(inst)
-    live = active[src, dst]
-    # the far end of a live same-instance link is active too, since
-    # instances only grow and an INITIATE activates both ends at once
-    avg = live & (inst[src] == inst[dst])
-    w = metropolis_matrix(src[avg], dst[avg], p)[0] if avg.any() else None
-    # every joined agent ships its row on its live links, whether or not
-    # the far end still listens to its instance
-    sends = np.bincount(src[live], minlength=p)
-
-    start, inst, active = inst, inst.copy(), active.copy()
-    fanout = np.zeros(p, dtype=int)
-    pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=p).tolist()
-    for a in range(p):
-        if not pending[a]:
-            continue
-        fresh = [q for q in nbrs[a] if not active[a, q]]
-        if not fresh:
-            continue
-        fanout[a] = len(fresh)
-        ka = int(inst[a])
-        for q in fresh:
-            active[a, q] = True
-            if ka > inst[q]:
-                inst[q] = ka
-                active[q] = False
-                active[q, a] = True
-                pending[q] = True
-            elif ka == inst[q]:
-                active[q, a] = True  # pure link activation
-            # an already-fresher receiver ignores the message
-    return inst, active, w, np.flatnonzero(inst != start), sends, fanout
+def _rows(bits: np.ndarray) -> list:
+    """Each row of a (p, p) boolean matrix as an int bitmask, bit q for column q."""
+    p = len(bits)
+    words = np.zeros((p, -(-p // 64)), dtype="<u8")
+    words.view(np.uint8)[:, :(p + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    rows, *rest = words.T.tolist()
+    for shift, word in enumerate(rest, 1):
+        rows = [r | w << 64 * shift for r, w in zip(rows, word)]
+    return rows
 
 
-def _key(ranks: np.ndarray, active: np.ndarray) -> bytes:
-    return ranks.astype(np.int32).tobytes() + np.packbits(active).tobytes()
+def _phase(links: Links, p: int) -> tuple:
+    """What a table miss reads of one link set: its directed index arrays,
+    each link's index into a flat (p, p), each agent's link count, and each
+    agent's neighbours as an int bitmask."""
+    src, dst, _ = links
+    adjacency = np.zeros((p, p), dtype=bool)
+    adjacency[src, dst] = True
+    return src, dst, src * p + dst, np.bincount(src, minlength=p), _rows(adjacency)
+
+
+def _key(ranks, rows) -> bytes:
+    """A state as bytes: the ranks as int32, then each activation row in
+    whole little-endian bytes, as `np.packbits(bitorder="little")` lays it out."""
+    width = (len(rows) + 7) // 8
+    return np.array(ranks, dtype=np.int32).tobytes() + b"".join(
+        [r.to_bytes(width, "little") for r in rows])
 
 
 def _decode(key: bytes, p: int) -> tuple:
-    bits = np.unpackbits(np.frombuffer(key, np.uint8, offset=4 * p), count=p * p)
-    return np.frombuffer(key, np.int32, count=p), bits.reshape(p, p).astype(bool)
+    """A key's ranks and activation matrix as arrays."""
+    bits = np.frombuffer(key, np.uint8, offset=4 * p).reshape(p, -1)
+    return (np.frombuffer(key, np.int32, count=p),
+            np.unpackbits(bits, axis=1, count=p, bitorder="little").view(bool))
 
 
-def _entry(key: bytes, links: Links) -> tuple:
-    """The table entry of one step over `links` from the state `key`: the
-    next key, the rank each next rank had, W's flat nonzeros off the joiners'
-    rows (None for the identity), the joiners and the cost row (sends,
-    fan-out, senders, initiators)."""
-    p = len(links.nbrs)
-    ranks, active = _decode(key, p)
-    # rank 0 is "not joined", which _transition reads as a negative instance
-    inst, active, w, joiners, sends, fanout = _transition(ranks - 1, active, links)
-    if w is not None:  # the apply overwrites the joiners' rows, so none is stored
-        w[joiners] = 0.0
-    after = inst + 1
-    kept = np.flatnonzero(np.bincount(np.append(after, 0)))  # next rank -> rank
-    return (_key(np.searchsorted(kept, after), active), kept,
-            None if w is None else (np.flatnonzero(w), w[w != 0]), joiners,
-            np.array([sends.sum(), fanout.sum(), np.count_nonzero(sends),
-                      np.count_nonzero(fanout)]))
+def _entry(key: bytes, ranks, rows, phase: tuple) -> tuple:
+    """The table entry of one step over `phase` (see `_phase`) from the state
+    `key`: each agent's rank `ranks` (0: not joined) and activation row `rows`
+    (bit q of rows[a]: a activated its link to q).  Values first move over the
+    links their sender had activated, and agents average with same-instance
+    neighbours under Metropolis weights.  Then the INITIATE wave runs in agent
+    order; an agent that joins from a lower-indexed sender forwards in this
+    step.  Returns the next key, ranks and rows, the rank each next rank had
+    (None: all kept), the mixing matrix W with the joiners' rows zeroed (None:
+    the identity; an agent that averages nothing has row e_q), the joiners
+    (None: none) and the cost row (sends, fan-out, senders, initiators)."""
+    src, dst, at, degree, nbrs = phase
+    p = len(ranks)
+    rank, active = _decode(key, p)
+    live = active.reshape(-1)[at]
+    # the far end of a live same-instance link is active too, since ranks
+    # only grow and an INITIATE activates both ends at once
+    avg = live & (rank[src] == rank[dst])
+    # every joined agent ships its row on its live links, whether or not
+    # the far end still listens to its instance
+    sends = np.bincount(src[live], minlength=p)
+    waiting = (sends < degree) & (rank > 0)  # joined, with a link not yet activated
+    pending = int.from_bytes(np.packbits(waiting, bitorder="little").tobytes(), "little")
+
+    ranks, rows = list(ranks), list(rows)
+    joined = fanout = initiators = 0
+    while pending:  # lowest index first
+        low = pending & -pending
+        pending ^= low
+        a = low.bit_length() - 1
+        fresh = nbrs[a] & ~rows[a]
+        if not fresh:
+            continue
+        fanout += fresh.bit_count()
+        initiators += 1
+        rows[a] |= fresh
+        ka = ranks[a]
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            q = bit.bit_length() - 1
+            if ka > ranks[q]:
+                ranks[q], rows[q] = ka, low
+                joined |= bit
+                pending |= bit & -(low << 1)  # forwards now if it comes after a
+            elif ka == ranks[q]:
+                rows[q] |= low  # pure link activation
+            # an already-fresher receiver ignores the message
+
+    joiners = kept = w = None
+    if joined:
+        joiners = np.flatnonzero(np.unpackbits(np.frombuffer(
+            joined.to_bytes((p + 7) // 8, "little"), np.uint8), count=p, bitorder="little"))
+        present = sorted({0, *ranks})
+        if len(present) <= rank.max():  # some rank is gone: relabel densely
+            kept, relabel = np.array(present), {k: i for i, k in enumerate(present)}
+            ranks = [relabel[k] for k in ranks]
+    if avg.any():
+        w = metropolis_matrix(src[avg], dst[avg], p)[0]
+        if joiners is not None:  # the apply overwrites their rows
+            w[joiners] = 0.0
+    return (_key(ranks, rows), tuple(ranks), tuple(rows), kept, w, joiners,
+            (int(np.count_nonzero(live)), fanout, int(np.count_nonzero(sends)), initiators))
 
 
 class DiffusiveConsensus:
@@ -160,10 +186,10 @@ class DiffusiveConsensus:
     link this step, hold their row bit-unchanged.  Instance numbers only
     grow; the constructor's instance 0 may be reopened before any step.
 
-    A step (`_transition`) never reads the values and compares instances
-    only for order and equality, so `advance` replays steps from a table
-    keyed on the period phase, `active` and each agent's instance rank (not
-    joined lowest).
+    A step (`_entry`) never reads the values and compares instances only
+    for order and equality, so `advance` replays steps from a table keyed on
+    the period phase, `active` and each agent's instance rank (not joined
+    lowest).
     """
 
     def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
@@ -178,7 +204,7 @@ class DiffusiveConsensus:
         self.active = np.zeros((p, p), dtype=bool)
         self.initiated_at: list = [None] * p  # step from which each takes part
         self.step_count = 0
-        self._periods, self._table = None, {}  # see advance
+        self._periods, self._table, self._phases = None, {}, []  # see advance
         self.open(0, initiator)
 
     @property
@@ -207,38 +233,45 @@ class DiffusiveConsensus:
         """Run `steps` steps, step t over `periods[t % len(periods)]` (a list
         of `Links`); return the summed (sends, fan-out, senders, initiators).
 
-        The first visit to a (state, phase) runs `_transition` on the state
-        and stores what it did; every visit then applies it: `coef = W @ coef`
-        (W None: the identity), and each joiner restarts from row e_q and
-        takes part from the next step.  The state is hashed on entry and
-        written back on exit, so `open` calls in between are fine.
+        The first visit to a (state, phase) stores what the step does
+        (`_entry`, on the state as Python ints); every visit then applies it:
+        `coef = W @ coef` (W None: the identity), and each joiner restarts
+        from row e_q and takes part from the next step.  The state is hashed
+        on entry and written back on exit, so `open` calls in between are fine.
         """
-        total, steps = np.zeros(4, dtype=np.int64), max(steps, 0)
+        steps, sends, fanout, senders, initiators = max(steps, 0), 0, 0, 0, 0
         if periods is not self._periods:  # a new list of links starts a new table
             self._periods, self._table = periods, {}
-        p, t0, coef = self.p, self.step_count, self.coef
+            self._phases = [_phase(links, self.p) for links in periods]
+        p, t0, coef, table = self.p, self.step_count, self.coef, self._table
         u = np.array(sorted(set(self.inst.tolist()) | {-1}))  # rank -> instance
-        key = _key(np.searchsorted(u, self.inst), self.active)
+        rank = np.searchsorted(u, self.inst).astype(np.int32)
+        key = rank.tobytes() + np.packbits(self.active, axis=1, bitorder="little").tobytes()
+        ranks = rows = None
         for t in range(t0, t0 + steps):
             phase = t % len(periods)
-            entry = self._table.get((key, phase))
+            entry = table.get((key, phase))
             if entry is None:
-                if len(self._table) >= TABLE_CAP:
-                    self._table = {}
-                entry = self._table[key, phase] = _entry(key, periods[phase])
-            key, kept, mix, joiners, row = entry
-            u = u[kept]
-            if mix is not None:  # W's nonzeros scattered into a zeroed (p, p)
-                coef = np.bincount(*mix, minlength=p * p).reshape(p, p) @ coef
-            if len(joiners):
+                if len(table) >= TABLE_CAP:
+                    table = self._table = {}
+                if rows is None:  # decoded once, then carried by the entries
+                    ranks, rows = rank.tolist(), _rows(self.active)
+                entry = table[key, phase] = _entry(key, ranks, rows, self._phases[phase])
+            key, ranks, rows, kept, w, joiners, (s, f, n, i) = entry
+            if kept is not None:
+                u = u[kept]
+            if w is not None:
+                coef = w.dot(coef)
+            if joiners is not None:
                 coef[joiners] = 0.0
                 coef[joiners, joiners] = 1.0
                 for q in joiners.tolist():
                     self.initiated_at[q] = t + 1
-            total += row
-        ranks, self.active = _decode(key, p)
-        self.inst, self.coef, self.step_count = u[ranks], coef, t0 + steps
-        return total
+            sends, fanout, senders, initiators = (sends + s, fanout + f, senders + n,
+                                                  initiators + i)
+        rank, self.active = _decode(key, p)
+        self.inst, self.coef, self.step_count = u[rank], coef, t0 + steps
+        return np.array([sends, fanout, senders, initiators], dtype=np.int64)
 
 
 def run_diffusive_consensus(schedule: TvSchedule, per_agent_values: np.ndarray,

@@ -238,19 +238,25 @@ def validate_connectivity_window(s: TvSchedule) -> int:
     """Smallest window length whose every union of consecutive subgraphs connects.
 
     A window's union only grows with its length, so this is the largest, over
-    the cyclic starts, of the first length whose union connects.  The union
-    of a whole period is the base graph, so every start finds one.
+    the cyclic starts, of the first length whose union connects; each start
+    grows its union in one union-find.  The union of a whole period is the
+    base graph, so every start finds one unless the base is disconnected.
     """
-    if not s.base.is_connected():
-        raise AssumptionViolation("base graph is disconnected")
     window = 1
     for start in range(s.period):
-        union = set()
-        for length in range(1, s.period + 1):
-            union.update(s.subgraphs[(start + length - 1) % s.period])
-            if _is_connected(s.p, union):
-                window = max(window, length)
-                break
+        parent, parts, length = list(range(s.p)), s.p, 0
+        while parts > 1:
+            if length == s.period:
+                raise AssumptionViolation("base graph is disconnected")
+            for u, v in s.subgraphs[(start + length) % s.period]:
+                while parent[u] != u:  # path halving
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u != v:
+                    parent[u], parts = v, parts - 1
+            length += 1
+        window = max(window, length)
     return window
 
 

@@ -120,10 +120,10 @@ def run_iht(grad_fn: Callable[[np.ndarray], np.ndarray], x_star: np.ndarray,
         return trace
     for k in range(config.max_iters):
         g = np.asarray(grad_fn(x), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericFailure(k, "gradient")
         x_next = hard_threshold(x - g / config.l, config.k)
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             raise NumericFailure(k, "iterate")
         trace.step_deltas.append(math.sqrt((d := x - x_next).dot(d)) ** 2)
         record(x_next)

@@ -1,10 +1,11 @@
 """Reference code that only the tests call: hard thresholding by a stable
 sort, the brute-force spark oracle that validates test instances, the
 per-iteration descent-gap inequality, max-consensus flooding over a
-schedule, neighbour lists by one scan per agent, the diffusive machine that
-kept each instance's contributions, the subgradient baseline's one-run
-loop, the per-cell experiment grid, the row-wise curve writer, and the
-CB-DIHT settings that no product path changes."""
+schedule, the connectivity window by one BFS per window, neighbour lists by
+one scan per agent, the diffusive step and table entry on numpy arrays, the
+diffusive machine that kept each instance's contributions, the subgradient
+baseline's one-run loop, the per-cell experiment grid, the row-wise curve
+writer, and the CB-DIHT settings that no product path changes."""
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import combinations
@@ -14,10 +15,11 @@ from unittest import mock
 import numpy as np
 
 from distiht import cbdiht, consensus
-from distiht.consensus import (Links, _decode, _directed, _entry, _key, _transition,
-                               directed_links, metropolis_weights)
+from distiht.consensus import (Links, _directed, directed_links, metropolis_matrix,
+                               metropolis_weights)
 from distiht.diht import METRICS_COLUMNS, Metrics
-from distiht.graphs import AssumptionViolation, Graph, TvSchedule, static_schedule
+from distiht.graphs import (AssumptionViolation, Graph, TvSchedule, _is_connected,
+                            static_schedule)
 from distiht.harness import ExperimentConfig, Report, RunCell, run_cell
 from distiht.iht import NumericFailure, write_csv
 from distiht.model import Problem, generate_problem, padded_slices
@@ -108,16 +110,115 @@ def max_consensus(schedule: TvSchedule, per_agent_values, steps: int) -> np.ndar
     return vals
 
 
+def bfs_validate_connectivity_window(s: TvSchedule) -> int:
+    """Smallest window length whose every union of consecutive subgraphs connects.
+
+    A window's union only grows with its length, so this is the largest, over
+    the cyclic starts, of the first length whose union connects.  The union
+    of a whole period is the base graph, so every start finds one.
+    """
+    if not s.base.is_connected():
+        raise AssumptionViolation("base graph is disconnected")
+    window = 1
+    for start in range(s.period):
+        union = set()
+        for length in range(1, s.period + 1):
+            union.update(s.subgraphs[(start + length - 1) % s.period])
+            if _is_connected(s.p, union):
+                window = max(window, length)
+                break
+    return window
+
+
 def scan_neighbours(links, p: int) -> list:
     """Each agent's neighbours in link order, by one scan of the links per agent."""
     src, dst = _directed(links)
     return [dst[src == a].tolist() for a in range(p)]
 
 
+# The table-miss kernel before the machine's state became Python ints, kept as
+# it was, renamed, as the oracle of `consensus._entry`: the step on numpy
+# arrays, and the entry it makes from a key of int32 ranks and the activation
+# matrix packed in one run of bits.
+def reference_transition(inst: np.ndarray, active: np.ndarray, links: Links) -> tuple:
+    """One synchronous step from the instances `inst` (negative: not joined)
+    and activations `active` over `links`; mutates nothing.
+
+    Values first move over the links their sender had activated, and agents
+    average with same-instance neighbours under Metropolis weights.  Then
+    the INITIATE wave runs in agent-index order; an agent that joins from a
+    lower-indexed sender forwards in this step.  Returns the next `inst` and
+    `active`, the mixing matrix W (None: the identity; an agent that
+    averages nothing has row e_q), the joiners, and each agent's value sends
+    and INITIATE fan-out.
+    """
+    src, dst, nbrs = links
+    p = len(inst)
+    live = active[src, dst]
+    # the far end of a live same-instance link is active too, since
+    # instances only grow and an INITIATE activates both ends at once
+    avg = live & (inst[src] == inst[dst])
+    w = metropolis_matrix(src[avg], dst[avg], p)[0] if avg.any() else None
+    # every joined agent ships its row on its live links, whether or not
+    # the far end still listens to its instance
+    sends = np.bincount(src[live], minlength=p)
+
+    start, inst, active = inst, inst.copy(), active.copy()
+    fanout = np.zeros(p, dtype=int)
+    pending = np.bincount(src[~live & (inst[src] >= 0)], minlength=p).tolist()
+    for a in range(p):
+        if not pending[a]:
+            continue
+        fresh = [q for q in nbrs[a] if not active[a, q]]
+        if not fresh:
+            continue
+        fanout[a] = len(fresh)
+        ka = int(inst[a])
+        for q in fresh:
+            active[a, q] = True
+            if ka > inst[q]:
+                inst[q] = ka
+                active[q] = False
+                active[q, a] = True
+                pending[q] = True
+            elif ka == inst[q]:
+                active[q, a] = True  # pure link activation
+            # an already-fresher receiver ignores the message
+    return inst, active, w, np.flatnonzero(inst != start), sends, fanout
+
+
+def reference_key(ranks: np.ndarray, active: np.ndarray) -> bytes:
+    return ranks.astype(np.int32).tobytes() + np.packbits(active).tobytes()
+
+
+def reference_decode(key: bytes, p: int) -> tuple:
+    bits = np.unpackbits(np.frombuffer(key, np.uint8, offset=4 * p), count=p * p)
+    return np.frombuffer(key, np.int32, count=p), bits.reshape(p, p).astype(bool)
+
+
+def reference_entry(key: bytes, links: Links) -> tuple:
+    """The table entry of one step over `links` from the state `key`: the
+    next key, the rank each next rank had, W's flat nonzeros off the joiners'
+    rows (None for the identity), the joiners and the cost row (sends,
+    fan-out, senders, initiators)."""
+    p = len(links.nbrs)
+    ranks, active = reference_decode(key, p)
+    # rank 0 is "not joined", which reference_transition reads as a negative instance
+    inst, active, w, joiners, sends, fanout = reference_transition(ranks - 1, active, links)
+    if w is not None:  # the apply overwrites the joiners' rows, so none is stored
+        w[joiners] = 0.0
+    after = inst + 1
+    kept = np.flatnonzero(np.bincount(np.append(after, 0)))  # next rank -> rank
+    return (reference_key(np.searchsorted(kept, after), active), kept,
+            None if w is None else (np.flatnonzero(w), w[w != 0]), joiners,
+            np.array([sends.sum(), fanout.sum(), np.count_nonzero(sends),
+                      np.count_nonzero(fanout)]))
+
+
 # The diffusive machine before it became coefficient-only, kept verbatim (the
 # table cap read from the module) as the oracle for `DiffusiveConsensus`: it
 # keeps each live instance's contributions as an immutable basis and derives
-# every agent's value from them, and its `step` runs `_transition` itself.
+# every agent's value from them, and its `step` runs `reference_transition` itself.
 class BasisConsensus:
     """Lockstep state machine for initiation-gated averaging over instances.
 
@@ -135,7 +236,7 @@ class BasisConsensus:
     step, hold their coefficient row bit-unchanged.  Instance numbers only
     grow; the constructor's instance 0 may be reopened before any step.
 
-    A step (`_transition`) never reads the values and compares instances
+    A step (`reference_transition`) never reads the values and compares instances
     only for order and equality, so `advance` replays steps from a table
     keyed on the period phase, `active` and each agent's instance rank (not
     joined lowest).
@@ -207,12 +308,12 @@ class BasisConsensus:
 
     def step(self, links):
         """One synchronous step over `links` (a `Links` or a list of pairs),
-        as `_transition` describes it.  Returns each agent's value sends and
+        as `reference_transition` describes it.  Returns each agent's value sends and
         INITIATE fan-out.
         """
         if not isinstance(links, Links):
             links = directed_links(links, self.p)
-        self.inst, self.active, w, joiners, sends, fanout = _transition(
+        self.inst, self.active, w, joiners, sends, fanout = reference_transition(
             self.inst, self.active, links)
         self._apply(w, joiners, self.step_count)
         self._prune()
@@ -223,7 +324,7 @@ class BasisConsensus:
         """Run `steps` steps, step t over `periods[t % len(periods)]` (a list
         of `Links`); return the summed (sends, fan-out, senders, initiators).
 
-        The first visit to a (state, phase) runs `_transition` on the state
+        The first visit to a (state, phase) runs `reference_transition` on the state
         and stores what it did; every visit then applies it as `step` does.
         The state is hashed on entry and written back on exit, so `open` and
         `step` calls in between are fine.
@@ -233,20 +334,20 @@ class BasisConsensus:
             self._periods, self._table = periods, {}
         p, start = self.p, self.step_count
         u = np.array(sorted(set(self.inst.tolist()) | {-1}))  # rank -> instance
-        key = _key(np.searchsorted(u, self.inst), self.active)
+        key = reference_key(np.searchsorted(u, self.inst), self.active)
         for t in range(start, start + steps):
             phase = t % len(periods)
             entry = self._table.get((key, phase))
             if entry is None:
                 if len(self._table) >= consensus.TABLE_CAP:
                     self._table = {}
-                entry = self._table[key, phase] = _entry(key, periods[phase])
+                entry = self._table[key, phase] = reference_entry(key, periods[phase])
             key, kept, mix, joiners, row = entry
             u = u[kept]  # W's nonzeros are scattered into a zeroed (p, p)
             w = None if mix is None else np.bincount(*mix, minlength=p * p).reshape(p, p)
             self._apply(w, joiners, t)
             total += row
-        ranks, self.active = _decode(key, p)
+        ranks, self.active = reference_decode(key, p)
         self.inst, self.step_count = u[ranks], start + steps
         self._prune()
         return total

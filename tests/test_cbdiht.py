@@ -268,6 +268,34 @@ class TestValueAccounting:
         assert run.metrics.messages_sent == 1
 
 
+# perfbench's paper-tv runs (problems 0 and 1, N=1000, M=200, K=3, P=50, each
+# on its seed-0 schedule of 10 subgraphs of ER 0.25, 50 outer iterations): the
+# counters and final errors of perfbench/reference.json, and the joined
+# fraction as the benchmark reports it (2,496 joins over 50 x 50)
+PAPER_TV = [
+    (0, 181150174, 195095, 32751948, 664, 0.0013692458019063435),
+    (1, 218017046, 232272, 38348172, 777, 0.0012032703590080108),
+]
+
+
+@pytest.mark.parametrize("seed, values, messages, broadcasts, time_steps, final_err",
+                         PAPER_TV)
+def test_paper_scale_runs_keep_their_counters(seed, values, messages, broadcasts,
+                                              time_steps, final_err):
+    prob = generate_problem(1000, 200, 3, 50, seed=seed, ensemble="tight-frame")
+    sched = gen_tv_schedule(gen_erdos_renyi(50, 0.25, seed), 10, seed + 1000)
+    run = run_cbdiht(prob, sched, stop=StopRule(tol=1e-5, max_iters=50),
+                     keep_iterates=False)
+    m = run.metrics
+    assert (len(run.s_schedule), m.values_sent, m.messages_sent, m.broadcasts,
+            m.time_steps) == (50, values, messages, broadcasts, time_steps)
+    assert run.global_converged_at is None
+    assert sum(run.initiated_counts) == 2496
+    assert float(np.mean(run.initiated_counts)) / prob.p == 49.92 / 50
+    worst = run.worst_errors[-1] / np.linalg.norm(prob.x_star)
+    assert abs(worst - final_err) <= 1e-10
+
+
 class TestMaxConsensus:
     def test_constant_field_unchanged(self):
         sched = static_schedule(complete_graph(4))

@@ -5,12 +5,14 @@ without one.
 on the period phase, the agents' instance ranks and the activation matrix,
 and its `step` is `advance` over one link set.  Two oracles, both of which
 keep each instance's contributions, drive the same actions: the machine
-before it became coefficient-only, stepped one `_transition` at a time, and
-the machine before that, whose `step` mutated its state in place and whose
-table misses ran that `step` on the machine itself from `coef = I`.  Each
-must agree with the machine bit for bit on the coefficients, instances,
-activations, join steps and traffic, with `open` and direct `step` calls
-interleaved.
+before it became coefficient-only, stepped one `reference_transition` at a
+time, and the machine before that, whose `step` mutated its state in place
+and whose table misses ran that `step` on the machine itself from
+`coef = I`.  Each must agree with the machine bit for bit on the
+coefficients, instances, activations, join steps and traffic, with `open`
+and direct `step` calls interleaved.  The table-miss kernel, which runs on
+Python-int state, is also checked entry by entry against the kernel that ran
+on numpy arrays.
 """
 import pickle
 from unittest import mock
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (BasisConsensus, assert_matches_basis_machine, cbdiht_settings,
-                     cost_row)
+                     cost_row, reference_decode, reference_entry, reference_key)
 
 from distiht import cbdiht, consensus
 from distiht.cbdiht import run_cbdiht
@@ -45,8 +47,8 @@ def step_by_step(machine: BasisConsensus, periods: list, steps: int) -> np.ndarr
 
 
 class PreviousMachine(BasisConsensus):
-    """The machine before its step became the pure `_transition`, with
-    these methods kept verbatim (the table cap read from the module)."""
+    """The machine before its step became the pure `reference_transition`,
+    with these methods kept verbatim (the table cap read from the module)."""
 
     def step(self, links):
         """One synchronous step over `links` (a `Links` or a list of pairs).
@@ -195,7 +197,7 @@ def drive(slow_type, slow_advance, p, period, density, seed, dim, actions, cap):
 
 
 ACTIONS = given(
-    st.integers(2, 12), st.integers(1, 4), st.floats(0.1, 1.0),
+    st.integers(2, 12) | st.integers(65, 70), st.integers(1, 4), st.floats(0.1, 1.0),
     st.integers(0, 10 ** 6), st.integers(1, 3),
     st.lists(st.tuples(st.sampled_from(["advance", "advance", "step", "open"]),
                        st.integers(0, 12)), min_size=1, max_size=14),
@@ -307,3 +309,50 @@ def test_table_stops_growing_with_an_agent_cut_off(machines):
         sizes.append(len(machines[-1]._table))
     assert sizes[0] == sizes[1] <= consensus.TABLE_CAP
     assert sum(run.s_schedule) > 20 * sizes[1]  # nearly every step was a hit
+
+
+@st.composite
+def miss_inputs(draw):
+    """A state of dense ranks (0: not joined) over 1 to 70 agents with any
+    activations, and one link set: empty, a single link, or random pairs,
+    which may leave agents isolated."""
+    p = draw(st.integers(1, 70) | st.integers(60, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ranks = rng.integers(0, draw(st.integers(1, 5)), p)
+    ranks = np.searchsorted(np.union1d(ranks, 0), ranks)  # dense, 0 kept
+    active = rng.random((p, p)) < draw(st.floats(0.0, 1.0))
+    pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
+    shape = draw(st.sampled_from(["empty", "single"] + ["random"] * 4))
+    if shape == "random" or not pairs:
+        density = draw(st.floats(0.0, 1.0))
+        links = [e for e in pairs if rng.random() < density] if shape == "random" else []
+    else:
+        links = [] if shape == "empty" else [pairs[rng.integers(len(pairs))]]
+    return ranks, active, directed_links(links, p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(miss_inputs())
+def test_miss_kernel_matches_the_numpy_kernel(case):
+    ranks, active, links = case
+    p = len(ranks)
+    key = ranks.astype(np.int32).tobytes() + np.packbits(
+        active, axis=1, bitorder="little").tobytes()
+    state = ranks.tolist(), consensus._rows(active)
+    assert consensus._key(*state) == key
+    got = consensus._entry(key, *state, consensus._phase(links, p))
+    want = reference_entry(reference_key(ranks, active), links)
+    next_key, next_ranks, next_rows, kept, w, joiners, row = got
+    want_ranks, want_active = reference_decode(want[0], p)
+    got_ranks, got_active = consensus._decode(next_key, p)
+    assert np.array_equal(got_ranks, want_ranks) and np.array_equal(got_active, want_active)
+    assert consensus._key(next_ranks, next_rows) == next_key
+    assert next_rows == tuple(consensus._rows(got_active))
+    top = int(ranks.max(initial=0))
+    assert np.array_equal(np.arange(top + 1) if kept is None else kept, want[1])
+    if want[2] is None:
+        assert w is None
+    else:
+        assert w.tobytes() == np.bincount(*want[2], minlength=p * p).tobytes()
+    assert np.array_equal([] if joiners is None else joiners, want[3])
+    assert row == tuple(want[4].tolist())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import bfs_validate_connectivity_window
 
 from distiht.graphs import (AssumptionViolation, Graph, ProtocolError, SpanningTree,
                             TvSchedule, _adjacency, _is_connected, bfs_spanning_tree,
@@ -376,3 +377,35 @@ def schedules(draw):
 def test_window_matches_scan_of_every_length(schedule):
     assert (outcome(validate_connectivity_window, schedule)
             == outcome(reference_validate_connectivity_window, schedule))
+
+
+@st.composite
+def long_window_schedules(draw):
+    """A spanning tree whose edges are dealt over the period, each edge to one
+    step and each step at least one edge, so every window shorter than the
+    period misses a bridge and the window is the whole period."""
+    p = draw(st.integers(2, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, p)]
+    period = draw(st.integers(1, p - 1))
+    steps = list(range(period)) + draw(st.lists(st.integers(0, period - 1),
+                                                min_size=p - 1 - period,
+                                                max_size=p - 1 - period))
+    steps = draw(st.permutations(steps))
+    subgraphs: list = [[] for _ in range(period)]
+    for e, t in zip(edges, steps):
+        subgraphs[t].append(e)
+    return TvSchedule(base=Graph(p=p, edges=edges), subgraphs=subgraphs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(schedules(), long_window_schedules()))
+def test_window_matches_one_bfs_per_window(schedule):
+    # schedules() gives empty steps, single agents and disconnected bases
+    assert (outcome(validate_connectivity_window, schedule)
+            == outcome(bfs_validate_connectivity_window, schedule))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_window_schedules())
+def test_window_as_long_as_the_period(schedule):
+    assert validate_connectivity_window(schedule) == schedule.period
