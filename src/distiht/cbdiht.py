@@ -99,7 +99,7 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     x_star = problem.x_star
     bound = truth_bound(x_star, stop.tol)
 
-    periods = [directed_links(links, p) for links in schedule.subgraphs]
+    periods = [directed_links(links) for links in schedule.subgraphs]
     a, b = padded_slices(problem.slices)
     # the iterate each live instance carries; agents that never joined hold the start
     iterates = {-1: np.zeros(n)}

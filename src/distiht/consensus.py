@@ -54,20 +54,15 @@ def metropolis_weights(active_links, p: int) -> np.ndarray:
 
 class Links(NamedTuple):
     """One link set as directed index arrays that list every undirected link
-    in both directions, plus each agent's neighbour list."""
+    in both directions."""
 
     src: np.ndarray
     dst: np.ndarray
-    nbrs: list
 
 
-def directed_links(links, p: int) -> Links:
-    """Build the directed arrays of one link set; done once per period step.
-    Each agent's neighbours are listed in link order."""
-    src, dst = _directed(links)
-    cut = [0, *np.cumsum(np.bincount(src, minlength=p)).tolist()]
-    ordered = dst[np.argsort(src, kind="stable")].tolist()
-    return Links(src, dst, [ordered[lo:hi] for lo, hi in zip(cut, cut[1:])])
+def directed_links(links) -> Links:
+    """Build the directed arrays of one link set; done once per period step."""
+    return Links(*_directed(links))
 
 
 def _rows(bits: np.ndarray) -> list:
@@ -85,7 +80,7 @@ def _phase(links: Links, p: int) -> tuple:
     """What a table miss reads of one link set: its directed index arrays,
     each link's index into a flat (p, p), each agent's link count, and each
     agent's neighbours as an int bitmask."""
-    src, dst, _ = links
+    src, dst = links
     adjacency = np.zeros((p, p), dtype=bool)
     adjacency[src, dst] = True
     return src, dst, src * p + dst, np.bincount(src, minlength=p), _rows(adjacency)
@@ -226,7 +221,7 @@ class DiffusiveConsensus:
         """`advance([links], 1)` over `links`, a `Links` or a list of pairs:
         one step and its (sends, fan-out, senders, initiators)."""
         if not isinstance(links, Links):
-            links = directed_links(links, self.p)
+            links = directed_links(links)
         return self.advance([links], 1)
 
     def advance(self, periods: list, steps: int) -> np.ndarray:
@@ -285,7 +280,7 @@ def run_diffusive_consensus(schedule: TvSchedule, per_agent_values: np.ndarray,
         raise ValueError("steps must be nonnegative")
     machine = DiffusiveConsensus(schedule.p, 0, per_agent_values[0],
                                  background=per_agent_values)
-    machine.advance([directed_links(links, schedule.p) for links in schedule.subgraphs],
+    machine.advance([directed_links(links) for links in schedule.subgraphs],
                     steps)
     return machine.values, machine.initiated_at
 

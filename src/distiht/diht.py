@@ -26,28 +26,35 @@ METRICS_COLUMNS = ["iter", "err", "values_cum", "messages_cum",
 
 @dataclass(eq=False)
 class Metrics:
-    """Traffic and time accounting for one simulated run: the four totals,
-    and one array per column with an entry per recorded iteration (the
-    METRICS_COLUMNS, then any extra columns).  Equality compares values."""
+    """A run's traffic and time accounting: the four totals, its curve (one array
+    per column, an entry per recorded iteration) and its closed form `counters`."""
 
     values_sent: int = 0
     messages_sent: int = 0
     broadcasts: int = 0
     time_steps: int = 0
     columns: dict = field(default_factory=dict)  # name -> 1-D array
+    # row r: the four counters after the start and the period's first r cost rows
+    prefix: np.ndarray = field(default_factory=lambda: np.zeros((1, 4), dtype=np.int64))
 
     @classmethod
-    def from_costs(cls, errors, costs, start=(0, 0, 0, 0), extra=None) -> "Metrics":
-        """The accounting kernel: the error after each iteration and a (T, 4)
-        array of what each iteration cost (values, messages, broadcasts, time
-        steps) on top of what `start` spent."""
-        costs = np.asarray(costs, dtype=np.int64).reshape(-1, 4)
-        cum = np.cumsum(np.vstack([start, costs]), axis=0)
-        columns = {"iter": np.arange(1, len(costs) + 1),
-                   "err": np.asarray(errors, dtype=float)}
-        columns.update(zip(METRICS_COLUMNS[2:], cum[1:].T))
+    def from_costs(cls, errors, costs, start=(0, 0, 0, 0), extra=None, iters=None):
+        """The accounting kernel: the error at each recorded iteration `iters` (by
+        default 1, 2, ...; the last is the run's), and P cost rows, iteration t
+        spending row (t - 1) % P on top of `start` (no rows: nothing)."""
+        rows = np.vstack([start, np.asarray(costs, np.int64).reshape(-1, 4)])
+        kernel = cls(prefix=np.cumsum(rows, axis=0))
+        iters = np.arange(1, len(errors) + 1) if iters is None else np.asarray(iters)
+        cum = kernel.counters(np.append(0, iters))  # iteration 0 spent only start
+        columns = dict(zip(METRICS_COLUMNS, [iters, np.asarray(errors, float), *cum[1:].T]))
         columns.update((name, np.asarray(v)) for name, v in (extra or {}).items())
-        return cls(*cum[-1].tolist(), columns=columns)
+        return cls(*cum[-1].tolist(), columns, kernel.prefix)
+
+    def counters(self, t):
+        """The four totals at the end of iteration t, or of each one in an array
+        t: the start, whole periods, then the next one's first t % P rows."""
+        periods, rest = np.divmod(t, max(len(self.prefix) - 1, 1))
+        return self.prefix[rest] + np.multiply.outer(periods, self.prefix[-1] - self.prefix[0])
 
     @property
     def totals(self) -> tuple:
@@ -58,12 +65,6 @@ class Metrics:
         """The columns as one dict of plain Python scalars per row (a copy)."""
         rows = zip(*(c.tolist() for c in self.columns.values()))
         return [dict(zip(self.columns, row)) for row in rows]
-
-    def thin(self, every: int) -> "Metrics":
-        """The same run with only every `every`-th row and the last kept."""
-        keep = self.columns["iter"] % every == 0
-        keep[-1:] = True
-        return replace(self, columns={name: c[keep] for name, c in self.columns.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Metrics) and self.totals == other.totals
@@ -157,9 +158,8 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None, *,
 
     The iteration is the problem's iht_trajectory, shared by all its graphs: its
     gradient is the tree sum of the agents' gradients at the K broadcast pairs,
-    to rounding.  One closed form gives each iteration's traffic on this tree,
-    so the counters are filled in after the run.  It starts at zero, and stops
-    at 0 iterations if that start meets the tolerance.
+    to rounding, and each iteration costs this tree the same one cost row.  It
+    starts at zero, and stops at 0 iterations if that start meets the tolerance.
 
     With l unset, the step constant defaults to SAFETY (1.005) times the stacked
     gradient smoothness constant, mirroring the usual practice of running
@@ -182,8 +182,7 @@ def run_diht(problem: Problem, graph: Graph, l: Optional[float] = None, *,
     tree = bfs_spanning_tree(graph, root=0)
     trace, (x, support) = iht_trajectory(problem, l, stop, keep_iterates)
     cost = _tree_traffic(tree, 2 * problem.k, problem.n)
-    metrics = Metrics.from_costs(trace.errors_vs_truth[1:],
-                                 [cost] * len(trace.step_deltas),
+    metrics = Metrics.from_costs(trace.errors_vs_truth[1:], [cost],
                                  start=(0, tree.build_messages, 0, 0))  # the tree build
 
     estimates = np.zeros((problem.p, problem.n))  # row q: agent q's decoded copy

@@ -97,9 +97,6 @@ class SpanningTree:
     def height(self) -> int:
         return max(self.depth)
 
-    def edge_count(self) -> int:
-        return sum(1 for v in self.parent if v is not None)
-
 
 def bfs_spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
     """Breadth-first tree rooted at `root`, exploring neighbors in ascending order."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cbdiht as cbdiht_mod
 from . import subgradient as subgrad_mod
-from .diht import (METRICS_COLUMNS, Metrics, StopRule, default_step_constant,
+from .diht import (Metrics, StopRule, default_step_constant,
                    iht_trajectory, run_diht, write_metrics_csv)
 from .graphs import (AssumptionViolation, Graph, TvSchedule, check_graph_args,
                      check_subgraph_count, gen_barabasi_albert, gen_erdos_renyi,
@@ -243,19 +243,21 @@ class RunResult:
 
 def _result(problem: Problem, cfg: ExperimentConfig, metrics: Metrics, errors,
             converged_at, extra_columns=(), trace=None) -> RunResult:
-    """Crossings of `errors`, the error after each iteration, one per metrics row."""
-    spent = (len(errors), *metrics.totals)
-    if converged_at == 0:  # the start met the tightest target, so every one
-        crossings = dict.fromkeys(cfg.accuracies, spent)
-    else:
-        # an error first reaches a target where its running minimum does
-        best = np.minimum.accumulate(np.nan_to_num(errors, nan=np.inf))
-        targets = np.array([truth_bound(problem.x_star, acc) for acc in cfg.accuracies])
-        hits = np.searchsorted(-best, -targets)
-        counters = [metrics.columns[c] for c in METRICS_COLUMNS if c != "err"]
-        crossings = {acc: tuple(int(col[hit]) for col in counters)
-                     for acc, hit in zip(cfg.accuracies, hits) if hit < len(best)}
-    return RunResult(metrics, crossings, spent, converged_at, extra_columns, trace)
+    """Crossings of `errors`, the error after each iteration: a target is first
+    met where their running minimum meets it, and no later than the stop."""
+    best = np.minimum.accumulate(np.nan_to_num(errors, nan=np.inf))
+    targets = np.array([truth_bound(problem.x_star, acc) for acc in cfg.accuracies])
+    first = np.searchsorted(-best, -targets) + 1  # past the last iteration: never
+    if converged_at is not None:
+        first = np.minimum(first, converged_at)
+    crossed = {acc: t for acc, t in zip(cfg.accuracies, first.tolist()) if t <= len(errors)}
+    return RunResult(metrics, _crossings(metrics, crossed), (len(errors), *metrics.totals),
+                     converged_at, extra_columns, trace)
+
+
+def _crossings(metrics: Metrics, crossed: dict) -> dict:
+    """accuracy -> the counters at `crossed[accuracy]`, its first iteration within."""
+    return {acc: (t, *metrics.counters(t).tolist()) for acc, t in crossed.items()}
 
 
 def _stop(cfg: ExperimentConfig) -> StopRule:
@@ -266,7 +268,7 @@ def _run_iht(problem, schedule, cfg) -> RunResult:
     l = cfg.l if cfg.l is not None else default_step_constant(problem)
     trace, _ = iht_trajectory(problem, l, _stop(cfg), keep_iterates=False)  # DIHT's
     errors = trace.errors_vs_truth[1:]  # error after each iteration
-    metrics = Metrics.from_costs(errors, np.zeros((len(errors), 4)))  # nothing is sent
+    metrics = Metrics.from_costs(errors, ())  # nothing is sent
     return _result(problem, cfg, metrics, errors, trace.converged_at, trace=trace)
 
 
@@ -288,21 +290,20 @@ def _run_cbdiht(problem, schedule, cfg) -> RunResult:
                    ("worst_err", "outer_iter", "s_k", "eps_norm_sq", "initiated_count"))
 
 
-def _subgrad_config(cfg: ExperimentConfig) -> subgrad_mod.SubgradConfig:
-    return subgrad_mod.SubgradConfig(step_exponent=cfg.step_exponent,
-                                     max_iters=cfg.max_iters, tol=min(cfg.accuracies))
-
-
-def _subgrad_result(problem, cfg, trace, metrics) -> RunResult:
-    result = _result(problem, cfg, metrics, trace.worst_errors, trace.converged_at)
-    # a long budget writes a curve of 2,000 to 4,000 rows, ending at the stop
-    result.metrics = metrics.thin(max(1, cfg.max_iters // 2000))
-    return result
+def _subgrad_results(members: list, cfg: ExperimentConfig):
+    """Each lockstep member's RunResult, in order, its curve at most 4,000 rows."""
+    config = subgrad_mod.SubgradConfig(step_exponent=cfg.step_exponent,
+                                       max_iters=cfg.max_iters, tol=min(cfg.accuracies))
+    for trace, metrics in subgrad_mod.run_lockstep(members, config, cfg.accuracies,
+                                                   max(1, cfg.max_iters // 2000)):
+        yield RunResult(metrics, _crossings(metrics, trace.crossed_at),
+                        (trace.converged_at or cfg.max_iters, *metrics.totals),
+                        trace.converged_at)
 
 
 def _run_subgrad(problem, schedule, cfg) -> RunResult:
-    return _subgrad_result(problem, cfg, *subgrad_mod.run_subgradient(
-        problem, schedule, _subgrad_config(cfg)))
+    slices = subgrad_mod.orthonormal_slices(problem)
+    return next(_subgrad_results([(problem, schedule, slices)], cfg))
 
 
 # name -> runner(problem, schedule, cfg) -> RunResult
@@ -352,7 +353,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                             cells[-1][-1] = run_cell(problem, spec, gseed, algo, cfg)
                             continue
                         schedule = _network(problem, spec, gseed, cfg)
-                        config = _subgrad_config(cfg)  # the same for every batch
                         slices = slices or subgrad_mod.orthonormal_slices(problem)
                     except (ValueError, NumericFailure, AssumptionViolation) as exc:
                         cells[-1][-1] = f"{type(exc).__name__}: {exc}"
@@ -360,9 +360,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                     batches.setdefault((slices[0].shape, schedule.period), []).append(
                         (cells[-1], (problem, schedule, slices)))
     for group in batches.values():
-        runs = subgrad_mod.run_lockstep([member for _, member in group], config)
-        for cell, (problem, _, _) in group:
-            cell[-1] = _subgrad_result(problem, cfg, *next(runs))
+        for (cell, _), result in zip(group, _subgrad_results([m for _, m in group], cfg)):
+            cell[-1] = result
 
     for label, gseed, pseed, algo, result in cells:
         if isinstance(result, str):

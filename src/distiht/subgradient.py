@@ -18,8 +18,6 @@ from .graphs import Graph, TvSchedule, static_schedule
 from .iht import truth_bound
 from .model import Problem, SensingSlice, padded_slices
 
-BLOCK = 4096  # steps of worst errors a lockstep batch allocates at a time
-
 
 @dataclass
 class SubgradConfig:
@@ -63,22 +61,18 @@ def orthonormal_slices(problem: Problem) -> tuple:
 
 @dataclass
 class SubgradTrace:
-    worst_errors: list = field(default_factory=list)  # max over agents, per iter
+    worst_errors: list = field(default_factory=list)  # max over agents, per curve row
     converged_at: Optional[int] = None
     estimates: Optional[np.ndarray] = None  # final (p, n) stack
+    crossed_at: dict = field(default_factory=dict)  # accuracy -> first step within it
 
 
 def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule],
                     config: SubgradConfig) -> tuple:
-    """Run the baseline as a lockstep batch of one; returns (SubgradTrace, Metrics).
-
-    Convergence is declared when every agent's estimate is within tol of the
-    ground truth, relative to its norm.  Every iteration each agent ships its
-    full estimate to all neighbors present that step, which dominates the
-    value count.  The traffic of an iteration depends only on its step of
-    the period, so the counters are filled in after the run from one row per
-    period step.
-    """
+    """Run the baseline as a lockstep batch of one; returns (SubgradTrace, Metrics),
+    a row per iteration.  Convergence is declared when every agent's estimate is
+    within tol of the ground truth, relative to its norm.  Every iteration each
+    agent ships its full estimate to all neighbors present that step."""
     schedule = (static_schedule(graph_or_schedule)
                 if isinstance(graph_or_schedule, Graph) else graph_or_schedule)
     if schedule.p != problem.p:
@@ -87,27 +81,29 @@ def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule
                              config))
 
 
-def run_lockstep(members: list, config: SubgradConfig) -> Iterator[tuple]:
+def run_lockstep(members: list, config: SubgradConfig, accuracies=None,
+                 every: int = 1) -> Iterator[tuple]:
     """Run B members (problem, schedule, orthonormal_slices(problem)) of one p, n,
     m_max and period in lockstep, every op into a buffer allocated once, so that
     a member's iterates do not depend on its batch; yield each (SubgradTrace,
-    Metrics) in order.  A member within tol stops there, its estimate frozen."""
+    Metrics) in order.  A member records its first step within each of
+    `accuracies` (default: config.tol), stops within the tightest, its estimate
+    frozen, and keeps the worst errors of every `every`-th step and its last."""
     problems, schedules, slices = zip(*members)
     q, c = (np.stack(a) for a in zip(*slices))  # (B, p, m_max, n), (B, p, m_max)
     (b, p, m, n), period = q.shape, schedules[0].period
     w = np.stack([[metropolis_weights(links, p) for links in s.subgraphs]
                   for s in schedules], axis=1)  # one (B, p, p) stack per phase
     ref = np.stack([pr.x_star for pr in problems])[:, None, :]
-    bound = np.array([truth_bound(pr.x_star, config.tol) for pr in problems])
-    # x and Q^T y - c are held in the shapes of the products that write them
-    x4, r4 = np.zeros((b, p, 1, n)), np.empty((b, p, m, 1))
-    x, r = x4[:, :, 0], r4[:, :, :, 0]
+    accuracies = tuple(accuracies or (config.tol,))
+    bound = np.array([[truth_bound(pr.x_star, a) for a in accuracies] for pr in problems])
+    crossed, hit = np.zeros(bound.shape, dtype=int), np.empty(bound.shape, dtype=bool)
+    # x, Q^T y - c and the worst errors, in the shapes of the ops that write them
+    x4, r4, worst2 = np.zeros((b, p, 1, n)), np.empty((b, p, m, 1)), np.empty((b, 1))
+    x, r, worst = x4[:, :, 0], r4[:, :, :, 0], worst2[:, 0]
     y, d, sq = np.empty((b, p, n)), np.empty((b, p, n)), np.empty((b, p))
-    t, converged, frozen, hit, blocks = 0, [None] * b, {}, np.empty(b, dtype=bool), []
-    while t < config.max_iters and len(frozen) < b:
-        if not t % BLOCK:  # the worst errors by step, a block at a time
-            blocks.append(np.empty((BLOCK, b)))
-        worst = blocks[-1][t % BLOCK]
+    t, stops, kept = 0, {}, []  # kept: the worst errors of every `every`-th step
+    while t < config.max_iters and len(stops) < b:
         alpha = (t + 1.0) ** (-config.step_exponent)
         np.matmul(w[t % period], x, out=y)
         np.subtract(y, np.multiply(alpha, np.sign(x, out=d), out=d), out=y)
@@ -119,17 +115,20 @@ def run_lockstep(members: list, config: SubgradConfig) -> Iterator[tuple]:
         np.sqrt(np.maximum.reduce(np.add.reduce(d, axis=2, out=sq), axis=1, out=worst),
                 out=worst)
         t += 1
-        if np.count_nonzero(np.less_equal(worst, bound, out=hit)):
-            for j in np.flatnonzero(hit):
-                converged[j], frozen[j] = t, x[j].copy()
-                bound[j] = -1.0  # an error is never negative: j stays stopped
+        if not t % every:
+            kept += worst.tolist()
+        if np.count_nonzero(np.less_equal(worst2, bound, out=hit)):
+            crossed[hit], bound[hit] = t, -1.0  # an error is never negative: once each
+            for j in np.flatnonzero(hit[:, np.argmin(accuracies)]):
+                stops[j] = t, float(worst[j]), x[j].copy()
     for j, s in enumerate(schedules):
+        end, last, estimate = stops.get(j, (t, float(worst[j]), x[j].copy()))
+        iters = np.append(np.arange(every, end, every), end)  # the kept steps, the last
+        errors = kept[j:(len(iters) - 1) * b:b] + [last]  # member j's, step by step
         # per period step: an estimate crosses every link both ways, N values
         # and one message per direction, N broadcasts per agent with a link
-        costs = np.array([(2 * len(links) * n, 2 * len(links),
-                           len({v for e in links for v in e}) * n, 1)
-                          for links in s.subgraphs], dtype=np.int64)
-        errors = np.concatenate([blk[:, j] for blk in blocks])[:converged[j] or t].tolist()
-        yield (SubgradTrace(errors, converged[j], frozen.get(j, x[j]).copy()),
-               Metrics.from_costs(errors, costs[np.arange(len(errors)) % period]))
-        del errors  # no member's curve is held while the next one is built
+        costs = [(2 * len(links) * n, 2 * len(links),
+                  len({v for e in links for v in e}) * n, 1) for links in s.subgraphs]
+        yield (SubgradTrace(errors, end if j in stops else None, estimate,
+                            {a: k for a, k in zip(accuracies, crossed[j].tolist()) if k}),
+               Metrics.from_costs(errors, costs, iters=iters))

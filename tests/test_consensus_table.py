@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (BasisConsensus, assert_matches_basis_machine, cbdiht_settings,
-                     cost_row, reference_decode, reference_entry, reference_key)
+                     cost_row, reference_decode, reference_entry, reference_key,
+                     scan_neighbours)
 
 from distiht import cbdiht, consensus
 from distiht.cbdiht import run_cbdiht
@@ -35,7 +36,7 @@ from distiht.model import generate_problem
 def random_periods(rng, p: int, period: int, density: float) -> list:
     # any link set, so an agent may be cut off for a phase or for good
     pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
-    return [directed_links([e for e in pairs if rng.random() < density], p)
+    return [directed_links([e for e in pairs if rng.random() < density])
             for _ in range(period)]
 
 
@@ -61,8 +62,9 @@ class PreviousMachine(BasisConsensus):
         INITIATE fan-out.
         """
         if not isinstance(links, Links):
-            links = directed_links(links, self.p)
-        src, dst, nbrs = links
+            links = directed_links(links)
+        src, dst = links
+        nbrs = scan_neighbours(links, self.p)
         inst, active = self.inst, self.active
         live = active[src, dst]
 
@@ -242,7 +244,7 @@ def test_hits_replay_the_learned_step():
     # a static complete graph settles into one state, so nearly every step
     # after the first few is a table hit
     p = 6
-    periods = [directed_links([(u, v) for u in range(p) for v in range(u + 1, p)], p)]
+    periods = [directed_links([(u, v) for u in range(p) for v in range(u + 1, p)])]
     first = np.random.default_rng(3).standard_normal((p, 2))
     fast = DiffusiveConsensus(p, 0, first[0], background=first)
     slow = BasisConsensus(p, 0, first[0], background=first)
@@ -274,9 +276,9 @@ def test_a_new_link_list_starts_a_new_table():
     p = 4
     ring = [(0, 1), (1, 2), (2, 3), (0, 3)]
     machine = DiffusiveConsensus(p, 0, np.ones(1))
-    machine.advance([directed_links(ring, p)], 5)
+    machine.advance([directed_links(ring)], 5)
     learned = len(machine._table)
-    machine.advance([directed_links(ring[:2], p)], 1)
+    machine.advance([directed_links(ring[:2])], 1)
     assert 0 < learned and len(machine._table) == 1
 
 
@@ -328,7 +330,7 @@ def miss_inputs(draw):
         links = [e for e in pairs if rng.random() < density] if shape == "random" else []
     else:
         links = [] if shape == "empty" else [pairs[rng.integers(len(pairs))]]
-    return ranks, active, directed_links(links, p)
+    return ranks, active, directed_links(links)
 
 
 @settings(max_examples=400, deadline=None)
@@ -341,7 +343,7 @@ def test_miss_kernel_matches_the_numpy_kernel(case):
     state = ranks.tolist(), consensus._rows(active)
     assert consensus._key(*state) == key
     got = consensus._entry(key, *state, consensus._phase(links, p))
-    want = reference_entry(reference_key(ranks, active), links)
+    want = reference_entry(reference_key(ranks, active), links, p)
     next_key, next_ranks, next_rows, kept, w, joiners, row = got
     want_ranks, want_active = reference_decode(want[0], p)
     got_ranks, got_active = consensus._decode(next_key, p)

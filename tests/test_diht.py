@@ -255,9 +255,17 @@ class TestMetrics:
         rows[0]["iter"] = 99  # a copy: the columns stay as they were
         assert m.per_iteration[0]["iter"] == 1
 
-    def test_thin_keeps_every_nth_row_and_the_last(self):
-        m = Metrics.from_costs(np.linspace(1.0, 0.0, 7), np.ones((7, 4)))
-        thin = m.thin(3)
-        assert [r["iter"] for r in thin.per_iteration] == [3, 6, 7]
-        assert thin.totals == m.totals == (7, 7, 7, 7)
-        assert m.thin(1) == m
+    def test_counters_are_the_closed_form_of_the_period(self):
+        # period 3 after a start: iteration t spends row (t - 1) % 3
+        costs = np.array([(5, 1, 2, 1), (7, 2, 0, 1), (1, 1, 1, 3)])
+        m = Metrics.from_costs([0.5] * 4, costs, start=(0, 9, 0, 0), iters=[2, 3, 7, 8])
+        steps = [tuple(costs[(t - 1) % 3]) for t in range(1, 9)]
+        want = [tuple(np.add((0, 9, 0, 0), np.sum(steps[:t], axis=0, dtype=int)))
+                for t in range(9)]
+        assert [tuple(m.counters(t).tolist()) for t in range(9)] == want
+        assert m.counters(np.arange(9)).tolist() == [list(w) for w in want]
+        assert m.columns["iter"].tolist() == [2, 3, 7, 8]
+        assert m.columns["values_cum"].tolist() == [want[t][0] for t in (2, 3, 7, 8)]
+        assert m.totals == want[8] and all(type(v) is int for v in m.totals)
+        # no rows: nothing is spent after the start
+        assert Metrics.from_costs([1.0] * 3, (), start=(1, 2, 3, 4)).totals == (1, 2, 3, 4)

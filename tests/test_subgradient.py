@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from distiht.graphs import Graph, gen_erdos_renyi, gen_tv_schedule
-from distiht.harness import ExperimentConfig, _result
+from distiht.graphs import Graph, gen_erdos_renyi, gen_tv_schedule, static_schedule
 from distiht.model import SensingSlice, generate_problem, loss_gradient
-from distiht.subgradient import AffineProjector, SubgradConfig, run_subgradient
+from distiht.subgradient import (AffineProjector, SubgradConfig, orthonormal_slices,
+                                 run_lockstep, run_subgradient)
 
 
 def basis_pursuit_oracle(a, b):
@@ -132,14 +132,14 @@ class TestRunSubgradient:
         prob = generate_problem(30, 16, 3, 4, seed=11, ensemble="tight-frame")
         g = gen_erdos_renyi(4, 0.9, seed=12)
         cfg = SubgradConfig(step_exponent=0.8, max_iters=60_000, tol=1e-2)
-        trace, metrics = run_subgradient(prob, g, cfg)
-        crossings = _result(prob, ExperimentConfig(accuracies=[5e-2, 1e-2]), metrics,
-                            trace.worst_errors, trace.converged_at).crossings
+        member = (prob, static_schedule(g), orthonormal_slices(prob))
+        trace, metrics = next(run_lockstep([member], cfg, accuracies=(5e-2, 1e-2)))
+        crossings = trace.crossed_at
         assert trace.converged_at is not None
         assert 5e-2 in crossings and 1e-2 in crossings
         ref = np.linalg.norm(prob.x_star)
-        hit = crossings[5e-2][0]
+        hit = crossings[5e-2]
         assert trace.worst_errors[hit - 1] <= 5e-2 * ref
         if hit > 1:
             assert trace.worst_errors[hit - 2] > 5e-2 * ref
-        assert crossings[1e-2][0] == trace.converged_at
+        assert crossings[1e-2] == trace.converged_at

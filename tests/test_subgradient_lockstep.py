@@ -4,21 +4,28 @@ batches it.
 Every member of a batch must match the one-run loop in `oracles.py` bit for
 bit: worst errors, estimate bytes, stop and metrics.  The grid, which runs
 its subgradient cells as batches, must write the same files, byte for byte,
-as the per-cell grid with the row-wise curve writer.
+as the per-cell grid with the row-wise curve writer, and, at a budget whose
+curves are thinned, as the grid that searched each full error series after
+its run and then thinned the curve.
 """
 import os
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import loop_run_subgradient, percell_run_experiment, rowwise_write_metrics_csv
+from oracles import (loop_run_subgradient, percell_run_experiment, posthoc_harness,
+                     rowwise_write_metrics_csv, thin)
 
 from distiht import harness, subgradient
 from distiht.graphs import gen_erdos_renyi, gen_tv_schedule, static_schedule
 from distiht.harness import GraphSpec, parse_config_text, run_cell, run_experiment, write_report
+from distiht.iht import truth_bound
 from distiht.model import generate_problem
-from distiht.subgradient import (BLOCK, SubgradConfig, orthonormal_slices, run_lockstep,
+from distiht.subgradient import (SubgradConfig, orthonormal_slices, run_lockstep,
                                  run_subgradient)
 
 
@@ -66,13 +73,33 @@ def test_members_stop_at_different_iterations(period, max_iters, tol):
     want = [loop_run_subgradient(prob, schedule, config)
             for prob, schedule, _ in members]
     stops = [trace.converged_at for trace, _ in want]
-    # one member at iteration 1, some at different later ones, some at the
-    # budget; a long budget also stops one in its second block of errors
+    # one member at iteration 1, some at different later ones, some at the budget
     assert stops[2] == 1 and None in stops
     assert len({s for s in stops if s not in (None, 1)}) >= 2
-    assert max_iters <= BLOCK or any(s and s > BLOCK for s in stops)
     for got, ref in zip(run_lockstep(members, config), want):
         assert_same_run(got, ref)
+
+
+def test_lockstep_keeps_every_nth_row_and_the_last():
+    # members stop at 1, at other steps between the kept rows, and at the budget
+    members = [member(4, 9, s, 3, zero=s == 2) for s in range(8)]
+    config = SubgradConfig(step_exponent=0.8, max_iters=500, tol=0.05)
+    runs = run_lockstep(members, config, accuracies=(0.2, 0.05), every=7)
+    stops = []
+    for (trace, metrics), (prob, schedule, _) in zip(runs, members):
+        ref_trace, ref_metrics = loop_run_subgradient(prob, schedule, config)
+        want = thin(ref_metrics, 7)
+        assert metrics == want
+        assert trace.worst_errors == want.columns["err"].tolist()
+        assert trace.converged_at == ref_trace.converged_at
+        assert trace.estimates.tobytes() == ref_trace.estimates.tobytes()
+        for acc in (0.2, 0.05):
+            bound = truth_bound(prob.x_star, acc)
+            assert trace.crossed_at.get(acc) == next(
+                (t for t, e in enumerate(ref_trace.worst_errors, 1) if e <= bound), None)
+        stops.append(trace.converged_at)
+    assert stops[2] == 1 and None in stops
+    assert any(s and s > 7 and s % 7 for s in stops)
 
 
 def test_a_batch_ends_when_every_member_has_stopped():
@@ -165,6 +192,68 @@ def test_grid_writes_the_per_cell_files(time_varying, tmp_path):
     assert "0" in subgrad and "1" in subgrad
 
 
+def thinned_grid(accuracies="2e-1, 1e-2"):
+    """GRID at a budget that keeps every third curve row; its third problem
+    would take CB-DIHT the whole budget."""
+    return parse_config_text(GRID.replace("max_iters = 400", "max_iters = 6000")
+                             .replace("seeds = 0, 1, 3", "seeds = 0, 1")
+                             .replace("accuracies = 2e-1, 8e-2", f"accuracies = {accuracies}"))
+
+
+def assert_posthoc_files(cfg, tmp_path):
+    got = grid_files(run_experiment, cfg, str(tmp_path / "got"))
+    with posthoc_harness():
+        want = grid_files(percell_run_experiment, cfg, str(tmp_path / "want"),
+                          rowwise_write_metrics_csv)
+    assert list(got) == list(want)
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("time_varying, accuracies", [
+    (False, "2e-1, 1e-2"), (True, "2e-1, 1e-2"),
+    (False, "1.5, 3"),  # the start meets the tightest target
+    (False, "2, 1e-2")])  # the start meets only the looser one
+def test_a_thinned_grid_writes_the_files_of_the_posthoc_search(time_varying, accuracies,
+                                                               tmp_path):
+    cfg = thinned_grid(accuracies)
+    cfg.time_varying = time_varying
+    files = assert_posthoc_files(cfg, tmp_path)
+    rows = [line.split(",") for line in files["runs.csv"].decode().splitlines()[1:]]
+    curve = files["curves/er0.75-g0-p0-subgrad.csv"].decode().splitlines()
+    if accuracies == "1.5, 3":  # the runs on IHT cross at 0; the subgradient checks from 1
+        assert {r[6] for r in rows if r[3] != "subgrad"} == {"0"}
+    elif accuracies == "2, 1e-2":  # after the start, as the search after the run found
+        assert all(r[6] != "0" for r in rows)
+    else:  # some subgradient cells converge, some keep every third row to the budget
+        subgrad = [r[5] for r in rows if r[3] == "subgrad"]
+        assert "0" in subgrad and "1" in subgrad
+        assert [line.split(",")[0] for line in curve[1:4]] == ["3", "6", "9"]
+
+
+def test_nan_worst_errors_never_cross(tmp_path):
+    # problem 1's ground truth holds a NaN, so all its errors are NaN
+    cfg = thinned_grid()
+    cfg.algorithms = ["iht", "subgrad"]
+    real = harness.generate_problem
+
+    def generate(*args):
+        prob = real(*args)
+        x_star = prob.x_star.copy()
+        x_star[np.flatnonzero(x_star)[0]] = np.nan
+        return replace(prob, x_star=x_star) if prob.seed == 1 else prob
+
+    with mock.patch.object(harness, "generate_problem", generate), \
+            mock.patch.object(oracles, "generate_problem", generate):
+        files = assert_posthoc_files(cfg, tmp_path)
+    rows = [line.split(",") for line in files["runs.csv"].decode().splitlines()[1:]]
+    assert [r[5] for r in rows if r[2] == "1"] == ["0"] * 16
+    assert {r[6] for r in rows if r[2] == "1"} == {"6000"}
+    assert any(r[5] == "1" for r in rows if r[2] != "1")
+    assert files["curves/er0.75-g0-p1-subgrad.csv"].decode().splitlines()[-1].split(",")[:2] \
+        == ["6000", "nan"]
+
+
 def test_a_projector_that_raises_is_its_cells_error(tmp_path):
     cfg = parse_config_text(GRID)
     bad = generate_problem(cfg.n, cfg.m, cfg.k, cfg.p, seed=1,
@@ -230,3 +319,45 @@ def test_problem_slices_are_built_once_per_problem():
     assert built.call_count == len(cfg.problem_seeds)
     assert batches.call_count == 1
     assert len(batches.call_args.args[0]) == 3 * 2 * 2
+
+
+ONE_CELL = """
+[meta]
+schema_version = 1
+
+[problem]
+n = 12
+m = 6
+k = 2
+p = 3
+ensemble = tight-frame
+seeds = 0
+
+[graphs]
+families = er:0.9
+seeds = 0
+
+[algorithms]
+run = subgrad
+
+[run]
+accuracies = 1e-2, 1e-9
+max_iters = 20000
+"""
+
+
+def test_a_long_budget_holds_only_the_curve_rows():
+    # holding every step's worst error and a full-length cost row per step
+    # took this cell to a traced peak of 2.6-2.7 MB; keeping only the curve
+    # rows takes it to about 0.35 MB
+    cfg = parse_config_text(ONE_CELL)
+    run_experiment(replace(cfg, max_iters=2))  # the imports a first run makes
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.converged for c in report.cells] == [True, False]
+    assert len(report.curves["er0.9-g0-p0-subgrad"][0].columns["iter"]) == 2000
+    assert peak <= 1_000_000

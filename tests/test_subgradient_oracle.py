@@ -6,14 +6,13 @@ with record_every.  It projected through the explicit a^T (a a^T)^-1 of
 each slice, batched with einsum when the slices had one row count and
 agent by agent otherwise.  The library fills the counters in after the run
 from one row per period step, projects every agent through the slices'
-orthonormal form in one padded batch, and the harness finds the crossings
-in the columnar metrics and thins the curve.  Both must agree exactly on
-every counter, crossing and stop, and to 1e-10 relative on every error and
-estimate: the two projections round differently.
+orthonormal form in one padded batch, records the first step within each
+accuracy in its stop check, and keeps only the curve rows it reports.  Both
+must agree exactly on every counter, crossing and stop, and to 1e-10
+relative on every error and estimate: the two projections round differently.
 """
 from dataclasses import dataclass, field
 from typing import Optional, Union
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -152,16 +151,12 @@ def reference_run_subgradient(problem: Problem,
 
 
 def run_through_harness(problem, schedule, cfg):
-    """The harness runner's result, and the (trace, metrics) its run returned."""
-    real, seen = subgradient.run_subgradient, []
-
-    def spy(*args):
-        seen.append(real(*args))
-        return seen[-1]
-
-    with mock.patch.object(subgradient, "run_subgradient", spy):
-        result = _run_subgrad(problem, schedule, cfg)
-    return (result, *seen[0])
+    """The harness runner's result, and the (trace, metrics) with every
+    iteration's worst error that run_subgradient returns for the same cell."""
+    config = SubgradConfig(step_exponent=cfg.step_exponent, max_iters=cfg.max_iters,
+                           tol=min(cfg.accuracies))
+    return (_run_subgrad(problem, schedule, cfg),
+            *subgradient.run_subgradient(problem, schedule, config))
 
 
 @settings(max_examples=25, deadline=None)
