@@ -124,7 +124,7 @@ def run_lockstep(members: list, config: SubgradConfig, accuracies=None,
     for j, s in enumerate(schedules):
         end, last, estimate = stops.get(j, (t, float(worst[j]), x[j].copy()))
         iters = np.append(np.arange(every, end, every), end)  # the kept steps, the last
-        errors = kept[j:(len(iters) - 1) * b:b] + [last]  # member j's, step by step
+        errors = kept[j:(len(iters) - 1) * b:b] + [last]  # member j of each kept row
         # per period step: an estimate crosses every link both ways, N values
         # and one message per direction, N broadcasts per agent with a link
         costs = [(2 * len(links) * n, 2 * len(links),
