@@ -17,8 +17,8 @@ from .graphs import (Graph, SpanningTree, TvSchedule, bfs_spanning_tree,
                      validate_connectivity_window)
 from .consensus import (BoundConstants, DiffusiveConsensus, metropolis_weights,
                         run_diffusive_consensus, bound_constants, schedule_eta)
-from .diht import (Metrics, StopRule, DihtRun, convergecast_sum,
-                   aggregate_lipschitz, run_diht, write_metrics_csv)
+from .diht import (Metrics, StopRule, DihtRun, convergecast_sum, run_diht,
+                   write_metrics_csv)
 from .cbdiht import (CbDihtRun, consensus_steps, run_cbdiht,
                      epsilon_series, default_l_tv)
 from .subgradient import (SubgradConfig, SubgradTrace, AffineProjector,

@@ -17,12 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .consensus import DiffusiveConsensus, directed_links
-from .diht import SAFETY, Metrics, StopRule, default_step_constant
+from .diht import Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
 from .iht import IhtConfig, IhtTrace, run_iht, truth_bound
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import (Problem, lipschitz_of_slice, mixed_gradients, padded_slices,
-                    stacked_lipschitz)
+from .model import Problem, mixed_gradients, padded_slices, stacked_lipschitz
 from .model import loss_gradient  # noqa: F401  rebound by perfbench's traced pass
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
@@ -65,10 +64,19 @@ def default_l_tv(problem: Problem) -> float:
     return default_step_constant(problem) / problem.p
 
 
-def max_consensus_l_tv(problem: Problem) -> float:
-    """Step bound a deployment can find without the stacked matrix: the
-    largest per-agent smoothness constant dominates the per-agent average."""
-    return SAFETY * max(lipschitz_of_slice(s) for s in problem.slices)
+def initiator_row(steps: list, p: int) -> np.ndarray:
+    """Agent 0's coefficient row after the (W, joiners) `steps` of one `walk`
+    made right after agent 0 opened an instance: e_0 carried back over them,
+    last first, the weight reaching a joiner stopping at its restart row e_q."""
+    v, row = np.eye(1, p)[0], np.zeros(p)
+    for w, joiners in reversed(steps):
+        if joiners is not None:
+            row[joiners] += v[joiners]
+            v[joiners] = 0.0
+        if w is not None:
+            v = v.dot(w)
+    row[0] += v[0]  # W mixes within the instance, which began as agent 0 alone
+    return row
 
 
 def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = None, *,
@@ -103,29 +111,27 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
     a, b = padded_slices(problem.slices)
     # the iterate each live instance carries; agents that never joined hold the start
     iterates = {-1: np.zeros(n)}
-    machine = DiffusiveConsensus(p, 0, np.zeros(0))  # it mixes coefficients only
+    machine = DiffusiveConsensus(p, 0, np.zeros(0))  # walked only: its coef goes unused
     weights = np.ones((2, p))  # row 0: agent 0's coefficients; row 1 sums
     s_schedule, v_hats, initiated_counts, eps_norms, worst_errors = [], [], [], [], []
     costs = []  # per outer iteration: values, messages, broadcasts, time steps
 
     def gradient(x):
-        # agent 0 opens instance `outer` at x over the slice gradients at x:
-        # a joiner contributes its own from the next step on, and agent 0's
-        # row is a mix of them (an older instance's rows never reach it)
+        # agent 0 opens instance `outer` at x over the slice gradients at x
         outer = len(s_schedule)
         machine.open(outer, 0)
         iterates[outer] = x
         s_k = int(consensus_steps(outer, x))
         s_schedule.append(s_k)
 
-        sends, initiates, senders, initiators = machine.advance(periods, s_k)
+        (sends, initiates, senders, initiators), steps = machine.walk(periods, s_k)
         # a vector costs N values and N broadcasts per sender, an INITIATE 2K
         # (still a message at K=0)
         costs.append((n * sends + 2 * k * initiates, sends + initiates,
                       n * senders + 2 * k * initiators, s_k))  # a step is a time step
         for i in iterates.keys() - set(machine.inst.tolist()):
             del iterates[i]  # no agent holds instance i any more
-        weights[0] = machine.coef[0]  # v_hat = coef[0] @ G, grad f(x) = ones @ G
+        weights[0] = initiator_row(steps, p)  # v_hat = row @ G, grad f(x) = ones @ G
         mixed = mixed_gradients(a, b, x, np.flatnonzero(x), weights)
         v_hat = mixed[0].copy()  # a row view would keep both rows alive
         v_hats.append(v_hat)

@@ -35,7 +35,7 @@ def metropolis_matrix(src: np.ndarray, dst: np.ndarray, p: int):
     deg = np.bincount(src, minlength=p)
     w = np.zeros((p, p))
     w[src, dst] = 1.0 / (1.0 + np.maximum(deg[src], deg[dst]))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    w.flat[::p + 1] = 1.0 - w.sum(axis=1)
     return w, deg
 
 
@@ -182,9 +182,9 @@ class DiffusiveConsensus:
     grow; the constructor's instance 0 may be reopened before any step.
 
     A step (`_entry`) never reads the values and compares instances only
-    for order and equality, so `advance` replays steps from a table keyed on
+    for order and equality, so `walk` replays steps from a table keyed on
     the period phase, `active` and each agent's instance rank (not joined
-    lowest).
+    lowest), and `advance` applies what it replayed to `coef`.
     """
 
     def __init__(self, p: int, initiator: int, initiator_value: np.ndarray,
@@ -199,7 +199,7 @@ class DiffusiveConsensus:
         self.active = np.zeros((p, p), dtype=bool)
         self.initiated_at: list = [None] * p  # step from which each takes part
         self.step_count = 0
-        self._periods, self._table, self._phases = None, {}, []  # see advance
+        self._periods, self._table, self._phases = None, {}, []  # see walk
         self.open(0, initiator)
 
     @property
@@ -225,20 +225,28 @@ class DiffusiveConsensus:
         return self.advance([links], 1)
 
     def advance(self, periods: list, steps: int) -> np.ndarray:
-        """Run `steps` steps, step t over `periods[t % len(periods)]` (a list
-        of `Links`); return the summed (sends, fan-out, senders, initiators).
+        """`walk`, returning its cost row, with its steps applied to `coef` in
+        order: `coef = W @ coef` (W None: the identity), then joiners restart at e_q."""
+        costs, applied = self.walk(periods, steps)
+        for w, joiners in applied:
+            if w is not None:
+                self.coef = w.dot(self.coef)
+            if joiners is not None:
+                self.coef[joiners] = 0.0
+                self.coef[joiners, joiners] = 1.0
+        return costs
 
-        The first visit to a (state, phase) stores what the step does
-        (`_entry`, on the state as Python ints); every visit then applies it:
-        `coef = W @ coef` (W None: the identity), and each joiner restarts
-        from row e_q and takes part from the next step.  The state is hashed
-        on entry and written back on exit, so `open` calls in between are fine.
-        """
+    def walk(self, periods: list, steps: int) -> tuple:
+        """Run `steps` steps on all but `coef`, step t over `periods[t %
+        len(periods)]`, a list of `Links`; return the summed (sends, fan-out,
+        senders, initiators) and each step's (W, joiners).  A (state, phase)'s
+        first visit stores its step (`_entry`, on Python-int state), and every
+        visit replays it; `open` calls between walks are fine."""
         steps, sends, fanout, senders, initiators = max(steps, 0), 0, 0, 0, 0
         if periods is not self._periods:  # a new list of links starts a new table
             self._periods, self._table = periods, {}
             self._phases = [_phase(links, self.p) for links in periods]
-        p, t0, coef, table = self.p, self.step_count, self.coef, self._table
+        p, t0, table, applied = self.p, self.step_count, self._table, []
         u = np.array(sorted(set(self.inst.tolist()) | {-1}))  # rank -> instance
         rank = np.searchsorted(u, self.inst).astype(np.int32)
         key = rank.tobytes() + np.packbits(self.active, axis=1, bitorder="little").tobytes()
@@ -255,18 +263,15 @@ class DiffusiveConsensus:
             key, ranks, rows, kept, w, joiners, (s, f, n, i) = entry
             if kept is not None:
                 u = u[kept]
-            if w is not None:
-                coef = w.dot(coef)
             if joiners is not None:
-                coef[joiners] = 0.0
-                coef[joiners, joiners] = 1.0
                 for q in joiners.tolist():
                     self.initiated_at[q] = t + 1
+            applied.append((w, joiners))
             sends, fanout, senders, initiators = (sends + s, fanout + f, senders + n,
                                                   initiators + i)
         rank, self.active = _decode(key, p)
-        self.inst, self.coef, self.step_count = u[rank], coef, t0 + steps
-        return np.array([sends, fanout, senders, initiators], dtype=np.int64)
+        self.inst, self.step_count = u[rank], t0 + steps
+        return np.array([sends, fanout, senders, initiators], dtype=np.int64), applied
 
 
 def run_diffusive_consensus(schedule: TvSchedule, per_agent_values: np.ndarray,

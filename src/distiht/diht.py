@@ -16,7 +16,7 @@ import numpy as np
 from .graphs import Graph, SpanningTree, bfs_spanning_tree
 from .iht import IhtConfig, IhtTrace, run_iht, write_csv
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import Problem, lipschitz_of_slice, stacked_lipschitz, support_gradient
+from .model import Problem, stacked_lipschitz, support_gradient
 from .model import loss_gradient, loss_info  # noqa: F401  rebound by perfbench
 
 
@@ -122,19 +122,6 @@ def convergecast_sum(tree: SpanningTree, per_agent_vectors) -> tuple:
     return total, Metrics(*_tree_traffic(tree, None, vectors[0].shape[0]))
 
 
-def aggregate_lipschitz(tree: SpanningTree, per_agent_lipschitz) -> tuple:
-    """Tree sum of the per-agent smoothness constants; a valid global bound.
-
-    One request value travels down each edge and one scalar partial sum
-    comes back up.
-    """
-    vals = [float(v) for v in per_agent_lipschitz]
-    if len(vals) != tree.p:
-        raise ValueError("need exactly one constant per agent")
-    total = float(_tree_sum(tree, [np.array([v]) for v in vals])[0])
-    return total, Metrics(*_tree_traffic(tree, 1, 1))
-
-
 @dataclass
 class DihtRun:
     tree: SpanningTree
@@ -216,10 +203,3 @@ def iht_trajectory(problem: Problem, l: float, stop: StopRule,
     return replace(trace, **{name: list(v) for name, v in vars(trace).items()
                              if isinstance(v, list)}), sent
 
-
-def distributed_step_constant(problem: Problem, tree: SpanningTree) -> tuple:
-    """Step constant an actual deployment could compute: the tree-aggregated
-    sum of per-agent constants, times SAFETY."""
-    per_agent = [lipschitz_of_slice(s) for s in problem.slices]
-    total, delta = aggregate_lipschitz(tree, per_agent)
-    return SAFETY * total, delta

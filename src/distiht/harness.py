@@ -311,54 +311,63 @@ ALGORITHMS = {"iht": _run_iht, "diht": _run_diht, "cbdiht": _run_cbdiht,
               "subgrad": _run_subgrad}
 
 
-def _network(problem: Problem, spec: GraphSpec, graph_seed: int,
-             cfg: ExperimentConfig) -> TvSchedule:
+def _network(p: int, spec: GraphSpec, graph_seed: int, cfg: ExperimentConfig) -> TvSchedule:
     """A cell's network: a periodic schedule drawn from its graph when the
     config is time-varying, else the graph as a one-phase schedule."""
-    graph = spec.build(problem.p, graph_seed)
+    graph = spec.build(p, graph_seed)
     return (gen_tv_schedule(graph, cfg.subgraph_count, graph_seed + SCHEDULE_SEED_OFFSET)
             if cfg.time_varying else static_schedule(graph))
+
+
+def _runner(algorithm: str):
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return ALGORITHMS[algorithm]
 
 
 def run_cell(problem: Problem, spec: GraphSpec, graph_seed: int, algorithm: str,
              cfg: ExperimentConfig) -> RunResult:
     """One (graph instance, algorithm) run of the grid."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return ALGORITHMS[algorithm](problem, _network(problem, spec, graph_seed, cfg), cfg)
+    return _runner(algorithm)(problem, _network(problem.p, spec, graph_seed, cfg), cfg)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Execute the full (problem seed x graph x graph seed x algorithm) grid.
-
-    The subgradient cells run last, in one lockstep batch per (p, n, m_max,
-    period).  A run that fails on its input or its numerics is captured in
-    its cells rather than aborting the experiment; any other exception propagates.
-    """
+    """Execute the full (problem seed x graph x graph seed x algorithm) grid,
+    each network built once.  The subgradient cells run last, in one lockstep
+    batch per (p, n, m_max, period).  A network or run that fails on its
+    input or its numerics is captured in its cells rather than aborting the
+    experiment; any other exception propagates."""
     report = Report(config_hash=cfg.config_hash,
                     seeds={"problem": list(cfg.problem_seeds),
                            "graph": list(cfg.graph_seeds)})
+    networks = []  # (graph, graph seed, its network or its build's error text)
+    for spec in cfg.graphs:
+        for gseed in cfg.graph_seeds:
+            try:
+                networks.append((spec, gseed, _network(cfg.p, spec, gseed, cfg)))
+            except (ValueError, NumericFailure, AssumptionViolation) as exc:
+                networks.append((spec, gseed, f"{type(exc).__name__}: {exc}"))
     # cells: [label, graph seed, problem seed, algorithm, RunResult or error text]
     cells, batches = [], {}  # (orthonormal stack shape, period) -> [(cell, member)]
     for pseed in cfg.problem_seeds:
         problem = generate_problem(cfg.n, cfg.m, cfg.k, cfg.p, cfg.noise_std,
                                    cfg.spectral_cap, pseed, cfg.ensemble)
         slices = None
-        for spec in cfg.graphs:
-            for gseed in cfg.graph_seeds:
-                for algo in cfg.algorithms:
-                    cells.append([spec.label, gseed, pseed, algo, None])
-                    try:
-                        if algo != "subgrad":
-                            cells[-1][-1] = run_cell(problem, spec, gseed, algo, cfg)
-                            continue
-                        schedule = _network(problem, spec, gseed, cfg)
-                        slices = slices or subgrad_mod.orthonormal_slices(problem)
-                    except (ValueError, NumericFailure, AssumptionViolation) as exc:
-                        cells[-1][-1] = f"{type(exc).__name__}: {exc}"
+        for spec, gseed, network in networks:
+            for algo in cfg.algorithms:
+                cells.append([spec.label, gseed, pseed, algo, network])
+                try:
+                    runner = _runner(algo)  # an unknown algorithm is reported first
+                    if isinstance(network, str):  # the build raised
                         continue
-                    batches.setdefault((slices[0].shape, schedule.period), []).append(
-                        (cells[-1], (problem, schedule, slices)))
+                    if algo != "subgrad":
+                        cells[-1][-1] = runner(problem, network, cfg)
+                        continue
+                    slices = slices or subgrad_mod.orthonormal_slices(problem)
+                    batches.setdefault((slices[0].shape, network.period), []).append(
+                        (cells[-1], (problem, network, slices)))
+                except (ValueError, NumericFailure, AssumptionViolation) as exc:
+                    cells[-1][-1] = f"{type(exc).__name__}: {exc}"
     for group in batches.values():
         for (cell, _), result in zip(group, _subgrad_results([m for _, m in group], cfg)):
             cell[-1] = result

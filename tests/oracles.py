@@ -1,7 +1,8 @@
 """Reference code that only the tests call: hard thresholding by a stable
 sort, the brute-force spark oracle that validates test instances, the
 per-iteration descent-gap inequality, max-consensus flooding over a
-schedule, the connectivity window by one BFS per window, neighbour lists by
+schedule, the step bounds a deployment could compute in-network, the
+connectivity window by one BFS per window, neighbour lists by
 one scan per agent, the diffusive step and table entry on numpy arrays, the
 diffusive machine that kept each instance's contributions, the subgradient
 baseline's one-run loop, the per-cell experiment grid, the crossings searched
@@ -18,12 +19,13 @@ import numpy as np
 from distiht import cbdiht, consensus, harness
 from distiht.consensus import (Links, directed_links, metropolis_matrix,
                                metropolis_weights)
-from distiht.diht import METRICS_COLUMNS, Metrics
-from distiht.graphs import (AssumptionViolation, Graph, TvSchedule, _is_connected,
-                            static_schedule)
+from distiht.diht import (METRICS_COLUMNS, SAFETY, Metrics, _tree_sum,
+                          _tree_traffic)
+from distiht.graphs import (AssumptionViolation, Graph, SpanningTree, TvSchedule,
+                            _is_connected, static_schedule)
 from distiht.harness import ExperimentConfig, Report, RunCell, RunResult, run_cell
 from distiht.iht import NumericFailure, truth_bound, write_csv
-from distiht.model import Problem, generate_problem, padded_slices
+from distiht.model import Problem, generate_problem, lipschitz_of_slice, padded_slices
 from distiht.subgradient import AffineProjector, SubgradConfig, SubgradTrace
 
 
@@ -109,6 +111,37 @@ def max_consensus(schedule: TvSchedule, per_agent_values, steps: int) -> np.ndar
             new[v] = max(new[v], vals[u])
         vals = new
     return vals
+
+
+# The step bounds an actual deployment could compute in-network, with the
+# library's SAFETY margin: tree aggregation of the per-agent constants for
+# DIHT, or a max-consensus on them for CB-DIHT.  The runs default to the
+# exact stacked constant instead.
+def aggregate_lipschitz(tree: SpanningTree, per_agent_lipschitz) -> tuple:
+    """Tree sum of the per-agent smoothness constants; a valid global bound.
+
+    One request value travels down each edge and one scalar partial sum
+    comes back up.
+    """
+    vals = [float(v) for v in per_agent_lipschitz]
+    if len(vals) != tree.p:
+        raise ValueError("need exactly one constant per agent")
+    total = float(_tree_sum(tree, [np.array([v]) for v in vals])[0])
+    return total, Metrics(*_tree_traffic(tree, 1, 1))
+
+
+def distributed_step_constant(problem: Problem, tree: SpanningTree) -> tuple:
+    """Step constant a DIHT deployment could compute: the tree-aggregated
+    sum of per-agent constants, times SAFETY."""
+    per_agent = [lipschitz_of_slice(s) for s in problem.slices]
+    total, delta = aggregate_lipschitz(tree, per_agent)
+    return SAFETY * total, delta
+
+
+def max_consensus_l_tv(problem: Problem) -> float:
+    """Step bound a CB-DIHT deployment can find without the stacked matrix:
+    the largest per-agent smoothness constant dominates the per-agent average."""
+    return SAFETY * max(lipschitz_of_slice(s) for s in problem.slices)
 
 
 def bfs_validate_connectivity_window(s: TvSchedule) -> int:

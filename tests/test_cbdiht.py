@@ -3,15 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from distiht.cbdiht import (consensus_steps, default_l_tv, epsilon_series,
-                            max_consensus_l_tv, run_cbdiht)
+from distiht.cbdiht import consensus_steps, default_l_tv, epsilon_series, run_cbdiht
 from distiht.diht import StopRule
 from distiht.graphs import (AssumptionViolation, Graph, TvSchedule,
                             gen_erdos_renyi, gen_tv_schedule, static_schedule)
 from distiht.iht import IhtConfig, NumericFailure, hard_threshold, run_iht
 from distiht.model import (generate_problem, lipschitz_of_slice,
                            loss_gradient, loss_info)
-from oracles import cbdiht_settings, max_consensus
+from oracles import cbdiht_settings, max_consensus, max_consensus_l_tv
 
 
 def complete_graph(p):

@@ -12,14 +12,16 @@ and whose table misses ran that `step` on the machine itself from
 coefficients, instances, activations, join steps and traffic, with `open`
 and direct `step` calls interleaved.  The table-miss kernel, which runs on
 Python-int state, is also checked entry by entry against the kernel that ran
-on numpy arrays.
+on numpy arrays.  CB-DIHT walks the machine without the forward apply and
+folds agent 0's coefficient row back over each walk's steps; that row must
+match the forward apply's within rounding.
 """
 import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import (BasisConsensus, assert_matches_basis_machine, cbdiht_settings,
                      cost_row, reference_decode, reference_entry, reference_key,
                      scan_neighbours)
@@ -358,3 +360,50 @@ def test_miss_kernel_matches_the_numpy_kernel(case):
         assert w.tobytes() == np.bincount(*want[2], minlength=p * p).tobytes()
     assert np.array_equal([] if joiners is None else joiners, want[3])
     assert row == tuple(want[4].tolist())
+
+
+@st.composite
+def cbdiht_walks(draw):
+    """A periodic schedule over 1 to 70 agents whose phases may be empty and
+    may cut some agents off for good, and the steps of each outer iteration."""
+    p = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    linked = rng.random(p) >= draw(st.sampled_from([0.0, 0.0, 0.2]))
+    pairs = [(u, v) for u in range(p) for v in range(u + 1, p) if linked[u] and linked[v]]
+    periods = []
+    for density in draw(st.lists(st.sampled_from([0.0, -1.0, -1.0, 0.1, 0.4, 1.0]),
+                                 min_size=1, max_size=6)):
+        # -1: one random link, so a step may join agents without averaging
+        one = [pairs[rng.integers(len(pairs))]] if pairs and density < 0 else []
+        periods.append(directed_links(one + [e for e in pairs if rng.random() < density]))
+    return p, periods, draw(st.lists(st.integers(0, 40), min_size=1, max_size=10))
+
+
+# agent 1 joins instance 0; then, in instance 1's walk, agent 2 joins the
+# stale instance 0, averages with 1, 1 joins instance 1 in a step without
+# averaging, and 1 averages with 0: the weight that reaches 1's join must
+# stop there, or it leaks into agent 2's row through the stale average
+STALE_JOIN = [directed_links(links) for links in
+              ([(0, 1)], [(1, 2)], [(1, 2)], [(0, 1)], [(0, 1)])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cbdiht_walks(), st.sampled_from([consensus.TABLE_CAP, 2]))
+@example((3, STALE_JOIN, [1, 4]), consensus.TABLE_CAP)
+def test_backward_row_matches_the_forward_apply(case, cap):
+    # as in CB-DIHT, agent 0 opens instance k and the machine walks s_k
+    # steps; the twin advances, so its coef is the forward apply's
+    p, periods, calls = case
+    walked, twin = DiffusiveConsensus(p, 0, np.zeros(0)), DiffusiveConsensus(p, 0, np.zeros(0))
+    for outer, steps in enumerate(calls):
+        walked.open(outer, 0)
+        twin.open(outer, 0)
+        with mock.patch.object(consensus, "TABLE_CAP", cap):
+            costs, applied = walked.walk(periods, steps)
+            assert np.array_equal(costs, twin.advance(periods, steps))
+        np.testing.assert_allclose(cbdiht.initiator_row(applied, p), twin.coef[0],
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(walked.inst, twin.inst)
+        assert np.array_equal(walked.active, twin.active)
+        assert walked.initiated_at == twin.initiated_at
+        assert walked.step_count == twin.step_count

@@ -3,11 +3,10 @@ import json
 
 import numpy as np
 import pytest
-from oracles import rowwise_write_metrics_csv
+from oracles import (aggregate_lipschitz, distributed_step_constant,
+                     rowwise_write_metrics_csv)
 
-from distiht.diht import (Metrics, StopRule, aggregate_lipschitz, convergecast_sum,
-                          distributed_step_constant, run_diht,
-                          write_metrics_csv)
+from distiht.diht import Metrics, StopRule, convergecast_sum, run_diht, write_metrics_csv
 from distiht.graphs import (Graph, bfs_spanning_tree, gen_barabasi_albert,
                             gen_erdos_renyi, gen_geometric)
 from distiht.harness import ExperimentConfig, GraphSpec, run_cell

@@ -11,7 +11,7 @@ of A and no (p, n) block of agent gradients is formed.  This file keeps
 the loop that had its own copy of the stop rule, record-keeping and
 counting, the post-order tree sum, the list-based tree sum that the
 in-place `_tree_sum` replaced (that one still serves convergecast_sum and
-aggregate_lipschitz), the shared-loop run that decoded the sent pairs
+the tests' aggregate_lipschitz), the shared-loop run that decoded the sent pairs
 into one (p, n) row per agent, took the dense batched gradients at the
 rows (test_model.batched_gradients) and summed them up the tree, and the
 run that took the sum as one unit-weighted model.mixed_gradients product

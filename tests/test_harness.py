@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import percell_run_experiment
 
 import distiht.cli
 import distiht.diht
@@ -266,6 +267,23 @@ class TestRegistry:
         report = run_experiment(cfg)
         assert [bool(c.error) for c in report.cells] == [True, True, False, False]
         assert "AssumptionViolation" in report.cells[0].error
+
+    def test_each_network_is_built_once_per_grid(self, monkeypatch):
+        # every problem seed and algorithm shares its (graph, graph seed)
+        # network; a build that raises is the error of each of its cells
+        cfg = parse_config_text(DESK_CONFIG)
+        cfg.problem_seeds, cfg.graph_seeds = [0, 1], [0, 1]
+        cfg.graphs = [GraphSpec("geo", 0.01), GraphSpec("er", 0.5)]
+        cfg.algorithms, cfg.max_iters = ["iht", "diht", "cbdiht", "subgrad"], 40
+        want = percell_run_experiment(cfg)
+        built = []
+        network = distiht.harness._network
+        monkeypatch.setattr(distiht.harness, "_network",
+                            lambda *args: built.append(args[1:3]) or network(*args))
+        report = run_experiment(cfg)
+        assert len(built) == 4 == len(set((spec.label, seed) for spec, seed in built))
+        assert report.cells == want.cells and report.curves == want.curves
+        assert sum("AssumptionViolation" in c.error for c in report.cells) == 32
 
     @pytest.mark.parametrize("algorithm", ["iht", "diht", "cbdiht"])
     def test_start_within_target_spends_zero_iterations(self, algorithm):
