@@ -1,16 +1,16 @@
 """Distributed sparse recovery by iterative hard thresholding.
 
-Library and simulator for in-network recovery of sparse signals: exact and
-inexact-gradient IHT, a spanning-tree distributed variant for static
-networks, a consensus-based variant for time-varying networks, and a
-projected-subgradient baseline, all with exact accounting of transmitted
-values, messages, broadcasts, and synchronous time steps.
+Library and simulator for in-network recovery of sparse signals: IHT, a
+spanning-tree distributed variant for static networks, a consensus-based
+variant for time-varying networks, and a projected-subgradient baseline,
+all with exact accounting of transmitted values, messages, broadcasts, and
+synchronous time steps.
 """
 from .model import (Problem, SensingSlice, LossInfo, generate_problem,
                     loss_value, loss_gradient, lipschitz_of_slice, loss_info,
                     save_problem, load_problem)
 from .iht import (IhtConfig, IhtTrace, NumericFailure, hard_threshold, run_iht,
-                  run_inexact_iht, is_l_stationary, write_trace_csv)
+                  write_trace_csv)
 from .graphs import (Graph, SpanningTree, TvSchedule, bfs_spanning_tree,
                      gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
                      gen_tv_schedule, static_schedule,

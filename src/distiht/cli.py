@@ -146,6 +146,8 @@ def _dispatch(args) -> int:
     if args.command == "gen-schedule":
         with open(args.graph) as fh:
             graph = graph_from_text(fh.read())
+        if not graph.is_connected():  # no run could use its schedule
+            raise AssumptionViolation(f"{args.graph}: the graph is disconnected")
         schedule = gen_tv_schedule(graph, args.count, args.seed, args.retain)
         with open(args.out, "w") as fh:
             fh.write(schedule_to_text(schedule))

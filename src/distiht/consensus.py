@@ -109,8 +109,8 @@ def _entry(key: bytes, ranks, rows, phase: tuple) -> tuple:
     neighbours under Metropolis weights.  Then the INITIATE wave runs in agent
     order; an agent that joins from a lower-indexed sender forwards in this
     step.  Returns the next key, ranks and rows, the rank each next rank had
-    (None: all kept), the mixing matrix W with the joiners' rows zeroed (None:
-    the identity; an agent that averages nothing has row e_q), the joiners
+    (None: all kept), the mixing matrix W (None: the identity; an agent that
+    averages nothing has row e_q; no apply reads the joiners' rows), the joiners
     (None: none) and the cost row (sends, fan-out, senders, initiators)."""
     src, dst, at, degree, nbrs = phase
     p = len(ranks)
@@ -160,8 +160,6 @@ def _entry(key: bytes, ranks, rows, phase: tuple) -> tuple:
             ranks = [relabel[k] for k in ranks]
     if avg.any():
         w = metropolis_matrix(src[avg], dst[avg], p)[0]
-        if joiners is not None:  # the apply overwrites their rows
-            w[joiners] = 0.0
     return (_key(ranks, rows), tuple(ranks), tuple(rows), kept, w, joiners,
             (int(np.count_nonzero(live)), fanout, int(np.count_nonzero(sends)), initiators))
 

@@ -264,48 +264,35 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _edge_blocks(text: str, timed: bool) -> tuple:
-    """The '# p=' count and the edges of edge-list text: one block per '# t='
-    header when timed, else one block.  Other '#' lines are comments.  A line
-    that is neither a header nor a 'u v' pair raises a ValueError naming it."""
+def graph_from_text(text: str) -> Graph:
+    """Parse graph_to_text's form: one '# p=' header and 'u v' pairs; other
+    '#' lines are comments.  Any other line, or a second '# p=' header,
+    raises a ValueError naming it."""
     p: Optional[int] = None
-    blocks: list = [] if timed else [[]]
+    edges = []
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         try:
             if line.startswith("#"):
                 key, _, val = line[1:].partition("=")
                 if key.strip() == "p":
+                    if p is not None:
+                        raise ValueError("a second '# p=' header")
                     p = int(val)
-                elif key.strip() == "t" and timed:
-                    blocks.append([])
             elif line:
                 u, v = line.split()
-                if not blocks:
-                    raise ValueError("an edge before the first '# t=' header")
-                blocks[-1].append((int(u), int(v)))
+                edges.append((int(u), int(v)))
         except ValueError as exc:
             raise ValueError(f"line {number}: {line!r}: {exc}") from None
     if p is None:
         raise ValueError("missing '# p=' header")
-    return p, blocks
-
-
-def graph_from_text(text: str) -> Graph:
-    p, (edges,) = _edge_blocks(text, timed=False)
     return Graph(p=p, edges=edges)
 
 
 def schedule_to_text(s: TvSchedule) -> str:
-    """Blocks of edge lists separated by '# t=<i>' headers."""
+    """gen-schedule's file: blocks of edge lists under '# t=<i>' headers."""
     lines = [f"# p={s.p}"]
     for t, sub in enumerate(s.subgraphs):
         lines.append(f"# t={t}")
         lines.extend(f"{u} {v}" for u, v in sub)
     return "\n".join(lines) + "\n"
-
-
-def schedule_from_text(text: str) -> TvSchedule:
-    p, subgraphs = _edge_blocks(text, timed=True)
-    base = Graph(p=p, edges=[e for sub in subgraphs for e in sub])  # their union
-    return TvSchedule(base=base, subgraphs=subgraphs)

@@ -1,7 +1,6 @@
-"""Centralized iterative hard thresholding, exact and with injected gradient error.
-
-Also houses the stationarity certificate and the package's one CSV writer.
-"""
+"""Centralized iterative hard thresholding over any gradient oracle, and the
+package's one CSV writer.  Inexact IHT and the stationarity certificate are
+the tests' references, in tests/oracles.py."""
 from __future__ import annotations
 
 import csv
@@ -132,52 +131,6 @@ def run_iht(grad_fn: Callable[[np.ndarray], np.ndarray], x_star: np.ndarray,
             trace.converged_at = k + 1
             break
     return trace
-
-
-def run_inexact_iht(grad_fn: Callable[[np.ndarray], np.ndarray],
-                    error_fn: Callable[[int], np.ndarray],
-                    x_star: np.ndarray, config: IhtConfig) -> IhtTrace:
-    """IHT where iteration k steps along grad(x) + error_fn(k): run_iht with a
-    gradient oracle that adds the error and records its norm in eps_norms."""
-    eps_norms = []
-
-    def gradient(x):
-        eps = np.asarray(error_fn(len(eps_norms)), dtype=float)
-        eps_norms.append(float(np.linalg.norm(eps)))
-        return np.asarray(grad_fn(x), dtype=float) + eps
-
-    trace = run_iht(gradient, x_star, config)
-    trace.eps_norms = eps_norms
-    return trace
-
-
-@dataclass
-class StationarityReport:
-    ok: bool
-    m_k: float
-    violations: list  # (index, |grad_i|, bound) triples
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_l_stationary(grad_fn, x: np.ndarray, l: float, k: int,
-                    tol: float = 1e-8) -> StationarityReport:
-    """Certify the fixed-point condition x = T_k(x - grad(x)/l) coordinatewise.
-
-    On the support the gradient must vanish (up to tol); off the support it
-    may be as large as l times the k-th largest magnitude of x, plus tol.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.count_nonzero(x) > k:
-        raise ValueError("x is not k-sparse")
-    g = np.asarray(grad_fn(x), dtype=float)
-    mags = np.sort(np.abs(x))[::-1]
-    m_k = float(mags[k - 1]) if k >= 1 else 0.0
-    bounds = np.where(x != 0.0, tol, l * m_k + tol)
-    violations = [(int(i), float(abs(g[i])), float(bounds[i]))
-                  for i in np.flatnonzero(np.abs(g) > bounds)]
-    return StationarityReport(ok=not violations, m_k=m_k, violations=violations)
 
 
 def write_csv(path: str, header, rows=(), columns=None) -> None:

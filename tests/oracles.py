@@ -1,9 +1,11 @@
 """Reference code that only the tests call: hard thresholding by a stable
 sort, the brute-force spark oracle that validates test instances, the
-per-iteration descent-gap inequality, max-consensus flooding over a
-schedule, the step bounds a deployment could compute in-network, the
-connectivity window by one BFS per window, neighbour lists by
-one scan per agent, the diffusive step and table entry on numpy arrays, the
+per-iteration descent-gap inequality, IHT with an injected gradient error
+and the L-stationarity certificate, max-consensus flooding over a schedule,
+the step bounds a deployment could compute in-network, the connectivity
+window by one BFS per window, the reader of the schedule file `gen-schedule`
+writes, neighbour lists by one scan per agent, the diffusive step and table
+entry on numpy arrays (W kept whole, joiners' rows included), the
 diffusive machine that kept each instance's contributions, the subgradient
 baseline's one-run loop, the per-cell experiment grid, the crossings searched
 and the curve thinned after a run, the row-wise curve writer, and the CB-DIHT
@@ -11,7 +13,7 @@ settings that no product path changes."""
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 from unittest import mock
 
 import numpy as np
@@ -24,7 +26,8 @@ from distiht.diht import (METRICS_COLUMNS, SAFETY, Metrics, _tree_sum,
 from distiht.graphs import (AssumptionViolation, Graph, SpanningTree, TvSchedule,
                             _is_connected, static_schedule)
 from distiht.harness import ExperimentConfig, Report, RunCell, RunResult, run_cell
-from distiht.iht import NumericFailure, truth_bound, write_csv
+from distiht.iht import (IhtConfig, IhtTrace, NumericFailure, run_iht, truth_bound,
+                         write_csv)
 from distiht.model import Problem, generate_problem, lipschitz_of_slice, padded_slices
 from distiht.subgradient import AffineProjector, SubgradConfig, SubgradTrace
 
@@ -59,6 +62,55 @@ def descent_gap_check(f_vals: tuple, delta: np.ndarray, eps_k, l: float,
     lhs = f_curr - f_next
     rhs = 0.5 * (l - l_f) * float(delta @ delta) - cross
     return lhs >= rhs - slack
+
+
+# IHT with an injected gradient error, the paper's inexact-IHT setting whose
+# product instance is CB-DIHT's consensus oracle over `run_iht`, and the
+# L-stationarity certificate (Beck & Eldar 2013) its limits are checked with.
+def run_inexact_iht(grad_fn: Callable[[np.ndarray], np.ndarray],
+                    error_fn: Callable[[int], np.ndarray],
+                    x_star: np.ndarray, config: IhtConfig) -> IhtTrace:
+    """IHT where iteration k steps along grad(x) + error_fn(k): run_iht with a
+    gradient oracle that adds the error and records its norm in eps_norms."""
+    eps_norms = []
+
+    def gradient(x):
+        eps = np.asarray(error_fn(len(eps_norms)), dtype=float)
+        eps_norms.append(float(np.linalg.norm(eps)))
+        return np.asarray(grad_fn(x), dtype=float) + eps
+
+    trace = run_iht(gradient, x_star, config)
+    trace.eps_norms = eps_norms
+    return trace
+
+
+@dataclass
+class StationarityReport:
+    ok: bool
+    m_k: float
+    violations: list  # (index, |grad_i|, bound) triples
+
+    def __bool__(self):
+        return self.ok
+
+
+def is_l_stationary(grad_fn, x: np.ndarray, l: float, k: int,
+                    tol: float = 1e-8) -> StationarityReport:
+    """Certify the fixed-point condition x = T_k(x - grad(x)/l) coordinatewise.
+
+    On the support the gradient must vanish (up to tol); off the support it
+    may be as large as l times the k-th largest magnitude of x, plus tol.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.count_nonzero(x) > k:
+        raise ValueError("x is not k-sparse")
+    g = np.asarray(grad_fn(x), dtype=float)
+    mags = np.sort(np.abs(x))[::-1]
+    m_k = float(mags[k - 1]) if k >= 1 else 0.0
+    bounds = np.where(x != 0.0, tol, l * m_k + tol)
+    violations = [(int(i), float(abs(g[i])), float(bounds[i]))
+                  for i in np.flatnonzero(np.abs(g) > bounds)]
+    return StationarityReport(ok=not violations, m_k=m_k, violations=violations)
 
 
 @dataclass
@@ -164,6 +216,41 @@ def bfs_validate_connectivity_window(s: TvSchedule) -> int:
     return window
 
 
+# The reader of `schedule_to_text`'s form, the round-trip oracle of the file
+# `gen-schedule` writes (no command reads it back), with its block parser.
+def schedule_blocks(text: str) -> tuple:
+    """The '# p=' count and one edge block per '# t=' header.  Other '#' lines
+    are comments.  A line that is neither a header nor a 'u v' pair, or an
+    edge before the first '# t=' header, raises a ValueError naming it."""
+    p: Optional[int] = None
+    blocks: list = []
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        try:
+            if line.startswith("#"):
+                key, _, val = line[1:].partition("=")
+                if key.strip() == "p":
+                    p = int(val)
+                elif key.strip() == "t":
+                    blocks.append([])
+            elif line:
+                u, v = line.split()
+                if not blocks:
+                    raise ValueError("an edge before the first '# t=' header")
+                blocks[-1].append((int(u), int(v)))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {line!r}: {exc}") from None
+    if p is None:
+        raise ValueError("missing '# p=' header")
+    return p, blocks
+
+
+def schedule_from_text(text: str) -> TvSchedule:
+    p, subgraphs = schedule_blocks(text)
+    base = Graph(p=p, edges=[e for sub in subgraphs for e in sub])  # their union
+    return TvSchedule(base=base, subgraphs=subgraphs)
+
+
 def scan_neighbours(links: Links, p: int) -> list:
     """Each agent's neighbours in link order, by one scan of the links per agent."""
     return [links.dst[links.src == a].tolist() for a in range(p)]
@@ -232,14 +319,12 @@ def reference_decode(key: bytes, p: int) -> tuple:
 
 def reference_entry(key: bytes, links: Links, p: int) -> tuple:
     """The table entry of one step over `links` from the state `key` of p
-    agents: the next key, the rank each next rank had, W's flat nonzeros off
-    the joiners' rows (None for the identity), the joiners and the cost row
+    agents: the next key, the rank each next rank had, W's flat nonzeros
+    (None for the identity), the joiners and the cost row
     (sends, fan-out, senders, initiators)."""
     ranks, active = reference_decode(key, p)
     # rank 0 is "not joined", which reference_transition reads as a negative instance
     inst, active, w, joiners, sends, fanout = reference_transition(ranks - 1, active, links)
-    if w is not None:  # the apply overwrites the joiners' rows, so none is stored
-        w[joiners] = 0.0
     after = inst + 1
     kept = np.flatnonzero(np.bincount(np.append(after, 0)))  # next rank -> rank
     return (reference_key(np.searchsorted(kept, after), active), kept,

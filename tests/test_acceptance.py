@@ -16,10 +16,11 @@ from distiht.consensus import (DiffusiveConsensus, bound_constants,
 from distiht.diht import StopRule, run_diht
 from distiht.graphs import (gen_barabasi_albert, gen_erdos_renyi,
                             gen_geometric, gen_tv_schedule)
-from distiht.iht import IhtConfig, is_l_stationary, run_iht, run_inexact_iht
+from distiht.iht import IhtConfig, run_iht
 from distiht.model import generate_problem, loss_info
 from distiht.subgradient import SubgradConfig, run_subgradient
-from oracles import descent_gap_check, spark_bruteforce
+from oracles import (descent_gap_check, is_l_stationary, run_inexact_iht,
+                     spark_bruteforce)
 
 FIVE_FAMILIES = [("ba", lambda p, s: gen_barabasi_albert(p, 3, s)),
                  ("er25", lambda p, s: gen_erdos_renyi(p, 0.25, s)),

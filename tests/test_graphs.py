@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import bfs_validate_connectivity_window
+from oracles import bfs_validate_connectivity_window, schedule_from_text
 
 from distiht.graphs import (AssumptionViolation, Graph, ProtocolError, SpanningTree,
                             TvSchedule, _adjacency, _is_connected, bfs_spanning_tree,
                             gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
                             gen_tv_schedule, graph_from_text, graph_to_text,
-                            schedule_from_text, schedule_to_text, static_schedule,
+                            schedule_to_text, static_schedule,
                             validate_connectivity_window)
 
 
@@ -235,6 +235,12 @@ def test_schedule_edge_before_first_block_rejected():
 def test_three_token_line_names_its_number(parse, text):
     with pytest.raises(ValueError, match="line 4: '1 2 3'"):
         parse(text)
+
+
+def test_second_vertex_count_header_names_its_line():
+    # a later count would silently redefine the graph, here to 5 vertices, disconnected
+    with pytest.raises(ValueError, match="^line 4: '# p=5': a second '# p=' header$"):
+        graph_from_text("# p=3\n0 1\n1 2\n# p=5\n")
 
 
 # The depth-first connectivity test, the breadth-first tree and the

@@ -409,18 +409,25 @@ class TestCliRejects:
          "--out", "{tmp}/s.txt"],
         ["gen-schedule", "--graph", "{tmp}/missing.txt", "--out", "{tmp}/s.txt"],
         ["gen-schedule", "--graph", "{tmp}/bad.txt", "--out", "{tmp}/s.txt"],
+        ["gen-schedule", "--graph", "{tmp}/twice.txt", "--out", "{tmp}/s.txt"],
+        ["gen-schedule", "--graph", "{tmp}/split.txt", "--out", "{tmp}/s.txt"],
         ["run", "diht", "--problem", "{tmp}/missing.npz"],
     ], ids=["tight-frame-m-above-n", "zero-param", "zero-count", "missing-graph",
-            "three-token-line", "missing-problem"])
+            "three-token-line", "second-p-header", "disconnected-graph",
+            "missing-problem"])
     def test_rejected_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
-        (tmp_path / "good.txt").write_text("# p=3\n0 1\n1 2\n")
-        (tmp_path / "bad.txt").write_text("# p=3\n0 1\n1 2 3\n")
+        inputs = {"good.txt": "# p=3\n0 1\n1 2\n", "bad.txt": "# p=3\n0 1\n1 2 3\n",
+                  "twice.txt": "# p=3\n0 1\n1 2\n# p=5\n",
+                  "split.txt": "# p=4\n0 1\n2 3\n"}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
         assert cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and "Traceback" not in captured.err
         assert err[0].startswith(f"{argv[0]}: ")
         assert not captured.out
+        assert sorted(os.listdir(tmp_path)) == sorted(inputs)  # no file written
 
     @pytest.mark.parametrize("flags", [
         ["--p", "99"], ["--n", "7"], ["--m", "9"], ["--k", "1"], ["--noise-std", "0.1"],

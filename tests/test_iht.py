@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from distiht.cbdiht import run_cbdiht
 from distiht.diht import StopRule, run_diht
 from distiht.graphs import gen_erdos_renyi, static_schedule
-from distiht.iht import (IhtConfig, NumericFailure, hard_threshold,
-                         is_l_stationary, run_iht, run_inexact_iht,
+from distiht.iht import (IhtConfig, NumericFailure, hard_threshold, run_iht,
                          write_trace_csv)
 from distiht.model import generate_problem, loss_info
 from distiht.subgradient import SubgradConfig, orthonormal_slices, run_lockstep, run_subgradient
-from oracles import argsort_hard_threshold, descent_gap_check, spark_bruteforce
+from oracles import (argsort_hard_threshold, descent_gap_check, is_l_stationary,
+                     run_inexact_iht, spark_bruteforce)
 
 
 def quadratic(problem):

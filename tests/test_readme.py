@@ -15,7 +15,9 @@ DELETED = ["iht_step", "affine_projection", "consensus_step",  # wrappers nothin
            "self_stop", "stop_rule", "reference_vector",  # every run stops on the truth
            "truth_stop",  # truth_bound is the one accuracy rule
            "_path_delay",  # a DIHT sweep takes the tree height
-           "_run"]  # run_iht is IHT's one loop
+           "_run",  # run_iht is IHT's one loop
+           "run_inexact_iht", "is_l_stationary", "StationarityReport",
+           "schedule_from_text"]  # test references, now in tests/oracles.py
 
 
 def exported() -> list:
