@@ -1,0 +1,5 @@
+"""`python -m distiht`: the `distiht` command."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -164,10 +164,11 @@ def _dispatch(args) -> int:
         report = run_experiment(cfg)
         files = write_report(report, cfg.out_dir)
         print(f"wrote {len(files)} files under {cfg.out_dir}")
-        failures = [c for c in report.cells if c.error]
-        for c in failures[:5]:
-            print(f"cell error: {c.graph} seed {c.graph_seed} {c.algorithm}: "
-                  f"{c.error}", file=sys.stderr)
+        failures = {(c.graph, c.graph_seed, c.problem_seed, c.algorithm): c.error
+                    for c in report.cells if c.error}  # a run's cells share its error
+        for (graph, gseed, pseed, algorithm), error in list(failures.items())[:5]:
+            print(f"cell error: {graph} graph seed {gseed} problem seed {pseed} "
+                  f"{algorithm}: {error}", file=sys.stderr)
         return 1 if failures else 0
 
     if args.command == "verify":

@@ -84,17 +84,16 @@ def run_subgradient(problem: Problem, graph_or_schedule: Union[Graph, TvSchedule
 def run_lockstep(members: list, config: SubgradConfig, accuracies=None,
                  every: int = 1) -> Iterator[tuple]:
     """Run B members (problem, schedule, orthonormal_slices(problem)) of one p, n,
-    m_max and period in lockstep, every op into a buffer allocated once, so that
-    a member's iterates do not depend on its batch; yield each (SubgradTrace,
-    Metrics) in order.  A member records its first step within each of
+    m_max and period in lockstep, each op on a whole stack into a buffer allocated
+    once, so that a member's iterates do not depend on its batch; yield each
+    (SubgradTrace, Metrics) in order.  A member records its first step within each of
     `accuracies` (default: config.tol), stops within the tightest, its estimate
     frozen, and keeps the worst errors of every `every`-th step and its last."""
     problems, schedules, slices = zip(*members)
     q, c = (np.stack(a) for a in zip(*slices))  # (B, p, m_max, n), (B, p, m_max)
     (b, p, m, n), period = q.shape, schedules[0].period
-    w = np.stack([[metropolis_weights(links, p) for links in s.subgraphs]
-                  for s in schedules], axis=1)  # one (B, p, p) stack per phase
-    ref = np.stack([pr.x_star for pr in problems])[:, None, :]
+    w = list(np.stack([[metropolis_weights(links, p) for links in s.subgraphs]
+                       for s in schedules], axis=1))  # one (B, p, p) stack per phase
     accuracies = tuple(accuracies or (config.tol,))
     bound = np.array([[truth_bound(pr.x_star, a) for a in accuracies] for pr in problems])
     crossed, hit = np.zeros(bound.shape, dtype=int), np.empty(bound.shape, dtype=bool)
@@ -102,17 +101,26 @@ def run_lockstep(members: list, config: SubgradConfig, accuracies=None,
     x4, r4, worst2 = np.zeros((b, p, 1, n)), np.empty((b, p, m, 1)), np.empty((b, 1))
     x, r, worst = x4[:, :, 0], r4[:, :, :, 0], worst2[:, 0]
     y, d, sq = np.empty((b, p, n)), np.empty((b, p, n)), np.empty((b, p))
+    # y and Q^T y - c in the shapes of the products that read them; x and y flat
+    y4, rt, xf, yf = y[:, :, :, None], r[:, :, None, :], x4.reshape(-1), y.reshape(-1)
+    # x*'s support in each agent's row of the flat (B, p, n) stack, NaN entries
+    # included; off it x - x* is x, bit for bit.  y holds x* until the first step
+    y[:] = np.stack([pr.x_star for pr in problems])[:, None, :]
+    at = np.flatnonzero(y)
+    star = yf[at]
     t, stops, kept = 0, {}, []  # kept: the worst errors of every `every`-th step
     while t < config.max_iters and len(stops) < b:
         alpha = (t + 1.0) ** (-config.step_exponent)
         np.matmul(w[t % period], x, out=y)
         np.subtract(y, np.multiply(alpha, np.sign(x, out=d), out=d), out=y)
-        np.matmul(q, y[:, :, :, None], out=r4)
+        np.matmul(q, y4, out=r4)
         np.subtract(r, c, out=r)
-        np.matmul(r[:, :, None, :], q, out=x4)
+        np.matmul(rt, q, out=x4)
         np.subtract(y, x, out=x)
-        np.multiply(np.subtract(x, ref, out=d), d, out=d)
-        np.sqrt(np.maximum.reduce(np.add.reduce(d, axis=2, out=sq), axis=1, out=worst),
+        np.multiply(x, x, out=y)  # (x - x*)**2, patched on x*'s support below
+        e = xf[at] - star
+        yf[at] = e * e
+        np.sqrt(np.maximum.reduce(np.add.reduce(y, axis=2, out=sq), axis=1, out=worst),
                 out=worst)
         t += 1
         if not t % every:

@@ -355,6 +355,22 @@ class TestCliExperiment:
         assert "static network" in capsys.readouterr().err
         assert (tmp_path / "out" / "runs.csv").exists()
 
+    def test_each_failed_run_is_printed_once_with_its_seeds(self, tmp_path, capsys):
+        # 6 DIHT runs on schedules, 2 cells each: the first 5 runs, one line each
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(DESK_CONFIG.replace("max_iters = 300",
+                                                "max_iters = 300\ntime_varying = true")
+                            .replace("seeds = 0\n\n[graphs]", "seeds = 0, 1, 2\n\n[graphs]")
+                            .replace("seeds = 0\n\n[algorithms]", "seeds = 0, 1\n\n[algorithms]")
+                            + f"\n[output]\ndir = {tmp_path}/out\n")
+        assert cli(["experiment", str(cfg_path)]) == 1
+        reason = "ValueError: the tree-based algorithm needs a static network"
+        assert capsys.readouterr().err.splitlines() == [
+            f"cell error: er0.5 graph seed {g} problem seed {p} diht: {reason}"
+            for p, g in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]]
+        runs = (tmp_path / "out" / "runs.csv").read_text().splitlines()
+        assert sum(reason in line for line in runs) == 12
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(DESK_CONFIG.replace("max_iters", "max_iter"))
@@ -386,6 +402,15 @@ class TestCliExperiment:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and offender in err[0]
         assert not (tmp_path / "out").exists()
+
+    def test_python_m_runs_from_a_checkout(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "distiht", "run", "subgrad", "--n", "12", "--m", "6",
+             "--k", "2", "--p", "3", "--max-iters", "5"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout.startswith("subgrad: converged_at=None iterations=5 ")
 
     def test_unbuildable_problem_prints_no_traceback(self, tmp_path):
         cfg_path = tmp_path / "exp.ini"

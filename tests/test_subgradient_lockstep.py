@@ -22,7 +22,8 @@ from oracles import (loop_run_subgradient, percell_run_experiment, posthoc_harne
 
 from distiht import harness, subgradient
 from distiht.graphs import gen_erdos_renyi, gen_tv_schedule, static_schedule
-from distiht.harness import GraphSpec, parse_config_text, run_cell, run_experiment, write_report
+from distiht.harness import (GraphSpec, load_config, parse_config_text, run_cell,
+                             run_experiment, write_report)
 from distiht.iht import truth_bound
 from distiht.model import generate_problem
 from distiht.subgradient import (SubgradConfig, orthonormal_slices, run_lockstep,
@@ -36,6 +37,14 @@ def assert_same_run(got, want):
     assert trace.estimates.shape == ref_trace.estimates.shape
     assert trace.estimates.tobytes() == ref_trace.estimates.tobytes()
     assert metrics == ref_metrics
+
+
+def assert_crossings(trace, ref_trace, prob, accuracies):
+    """The trace's first step within each accuracy is the loop's."""
+    for acc in accuracies:
+        bound = truth_bound(prob.x_star, acc)
+        assert trace.crossed_at.get(acc) == next(
+            (t for t, e in enumerate(ref_trace.worst_errors, 1) if e <= bound), None)
 
 
 def member(p, m, seed, period, zero=False):
@@ -93,10 +102,7 @@ def test_lockstep_keeps_every_nth_row_and_the_last():
         assert trace.worst_errors == want.columns["err"].tolist()
         assert trace.converged_at == ref_trace.converged_at
         assert trace.estimates.tobytes() == ref_trace.estimates.tobytes()
-        for acc in (0.2, 0.05):
-            bound = truth_bound(prob.x_star, acc)
-            assert trace.crossed_at.get(acc) == next(
-                (t for t, e in enumerate(ref_trace.worst_errors, 1) if e <= bound), None)
+        assert_crossings(trace, ref_trace, prob, (0.2, 0.05))
         stops.append(trace.converged_at)
     assert stops[2] == 1 and None in stops
     assert any(s and s > 7 and s % 7 for s in stops)
@@ -129,6 +135,46 @@ def test_a_run_is_a_batch_of_one():
     got = run_subgradient(prob, schedule, config)
     assert_same_run(got, loop_run_subgradient(prob, schedule, config))
     assert_same_run(got, next(run_lockstep([(prob, schedule, slices)], config)))
+
+
+def test_the_paper_shape_matches_the_loop():
+    # n = 1000, m = 200, k = 3, p = 50: the worst errors of a (1, 50, 1000)
+    # stack with 3 support columns per agent
+    prob = generate_problem(1000, 200, 3, 50, seed=0, ensemble="tight-frame")
+    schedule = static_schedule(gen_erdos_renyi(50, 0.25, 0))
+    config = SubgradConfig(max_iters=30, tol=1e-2)
+    (trace, metrics), = run_lockstep([(prob, schedule, orthonormal_slices(prob))],
+                                     config, accuracies=(1.0, 1e-2))
+    want = loop_run_subgradient(prob, schedule, config)
+    assert_same_run((trace, metrics), want)
+    assert_crossings(trace, want[0], prob, (1.0, 1e-2))
+    assert trace.crossed_at == {1.0: 1} and len(trace.worst_errors) == 30
+
+
+def test_the_desk_batch_matches_the_loop():
+    # configs/desk.ini's 30 subgradient members: 3 problems, whose supports
+    # differ, on 5 families x 2 graph seeds; some stop before the budget
+    cfg = load_config(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                   "configs", "desk.ini"))
+    members = []
+    for pseed in cfg.problem_seeds:
+        prob = generate_problem(cfg.n, cfg.m, cfg.k, cfg.p, cfg.noise_std,
+                                cfg.spectral_cap, pseed, cfg.ensemble)
+        slices = orthonormal_slices(prob)
+        members += [(prob, static_schedule(spec.build(cfg.p, gseed)), slices)
+                    for spec in cfg.graphs for gseed in cfg.graph_seeds]
+    assert len(members) == 30
+    assert len({tuple(np.flatnonzero(prob.x_star)) for prob, _, _ in members}) == 3
+    accuracies = (0.5, 0.3)
+    config = SubgradConfig(step_exponent=cfg.step_exponent, max_iters=200, tol=0.3)
+    stops = []
+    for got, (prob, schedule, _) in zip(run_lockstep(members, config, accuracies),
+                                        members):
+        want = loop_run_subgradient(prob, schedule, config)
+        assert_same_run(got, want)
+        assert_crossings(got[0], want[0], prob, accuracies)
+        stops.append(got[0].converged_at)
+    assert None in stops and len({s for s in stops if s}) >= 2
 
 
 def test_a_batch_rejects_members_of_two_shapes():
