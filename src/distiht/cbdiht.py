@@ -10,7 +10,6 @@ costs bandwidth and is counted.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +20,7 @@ from .diht import Metrics, StopRule, default_step_constant
 from .graphs import TvSchedule, validate_connectivity_window
 from .iht import IhtConfig, IhtTrace, run_iht, truth_bound
 from .iht import hard_threshold  # noqa: F401  rebound by perfbench's traced pass
-from .model import Problem, mixed_gradients, padded_slices, stacked_lipschitz
+from .model import Problem, stacked_lipschitz
 from .model import loss_gradient  # noqa: F401  rebound by perfbench's traced pass
 from .model import loss_info  # noqa: F401  rebound by perfbench's traced pass
 
@@ -100,19 +99,21 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
         l_tv = default_l_tv(problem)
     elif not 0 < l_tv < np.inf:
         raise ValueError(f"l_tv = {l_tv} must be finite and positive")
-    elif l_tv <= stacked_lipschitz(problem) / p:
-        warnings.warn("l_tv at or below the stacked constant over p: "
-                      "convergence is not guaranteed", RuntimeWarning)
+    elif l_tv <= (floor := stacked_lipschitz(problem) / p):
+        # below it the iterate may diverge, and s_k grows with ||x_k||^2 unbounded
+        raise ValueError(f"l_tv = {l_tv} must exceed the stacked constant over p, "
+                         f"{floor} (Blumensath & Davies 2009)")
     config = IhtConfig(l=l_tv, k=k, max_iters=stop.max_iters, tol=stop.tol)
     x_star = problem.x_star
     bound = truth_bound(x_star, stop.tol)
 
     periods = [directed_links(links) for links in schedule.subgraphs]
-    a, b = padded_slices(problem.slices)
+    a, b = problem.stacked()
+    rows = np.diff(problem.offsets, append=problem.m)  # each agent's row count
+    w = np.empty((problem.m, 2))  # per row: 2 (A x - b), times agent 0's weight in column 0
     # the iterate each live instance carries; agents that never joined hold the start
     iterates = {-1: np.zeros(n)}
     machine = DiffusiveConsensus(p, 0, np.zeros(0))  # walked only: its coef goes unused
-    weights = np.ones((2, p))  # row 0: agent 0's coefficients; row 1 sums
     s_schedule, v_hats, initiated_counts, eps_norms, worst_errors = [], [], [], [], []
     costs = []  # per outer iteration: values, messages, broadcasts, time steps
 
@@ -131,12 +132,14 @@ def run_cbdiht(problem: Problem, schedule: TvSchedule, l_tv: Optional[float] = N
                       n * senders + 2 * k * initiators, s_k))  # a step is a time step
         for i in iterates.keys() - set(machine.inst.tolist()):
             del iterates[i]  # no agent holds instance i any more
-        weights[0] = initiator_row(steps, p)  # v_hat = row @ G, grad f(x) = ones @ G
-        mixed = mixed_gradients(a, b, x, np.flatnonzero(x), weights)
-        v_hat = mixed[0].copy()  # a row view would keep both rows alive
+        support = np.flatnonzero(x)
+        w[:, 1] = 2.0 * (a[:, support] @ x[support] - b)
+        w[:, 0] = np.repeat(initiator_row(steps, p), rows) * w[:, 1]
+        both = a.T @ w  # v_hat = row @ G and grad f(x) = ones @ G
+        v_hat = both[:, 0].copy()  # a column view would keep both columns alive
         v_hats.append(v_hat)
         initiated_counts.append(int(np.count_nonzero(machine.inst == outer)))
-        eps_norms.append(math.sqrt((d := p * v_hat - mixed[1]).dot(d)))
+        eps_norms.append(math.sqrt((d := p * v_hat - both[:, 1]).dot(d)))
         return v_hat
 
     def worst_error(x):

@@ -68,10 +68,12 @@ class Problem:
                 raise ValueError(f"{name} has shape {view.shape}, expected {shape} "
                                  f"for n={n}, m={m}")
         offsets = self.offsets = np.asarray(self.offsets)
-        if (offsets.shape != (p,) or p < 1 or offsets[0] != 0
+        if offsets.dtype.kind in "iu":  # as intp, whose diffs cannot wrap
+            offsets = self.offsets = offsets.astype(np.intp, copy=False)
+        if (offsets.dtype != np.intp or offsets.shape != (p,) or p < 1 or offsets[0] != 0
                 or np.any(np.diff(offsets) < 0) or offsets[-1] > m):
             raise ValueError(f"offsets {offsets.tolist()} are not {p} non-decreasing "
-                             f"row starts from 0 to at most m={m}")
+                             f"integer row starts from 0 to at most m={m}")
         if np.count_nonzero(self.x_star) > self.k:
             raise ValueError("ground truth exceeds the sparsity budget")
         self.slices = _split(self.a, self.b, offsets)
@@ -160,19 +162,6 @@ def padded_slices(slices: list[SensingSlice]) -> tuple[np.ndarray, np.ndarray]:
         a[q, :s.m_p] = s.a
         b[q, :s.m_p] = s.b
     return a, b
-
-
-def mixed_gradients(a: np.ndarray, b: np.ndarray, x: np.ndarray, support: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    """weights @ G, (j, n), for (j, p) weights and the slice gradients G at one
-    point x that is zero off `support`; a and b come from padded_slices.
-
-    The forward product reads only the support columns, and each result row
-    is one product 2 A^T (w * residuals) over the stacked rows, so G is never
-    formed; it agrees with summing loss_gradient to rounding."""
-    r = a[:, :, support] @ x[support] - b
-    wr = (2.0 * np.asarray(weights, dtype=float))[:, :, None] * r
-    return wr.reshape(len(wr), -1) @ a.reshape(-1, a.shape[2])
 
 
 def support_gradient(problem: Problem):

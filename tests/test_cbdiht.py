@@ -1,11 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from distiht.cbdiht import consensus_steps, default_l_tv, epsilon_series, run_cbdiht
 from distiht.diht import StopRule
-from distiht.graphs import (AssumptionViolation, Graph, TvSchedule,
+from distiht.graphs import (AssumptionViolation, Graph, TvSchedule, gen_barabasi_albert,
                             gen_erdos_renyi, gen_tv_schedule, static_schedule)
 from distiht.iht import IhtConfig, NumericFailure, hard_threshold, run_iht
 from distiht.model import (generate_problem, lipschitz_of_slice,
@@ -187,13 +190,19 @@ class TestRunCbdiht:
             run_cbdiht(prob, sched, stop=StopRule(tol=0, max_iters=2))
 
     def test_low_l_tv_warns(self):
+        # a step constant at or below the stacked constant over p is rejected,
+        # not warned of: the run it would start need not end
         prob = desk_problem(20)
         sched = static_schedule(complete_graph(6))
         with pytest.raises(Exception):
             run_cbdiht(prob, sched, l_tv=-1.0, stop=StopRule())
-        with pytest.warns(RuntimeWarning):
-            run_cbdiht(prob, sched, l_tv=1e-9,
-                       stop=StopRule(tol=0, max_iters=1))
+        floor = loss_info(prob).lipschitz_global / prob.p
+        for l_tv in (1e-9, floor):
+            with pytest.raises(ValueError, match="must exceed the stacked constant over p"):
+                run_cbdiht(prob, sched, l_tv=l_tv, stop=StopRule(tol=0, max_iters=1))
+        run = run_cbdiht(prob, sched, l_tv=np.nextafter(floor, np.inf),
+                         stop=StopRule(tol=0, max_iters=1))
+        assert len(run.s_schedule) == 1
 
     def test_start_within_tolerance_stops_at_zero_iterations(self):
         prob = dataclasses.replace(desk_problem(22), x_star=np.zeros(50))
@@ -318,3 +327,53 @@ class TestMaxConsensus:
         sched = static_schedule(complete_graph(3))
         with pytest.raises(ValueError):
             max_consensus(sched, [1, 2, 3], -1)
+
+
+class TestRunawayStepConstant:
+    """l_tv = 0.0201 is about a tenth of the stacked constant over p on this
+    desk-scale time-varying input.  Run with it, the iterate diverges, each
+    outer iteration is granted ceil((k + ||x_k||^2)/2) averaging steps, and
+    no outer budget ends the run.  The subprocesses carry a timeout, so a
+    run that is let start fails these tests instead of stalling the suite."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    CONFIG = os.path.join(os.path.dirname(SRC), "configs", "desk.ini")
+
+    def distiht(self, *argv):
+        return subprocess.run([sys.executable, "-m", "distiht", *argv], timeout=30,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": self.SRC})
+
+    def test_run_cbdiht_raises(self):
+        prob = generate_problem(100, 50, 5, 10, seed=0, ensemble="tight-frame")
+        sched = gen_tv_schedule(gen_barabasi_albert(10, 3, 0), 10, 1000)
+        with pytest.raises(ValueError, match="^l_tv = 0.0201 must exceed"):
+            run_cbdiht(prob, sched, l_tv=0.0201, stop=StopRule(max_iters=100000))
+
+    def test_experiment_reports_a_cell_error(self, tmp_path):
+        with open(self.CONFIG) as fh:
+            text = fh.read()
+        for old, new in [
+                ("families = ba:3, er:0.25, er:0.75, geo:0.5, geo:0.75", "families = ba:3"),
+                ("seeds = 0, 1, 2", "seeds = 0"), ("seeds = 0, 1", "seeds = 0"),
+                ("run = iht, diht, cbdiht, subgrad", "run = cbdiht"),
+                ("l_tv = auto", "l_tv = 0.0201"),
+                ("time_varying = false", "time_varying = true")]:
+            assert old in text
+            text = text.replace(old, new)
+        (tmp_path / "exp.ini").write_text(text)
+        proc = self.distiht("experiment", str(tmp_path / "exp.ini"),
+                            "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        errors = proc.stderr.strip().splitlines()
+        assert len(errors) == 1 and errors[0].startswith(
+            "cell error: ba3 graph seed 0 problem seed 0 cbdiht: ValueError: "
+            "l_tv = 0.0201 must exceed the stacked constant over p")
+
+    def test_run_exits_2_with_one_line(self):
+        proc = self.distiht("run", "cbdiht", "--n", "100", "--m", "50", "--k", "5",
+                            "--p", "10", "--ensemble", "tight-frame", "--family", "ba",
+                            "--param", "3", "--tv", "--l-tv", "0.0201")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("run: ValueError: l_tv = 0.0201 must exceed")
+        assert len(proc.stderr.strip().splitlines()) == 1

@@ -1,23 +1,24 @@
 """Differential oracle for run_cbdiht: the original per-agent loop, kept verbatim.
 
 The library runs the averaging step on per-period edge arrays, mixes p x p
-coefficient rows instead of N-vectors and takes the slice gradients in one
-batch; this loop rebuilds neighbour lists from sets, fills the weight matrix
-entry by entry, averages the vectors themselves and counts sends agent by
-agent.  Both agree exactly on every counter, schedule, instance count, join
-and stop index.  The consensus averages, iterates, estimates and errors are
-summed in a different order, so they agree to float64 drift (1e-12 of each
+coefficient rows instead of N-vectors and takes v_hat and grad f(x_k) in one
+product over the stacked rows, whatever each agent's row count; this loop
+rebuilds neighbour lists from sets, fills the weight matrix entry by entry,
+averages the vectors themselves and counts sends agent by agent.  Both
+agree exactly on every counter, schedule, instance count, join and stop
+index.  The consensus averages, iterates, estimates and errors are summed
+in a different order, so they agree to float64 drift (1e-12 of each
 series' largest magnitude).  The gradient error eps = p v_hat - grad f(x_k)
 is a difference of nearly equal terms, so it agrees within 1e-12 of the
 scale of those terms and their operands, p ||v_hat|| + sum_q 2 ||a_q||_2
 (||a_q x_k|| + ||b_q||).
 """
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from oracles import cbdiht_settings
 
 from distiht.cbdiht import CbDihtRun, consensus_steps, default_l_tv, run_cbdiht
@@ -223,7 +224,7 @@ def random_schedule(p, seed, count, retain):
     """Random subgraphs of a random graph; the union need not be connected."""
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
-    base = [e for e in pairs if rng.random() < 0.6] or [(0, 1)]
+    base = [e for e in pairs if rng.random() < 0.6] or pairs[:1]  # none at p = 1
     subgraphs = [[e for e in base if rng.random() < retain] for _ in range(count)]
     subgraphs[rng.integers(count)] += [e for e in base
                                        if not any(e in s for s in subgraphs)]
@@ -279,14 +280,33 @@ def assert_runs_equal(fast, slow):
         assert_close(np.reshape(a, (len(a), -1)), np.reshape(b, (len(b), -1)))
 
 
+def uneven_problem(rows, k, seed):
+    """A tight-frame problem whose agent q holds rows[q] of its m = sum(rows)
+    rows; at k = 0 the signal is zero, and b is all noise."""
+    prob = generate_problem(40, sum(rows), k, len(rows), noise_std=0.0 if k else 0.1,
+                            seed=seed, ensemble="tight-frame")
+    return replace(prob, offsets=np.cumsum([0] + rows[:-1]))
+
+
+# each agent's row count, 1 to 5, for 1 to 8 agents: uneven, so the run's
+# per-row expansion of agent 0's coefficients must follow the offsets
+ROWS = st.integers(1, 8).flatmap(lambda p: st.lists(st.integers(1, 5), min_size=p,
+                                                    max_size=p))
+
+
 @settings(max_examples=60, deadline=None)
-@given(p=st.integers(2, 8), seed=st.integers(0, 10 ** 6),
+@given(rows=ROWS, k=st.sampled_from([3, 0]), seed=st.integers(0, 10 ** 6),
        count=st.integers(1, 6), retain=st.floats(0.2, 0.8),
        steps=st.sampled_from([None, 1, 3]), tol=st.sampled_from([0.0, 1e-3]),
        max_iters=st.integers(1, 12))
-@example(p=8, seed=2, count=1, retain=0.5, steps=3, tol=0.0, max_iters=12)
-def test_matches_reference_loop(p, seed, count, retain, steps, tol, max_iters):
-    prob = generate_problem(40, 4 * p, 3, p, seed=seed, ensemble="tight-frame")
+@example(rows=[4] * 8, k=3, seed=2, count=1, retain=0.5, steps=3, tol=0.0, max_iters=12)
+@example(rows=[1, 5, 2, 5, 3], k=3, seed=7, count=3, retain=0.5, steps=None, tol=0.0,
+         max_iters=12)
+@example(rows=[2, 5, 1, 4], k=0, seed=3, count=2, retain=0.5, steps=None, tol=0.0,
+         max_iters=6)  # k = 0: an empty support at every outer iteration
+def test_matches_reference_loop(rows, k, seed, count, retain, steps, tol, max_iters):
+    assume(k or not tol)  # a K = 0 start is the truth; the loop checks it only later
+    p, prob = len(rows), uneven_problem(rows, k, seed)
     sched = random_schedule(p, seed, count, retain)
     s_fn = None if steps is None else (lambda k, x: steps)
     stop = StopRule(tol=tol, max_iters=max_iters)
@@ -310,12 +330,15 @@ def test_matches_reference_with_stale_instances():
 
 
 @settings(max_examples=30, deadline=None)
-@given(p=st.integers(2, 6), seed=st.integers(0, 10 ** 6),
+@given(rows=ROWS, k=st.sampled_from([3, 0]), seed=st.integers(0, 10 ** 6),
        count=st.integers(1, 4), steps=st.sampled_from([None, 1, 3]),
        tol=st.sampled_from([0.0, 1e-3]), max_iters=st.integers(1, 10))
-def test_metrics_rows_match_reference_loop(p, seed, count, steps, tol, max_iters):
+@example(rows=[1, 5, 2, 5, 3], k=3, seed=7, count=3, steps=None, tol=0.0, max_iters=10)
+@example(rows=[3], k=3, seed=4, count=1, steps=None, tol=0.0, max_iters=10)  # one agent
+def test_metrics_rows_match_reference_loop(rows, k, seed, count, steps, tol, max_iters):
+    assume(k or not tol)  # a K = 0 start is the truth; the loop checks it only later
     # the curve files are written from these rows
-    prob = generate_problem(40, 4 * p, 3, p, seed=seed, ensemble="tight-frame")
+    p, prob = len(rows), uneven_problem(rows, k, seed)
     sched = random_schedule(p, seed, count, 0.5)
     s_fn = None if steps is None else (lambda k, x: steps)
     stop = StopRule(tol=tol, max_iters=max_iters)

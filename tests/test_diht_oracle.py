@@ -14,8 +14,8 @@ in-place `_tree_sum` replaced (that one still serves convergecast_sum and
 the tests' aggregate_lipschitz), the shared-loop run that decoded the sent pairs
 into one (p, n) row per agent, took the dense batched gradients at the
 rows (test_model.batched_gradients) and summed them up the tree, and the
-run that took the sum as one unit-weighted model.mixed_gradients product
-over the padded slice stack on the K columns sent.
+run that took the sum as one product 2 A^T (A_S x_S - b) over the stacked
+rows, its forward product on the K columns sent.
 
 Every reference path rounds differently from the cached columns, so the
 iterates, errors, step sizes and estimates agree to float64 drift (1e-12
@@ -41,8 +41,7 @@ from distiht.diht import (DihtRun, Metrics as RunMetrics, StopRule, _tree_sum,
 from distiht.graphs import (Graph, SpanningTree, bfs_spanning_tree,
                             gen_barabasi_albert, gen_erdos_renyi, gen_geometric)
 from distiht.iht import IhtConfig, IhtTrace, NumericFailure, hard_threshold, run_iht
-from distiht.model import (Problem, generate_problem, loss_gradient, loss_info,
-                           mixed_gradients, padded_slices)
+from distiht.model import Problem, generate_problem, loss_gradient, loss_info, padded_slices
 
 
 @dataclass
@@ -239,23 +238,22 @@ def dense_run_diht(problem: Problem, graph: Graph, stop: StopRule) -> DihtRun:
                    trace=trace, l=l)
 
 
-def padded_support_gradient(problem: Problem):
+def k_column_gradient(problem: Problem):
     """The gradient oracle run_diht took before the cached Gram columns: the
-    convergecast's sum as one unit-weighted mixed_gradients product over the
-    padded slice stack, its forward product on the K columns sent."""
-    a, b = padded_slices(problem.slices)
-    ones = np.ones((1, problem.p))
-    return lambda x, support: mixed_gradients(a, b, x, support, ones)[0]
+    convergecast's sum as one product 2 A^T (A_S x_S - b) over the stacked
+    rows, its forward product on the K columns sent."""
+    a, b = problem.stacked()
+    return lambda x, support: 2.0 * (a.T @ (a[:, support] @ x[support] - b))
 
 
 def k_column_run_diht(problem: Problem, graph: Graph, **kwargs) -> DihtRun:
-    """run_diht with its gradient taken on the padded slice stack.  It runs on
-    a fresh copy of the problem, which keeps no trajectory of an earlier run,
-    and checks that the padded gradient served every step."""
+    """run_diht with its gradient taken on the K columns sent.  It runs on a
+    fresh copy of the problem, which keeps no trajectory of an earlier run,
+    and checks that the K-column gradient served every step."""
     steps = []
 
     def oracle(prob):
-        gradient = padded_support_gradient(prob)
+        gradient = k_column_gradient(prob)
 
         def counted(x, support):
             steps.append(x)

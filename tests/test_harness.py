@@ -18,7 +18,8 @@ from distiht.harness import (ALGORITHMS, ExperimentConfig, GraphSpec, load_confi
                              parse_config_text, parse_graph_token,
                              run_experiment, write_report)
 from distiht.iht import IhtConfig, run_iht
-from distiht.model import generate_problem, stacked_lipschitz, support_gradient
+from distiht.model import (generate_problem, save_problem, stacked_lipschitz,
+                           support_gradient)
 
 DESK_CONFIG = """
 [meta]
@@ -437,22 +438,29 @@ class TestCliRejects:
         ["gen-schedule", "--graph", "{tmp}/twice.txt", "--out", "{tmp}/s.txt"],
         ["gen-schedule", "--graph", "{tmp}/split.txt", "--out", "{tmp}/s.txt"],
         ["run", "diht", "--problem", "{tmp}/missing.npz"],
+        ["run", "iht", "--problem", "{tmp}/floats.npz"],
     ], ids=["tight-frame-m-above-n", "zero-param", "zero-count", "missing-graph",
             "three-token-line", "second-p-header", "disconnected-graph",
-            "missing-problem"])
+            "missing-problem", "float-offsets"])
     def test_rejected_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
         inputs = {"good.txt": "# p=3\n0 1\n1 2\n", "bad.txt": "# p=3\n0 1\n1 2 3\n",
                   "twice.txt": "# p=3\n0 1\n1 2\n# p=5\n",
                   "split.txt": "# p=4\n0 1\n2 3\n"}
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
+        floats = tmp_path / "floats.npz"  # a problem whose offsets are 0., 2., 4., 6., 8.
+        save_problem(generate_problem(20, 10, 2, 5, seed=0), str(floats))
+        with np.load(floats) as z:
+            arrays = {**z, "offsets": z["offsets"].astype(float)}
+        np.savez(floats, **arrays)
         assert cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and "Traceback" not in captured.err
         assert err[0].startswith(f"{argv[0]}: ")
         assert not captured.out
-        assert sorted(os.listdir(tmp_path)) == sorted(inputs)  # no file written
+        # no file written
+        assert sorted(os.listdir(tmp_path)) == sorted([*inputs, floats.name])
 
     @pytest.mark.parametrize("flags", [
         ["--p", "99"], ["--n", "7"], ["--m", "9"], ["--k", "1"], ["--noise-std", "0.1"],

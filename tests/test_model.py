@@ -12,8 +12,8 @@ from distiht.graphs import (gen_barabasi_albert, gen_erdos_renyi, gen_geometric,
                             static_schedule)
 from distiht.model import (SensingSlice, _split, generate_problem, lipschitz_of_slice,
                            load_problem, loss_gradient, loss_info, loss_value,
-                           mixed_gradients, padded_slices, save_problem, spectral_norm,
-                           stacked_lipschitz, support_gradient)
+                           padded_slices, save_problem, spectral_norm, stacked_lipschitz,
+                           support_gradient)
 
 
 def slice_of(a, b):
@@ -262,6 +262,22 @@ def test_load_rejects_tampered_container(tmp_path, field, tamper):
         load_problem(path)
 
 
+def test_offsets_must_be_integers_and_are_stored_as_intp(tmp_path):
+    prob = generate_problem(30, 14, 3, 4, seed=11)
+    path = str(tmp_path / "prob.npz")
+    save_problem(prob, path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    np.savez(path, **{**arrays, "offsets": prob.offsets.astype(np.uint8)})
+    assert load_problem(path) == prob and load_problem(path).offsets.dtype == np.intp
+    np.savez(path, **{**arrays, "offsets": np.array([0.0, 3.0, 6.0, 10.0])})
+    with pytest.raises(ValueError, match=r"^offsets \[0.0, 3.0, 6.0, 10.0\] are not 4 "
+                                         "non-decreasing integer row starts"):
+        load_problem(path)
+    with pytest.raises(ValueError, match="integer row starts"):
+        replace(prob, offsets=[0.0, 3.0, 6.0, 10.0])
+
+
 def stacked_by_copy(prob):
     """The (A, b) that Problem.stacked rebuilt from the slices on every call
     before it returned the stored pair; kept as an oracle."""
@@ -393,8 +409,8 @@ def batched_gradients(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarra
     of xs being agent q's point; a and b come from padded_slices.
 
     The dense batched kernel that CB-DIHT took its slice gradients with, and
-    the subgradient its projection, before model.mixed_gradients replaced
-    it; kept as an oracle for the slice stack.
+    the subgradient its projection, before one product over the stacked rows
+    replaced it; kept as an oracle for the slice stack.
     """
     r = np.matmul(a, xs[:, :, None])[:, :, 0] - b
     return 2.0 * np.matmul(r[:, None, :], a)[:, 0, :]
@@ -420,34 +436,6 @@ def test_batched_gradients_match_each_slice(case, tmp_path):
     for q, sl in enumerate(prob.slices):
         np.testing.assert_allclose(got[q], loss_gradient(sl, xs[q]), rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(got[q])))
-
-
-@pytest.mark.parametrize("j", [1, 2])
-@pytest.mark.parametrize("nonzeros", [3, 0])  # 0: x = 0, an empty support
-@pytest.mark.parametrize("case", ["uniform", "uneven", "one-agent", "k=0"])
-def test_mixed_gradients_match_weighted_slice_sums(case, nonzeros, j, tmp_path):
-    if case == "k=0":  # a zero signal: b is all noise
-        prob = generate_problem(40, 20, 0, 5, noise_std=0.1, seed=14)
-    else:
-        prob = gradient_case(case, tmp_path)
-    rng = np.random.default_rng(16)
-    x = np.zeros(prob.n)
-    support = np.sort(rng.choice(prob.n, size=nonzeros, replace=False))
-    x[support] = rng.standard_normal(nonzeros)
-    weights = rng.standard_normal((j, prob.p))
-    a, b = padded_slices(prob.slices)
-    got = mixed_gradients(a, b, x, support, weights)
-    grads = np.array([loss_gradient(sl, x) for sl in prob.slices])
-    assert got.shape == (j, prob.n)
-    for w, row in zip(weights, got):
-        want = sum(wq * g for wq, g in zip(w, grads))
-        np.testing.assert_allclose(row, want, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(grads)))
-    # unit weights give the network's gradient 2 A^T (A x - b)
-    a_full, b_full = prob.stacked()
-    total = mixed_gradients(a, b, x, support, np.ones((1, prob.p)))[0]
-    np.testing.assert_allclose(total, 2.0 * (a_full.T @ (a_full @ x - b_full)),
-                               rtol=1e-12, atol=1e-12 * np.max(np.abs(total)))
 
 
 def support_case(case, tmp_path):

@@ -17,7 +17,8 @@ DELETED = ["iht_step", "affine_projection", "consensus_step",  # wrappers nothin
            "_path_delay",  # a DIHT sweep takes the tree height
            "_run",  # run_iht is IHT's one loop
            "run_inexact_iht", "is_l_stationary", "StationarityReport",
-           "schedule_from_text"]  # test references, now in tests/oracles.py
+           "schedule_from_text",  # test references, now in tests/oracles.py
+           "mixed_gradients"]  # CB-DIHT takes one product over the stored rows
 
 
 def exported() -> list:
